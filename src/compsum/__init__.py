@@ -1,7 +1,6 @@
 """Comp-sum losses, consistency transforms, gap calculators, adversarial
 variants, and the numerical verification harness built on them."""
 
-from ._backend import NUMBA_ENABLED, backend_name
 from .adversarial import (
     AdvParams,
     PerturbationBall,
@@ -59,8 +58,14 @@ from .transform import gamma_tau, gamma_tilde, psi_tau, t_tau, t_tilde
 
 __version__ = "0.1.0"
 
+
+def backend_name():
+    """Name of the kernel backend; the numpy kernels are the only one."""
+    return "numpy"
+
+
 __all__ = [
-    "NUMBA_ENABLED", "backend_name", "__version__",
+    "backend_name", "__version__",
     "phi_tau", "phi_tau_deriv", "comp_sum_loss", "comp_sum_grad",
     "loss_upper_bound", "predict",
     "t_tau", "gamma_tau", "t_tilde", "gamma_tilde", "psi_tau",

@@ -1,25 +1,21 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels of the box oracle.
 
-The box-constrained multi-start projected gradient descent used by the
+The box-constrained multi-start projected gradient descent behind the
 brute-force conditional-risk oracle (and the Monte-Carlo complexity
-estimator) dominates the runtime of the verification sweeps. The kernels
-are written in numba-compatible numpy; ``@jit`` compiles them when the
-numba backend is enabled and leaves them as plain Python otherwise (see
-``compsum._backend``).
+estimator) dominates the runtime of the verification sweeps. It comes in
+two forms that run the same algorithm: ``pgd_box_weighted_min`` solves one
+problem, one start after another, in scalar Python; and
+``pgd_box_weighted_min_batch`` runs every start of many problems in
+lockstep as rows of numpy arrays.
 """
 
 import math
 
 import numpy as np
 
-from ._backend import jit
-
-# Largest exponent with a finite float64 exp(); arguments are saturated
-# there so extreme score gaps degrade to the float ceiling instead of inf.
-EXP_CAP = 709.0
+from .losses import EXP_CAP, _phi_of_gap_array
 
 
-@jit
 def phi_of_gap(v, tau):
     """Outer concave transform evaluated at an inner sum of exp(v) - 1.
 
@@ -35,7 +31,6 @@ def phi_of_gap(v, tau):
     return math.expm1(a) / (1.0 - tau)
 
 
-@jit
 def weighted_cond_value(s, c, tau):
     """sum_y c[y] * loss(s, y, tau) for a single score vector ``s``."""
     n = s.shape[0]
@@ -53,7 +48,6 @@ def weighted_cond_value(s, c, tau):
     return total
 
 
-@jit
 def weighted_cond_value_grad(s, c, tau, g):
     """Value of ``weighted_cond_value`` with its exact score gradient in ``g``."""
     n = s.shape[0]
@@ -83,7 +77,6 @@ def weighted_cond_value_grad(s, c, tau, g):
     return total
 
 
-@jit
 def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     """Minimize sum_y c[y] * loss(s, y, tau) over the box [-lam, lam]^n.
 
@@ -206,3 +199,152 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
                 best_x[j] = x[j]
 
     return best_f, best_x, all_conv
+
+
+# ---------------------------------------------------------------------------
+# lockstep batch form
+# ---------------------------------------------------------------------------
+
+def _rows_sum(a):
+    """Row sums accumulated column by column, in the scalar kernel's order."""
+    out = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        out += a[:, j]
+    return out
+
+
+def _rows_lse(S):
+    m = S.max(axis=1)
+    return m + np.log(_rows_sum(np.exp(S - m[:, None])))
+
+
+def weighted_cond_value_rows(S, C, tau):
+    """``weighted_cond_value`` of each score row of ``S`` with its row of ``C``."""
+    v = _rows_lse(S)[:, None] - S
+    return _rows_sum(C * _phi_of_gap_array(v, tau))
+
+
+def weighted_cond_value_grad_rows(S, C, tau):
+    """Row-wise ``weighted_cond_value_grad``: (values, gradient rows)."""
+    lse = _rows_lse(S)
+    v = lse[:, None] - S
+    w = np.exp(np.minimum((1.0 - tau) * v, EXP_CAP))
+    G = -C * w
+    G += np.exp(S - lse[:, None]) * _rows_sum(C * w)[:, None]
+    return _rows_sum(C * _phi_of_gap_array(v, tau)), G
+
+
+def _backtrack(y, g, fy, step, c, tau, lam):
+    """Backtracking of ``pgd_box_weighted_min`` for every row at once.
+
+    Each row halves its own ``step`` (updated in place) until the quadratic
+    majorization at its ``y`` holds. A row gives up, unaccepted, when its
+    step falls below 1e-18 or its projected step is zero. Returns
+    (accepted, accepted points, their values).
+    """
+    accepted = np.zeros(y.shape[0], dtype=bool)
+    xn = np.empty_like(y)
+    fn = np.empty_like(fy)
+    pend = np.arange(y.shape[0])
+    while pend.size:
+        pend = pend[step[pend] >= 1e-18]
+        yp, gp, sp = y[pend], g[pend], step[pend]
+        z = np.clip(yp - sp[:, None] * gp, -lam, lam)
+        d = z - yp
+        gd = _rows_sum(gp * d)
+        dn = _rows_sum(d * d)
+        moved = dn != 0.0
+        pend, z, gd, dn, sp = pend[moved], z[moved], gd[moved], dn[moved], sp[moved]
+        f = weighted_cond_value_rows(z, c[pend], tau)
+        fyp = fy[pend]
+        ok = f <= fyp + gd + dn / (2.0 * sp) + 1e-15 * np.abs(fyp)
+        done = pend[ok]
+        accepted[done] = True
+        xn[done] = z[ok]
+        fn[done] = f[ok]
+        pend = pend[~ok]
+        step[pend] *= 0.5
+    return accepted, xn, fn
+
+
+def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
+    """Lockstep form of ``pgd_box_weighted_min`` for B problems on one box.
+
+    ``C`` is (B, n) and ``starts`` is (B, k, n). Every start of every
+    problem is one row. All rows take their outer iterations together, and
+    each row backtracks on its own step, so every row follows the path of
+    the scalar kernel from the same start: the same Nesterov step,
+    backtracking, adaptive restart, step growth, stall test every 64
+    iterations, projected-gradient tolerance and iteration cap. Rows leave
+    the arrays as they stop. Per problem the best start is the first
+    minimum in start order, and it converged when every start did.
+    Returns (values (B,), scores (B, n), converged (B,)).
+    """
+    B, k, n = starts.shape
+    R = B * k
+    f_out = np.empty(R)
+    x_out = np.empty((R, n))
+    conv_out = np.zeros(R, dtype=bool)
+
+    rows = np.arange(R)
+    c = np.repeat(C, k, axis=0)
+    x = np.clip(starts.reshape(R, n), -lam, lam)
+    xp = x.copy()
+    fx = weighted_cond_value_rows(x, c, tau)
+    f_checkpoint = fx.copy()
+    t = np.ones(R)
+    step = np.ones(R)
+    it = 0
+    while rows.size and it < max_iter:
+        it += 1
+        # every row that stops inside the loop has converged; only rows
+        # still running at the cap have not
+        stop = np.zeros(rows.size, dtype=bool)
+        if it % 64 == 0:
+            stop = f_checkpoint - fx <= 1e-15 * (1.0 + np.abs(fx))
+            f_checkpoint = fx.copy()
+        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / tn
+        y = x + beta[:, None] * (x - xp)
+        fy, g = weighted_cond_value_grad_rows(y, c, tau)
+        d = np.clip(y - g, -lam, lam) - y
+        stop |= np.sqrt(_rows_sum(d * d)) <= gtol
+
+        live = np.flatnonzero(~stop)
+        live_step = step[live]
+        accepted, xn, fn = _backtrack(y[live], g[live], fy[live], live_step,
+                                      c[live], tau, lam)
+        step[live] = live_step
+        stop[live[~accepted]] = True
+
+        a = live[accepted]
+        fn, xn = fn[accepted], xn[accepted]
+        better = ~(fn > fx[a])
+        xp[a] = x[a]
+        x[a[better]] = xn[better]
+        fx[a[better]] = fn[better]
+        # momentum overshoot (fn > fx) restarts the momentum from x
+        t[a] = np.where(better, tn[a], 1.0)
+        step[a] = np.where(step[a] < 1e8, step[a] * 1.3, step[a])
+
+        if stop.any():
+            done = rows[stop]
+            f_out[done] = fx[stop]
+            x_out[done] = x[stop]
+            conv_out[done] = True
+            keep = ~stop
+            rows, c, x, xp = rows[keep], c[keep], x[keep], xp[keep]
+            fx, f_checkpoint, t, step = (fx[keep], f_checkpoint[keep],
+                                         t[keep], step[keep])
+    f_out[rows] = fx
+    x_out[rows] = x
+
+    f_out = f_out.reshape(B, k)
+    x_out = x_out.reshape(B, k, n)
+    best_f = np.full(B, np.inf)
+    best_x = np.full((B, n), np.nan)
+    for si in range(k):
+        lower = f_out[:, si] < best_f
+        best_f[lower] = f_out[lower, si]
+        best_x[lower] = x_out[lower, si]
+    return best_f, best_x, conv_out.reshape(B, k).all(axis=1)

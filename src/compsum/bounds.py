@@ -19,7 +19,7 @@ from .risk import (
     cond_risk,
     cond_risk_star_closed,
     finite_distribution,
-    minimize_weighted_cond_risk,
+    minimize_weighted_cond_risk_batch,
 )
 from .transform import gamma_tau, psi_tau, t_tau_max
 
@@ -479,15 +479,13 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
 
     # empirical surrogate minimizer decomposes over distinct support points
     counts = np.zeros((K, n))
-    for i in range(m):
-        counts[point_idx[i], labels[i]] += 1.0
+    np.add.at(counts, (point_idx, labels), 1.0)
+    seen = np.flatnonzero(counts.sum(axis=1))
+    fits = minimize_weighted_cond_risk_batch(
+        counts[seen] / counts[seen].sum(axis=1, keepdims=True), tau, spec.lam,
+        (seed + 1000 + seen).tolist(), max_iter=opt_iters)
     assignment = np.zeros((K, n))
-    for k in range(K):
-        if counts[k].sum() == 0:
-            continue
-        res = minimize_weighted_cond_risk(
-            counts[k] / counts[k].sum(), tau, spec.lam,
-            seed=seed + 1000 + k, max_iter=opt_iters)
+    for k, res in zip(seen, fits):
         assignment[k] = res.scores
 
     realized = 0.0
@@ -496,22 +494,18 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
         realized += pt.weight * (pt.cond.max() - pt.cond[pred])
 
     # Monte-Carlo complexity estimate: mean over sign draws of the supremum
-    # of the sign-weighted empirical loss, supremum decomposed per point
-    sups = np.empty(n_sign_draws)
+    # of the sign-weighted empirical loss, supremum decomposed per point;
+    # all suprema of the bound go to the oracle in one batch
+    coeffs = np.zeros((n_sign_draws, K, n))
     for d in range(n_sign_draws):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        coeffs = np.zeros((K, n))
-        for i in range(m):
-            coeffs[point_idx[i], labels[i]] += sigma[i]
-        total = 0.0
-        for k in range(K):
-            if not np.any(coeffs[k]):
-                continue
-            res = minimize_weighted_cond_risk(
-                -coeffs[k] / m, tau, spec.lam,
-                seed=seed + 5000 + 17 * d + k, max_iter=opt_iters)
-            total += -res.value
-        sups[d] = total
+        np.add.at(coeffs[d], (point_idx, labels), sigma)
+    draw, pts = np.nonzero(np.any(coeffs, axis=2))
+    fits = minimize_weighted_cond_risk_batch(
+        -coeffs[draw, pts] / m, tau, spec.lam,
+        (seed + 5000 + 17 * draw + pts).tolist(), max_iter=opt_iters)
+    sups = np.zeros(n_sign_draws)
+    np.add.at(sups, draw, [-res.value for res in fits])
     rademacher = float(sups.mean())
     rademacher_se = float(sups.std(ddof=1) / math.sqrt(n_sign_draws)) \
         if n_sign_draws > 1 else 0.0

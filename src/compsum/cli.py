@@ -206,9 +206,18 @@ def _add_common(p, out_default=None):
     p.add_argument("--out", default=out_default, help="output CSV path")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads (computation is deterministic "
-                        "regardless)")
+
+
+def _positive_int(text):
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -222,13 +231,13 @@ def build_parser():
                        help="emit beta/T/T_tilde/t/Gamma/Gamma_tilde grids")
     p.add_argument("--taus", default="0,0.5,1,1.5,2")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--grid", type=int, default=51)
+    p.add_argument("--grid", type=_positive_int, default=51)
     _add_common(p, out_default="transform_table.csv")
     p.set_defaults(func=cmd_transform_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_positive_int, default=None,
                    help="instance count override")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -267,8 +276,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse uses exit status 2 for usage errors; remap to 1
         return 0 if exc.code == 0 else 1
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -14,14 +14,16 @@ import math
 
 import numpy as np
 
-from ._kernels import EXP_CAP
-
 # The outer transform is defined for every tau >= 0; values beyond this cap
 # are rejected because the family saturates and float powers degrade.
 TAU_MAX = 100.0
 
 # Branch window: closed special forms replace the generic formula here.
 TAU_BRANCH_TOL = 1e-9
+
+# Largest exponent with a finite float64 exp(); arguments are saturated
+# there so extreme score gaps degrade to the float ceiling instead of inf.
+EXP_CAP = 709.0
 
 
 def check_tau(tau):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from ._kernels import pgd_box_weighted_min
+from ._kernels import (pgd_box_weighted_min, pgd_box_weighted_min_batch,
+                       weighted_cond_value_grad_rows)
 from .losses import TAU_BRANCH_TOL, check_tau
 
 # Box half-width standing in for an unbounded (complete) score set in the
@@ -311,6 +312,37 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, n_starts=8,
     return BruteResult(float(val), np.asarray(scores), bool(conv))
 
 
+def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, n_starts=8,
+                                      max_iter=10000, gtol=1e-10):
+    """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
+
+    Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
+    single-problem oracle, so each result is that call's result. Several
+    problems run through the lockstep kernel, all their starts at once; a
+    single problem goes to the scalar kernel, which is faster when a few
+    starts run long. Returns one ``BruteResult`` per row.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    tau = check_tau(tau)
+    seeds = list(seeds)
+    if C.ndim != 2 or C.shape[0] != len(seeds):
+        raise ValueError("C must be a (B, n) array with one seed per row")
+    if len(seeds) <= 1:
+        return [minimize_weighted_cond_risk(c, tau, lam, seed=s,
+                                            n_starts=n_starts,
+                                            max_iter=max_iter, gtol=gtol)
+                for c, s in zip(C, seeds)]
+    starts = np.stack([
+        pgd_starts(C.shape[1], lam, np.random.default_rng(s), count=n_starts,
+                   weights=c)
+        for c, s in zip(C, seeds)
+    ])
+    vals, scores, conv = pgd_box_weighted_min_batch(
+        C, tau, float(lam), starts, max_iter, gtol)
+    return [BruteResult(float(v), x, bool(ok))
+            for v, x, ok in zip(vals, scores, conv)]
+
+
 def cond_risk_star_brute(p, tau, spec, *, seed=0, n_starts=8,
                          max_iter=10000, gtol=1e-10):
     """Independent oracle: minimize the conditional risk over a score box.
@@ -352,7 +384,14 @@ def _linear_point_boxes(dist, spec):
     for pt in dist.points:
         if pt.x is None:
             raise ValueError("linear spec needs per-point features")
-        lams.append(spec.weight_bound * (np.abs(pt.x).sum() + 1.0))
+        lam = spec.weight_bound * (float(np.abs(pt.x).sum()) + 1.0)
+        # the oracle draws starts uniformly from [-lam, lam]
+        if not math.isfinite(2.0 * lam):
+            raise ValueError(
+                f"linear spec needs a finite weight_bound: the per-point "
+                f"score box weight_bound * (|x|_1 + 1) = {lam:g} is too wide "
+                f"to search")
+        lams.append(lam)
     return lams
 
 
@@ -361,40 +400,23 @@ def _linear_joint_minimum(dist, spec, tau, seed, iters=4000, n_starts=6):
     d, n = spec.feature_dim, spec.n
     bound = spec.weight_bound
     xs = np.stack([pt.x for pt in dist.points])
-    ws = dist.weights
-    conds = dist.conds
+    wc = dist.weights[:, None] * dist.conds
     rng = np.random.default_rng(seed)
 
     def risk_and_grad(theta):
         W = theta[: n * d].reshape(n, d)
         b = theta[n * d:]
-        scores = xs @ W.T + b
-        total = 0.0
-        gW = np.zeros_like(W)
-        gb = np.zeros_like(b)
-        for k in range(len(ws)):
-            s = scores[k]
-            lse = _logsumexp_1d(s)
-            sm = np.exp(s - lse)
-            w_pow = np.exp(np.minimum((tau - 1.0) * (s - lse), 700.0))
-            c = ws[k] * conds[k]
-            total += float(c @ losses._phi_of_gap_array(np.maximum(lse - s, 0.0), tau))
-            gs = sm * float(c @ w_pow) - c * w_pow
-            gW += np.outer(gs, xs[k])
-            gb += gs
-        return total, np.concatenate([gW.ravel(), gb])
+        vals, G = weighted_cond_value_grad_rows(xs @ W.T + b, wc, tau)
+        return float(vals.sum()), np.concatenate([(G.T @ xs).ravel(),
+                                                  G.sum(axis=0)])
 
     best_val = math.inf
     for si in range(n_starts):
         theta = np.zeros(n * d + n) if si == 0 else rng.uniform(-bound, bound, n * d + n)
-        if math.isinf(bound):
-            theta = np.zeros(n * d + n) if si == 0 else rng.normal(size=n * d + n)
         f, g = risk_and_grad(theta)
         step = 1.0
         for _ in range(iters):
-            cand = theta - step * g
-            if math.isfinite(bound):
-                cand = np.clip(cand, -bound, bound)
+            cand = np.clip(theta - step * g, -bound, bound)
             fc, gc = risk_and_grad(cand)
             if fc <= f - 1e-12 * abs(f):
                 theta, f, g = cand, fc, gc
@@ -410,20 +432,17 @@ def _linear_joint_minimum(dist, spec, tau, seed, iters=4000, n_starts=6):
 def minimizability_gap(dist, spec, tau, *, seed=0, **kw):
     """Best-in-class expected risk minus the expected pointwise infimum.
 
-    Always nonnegative (up to optimizer tolerance). For a score box the
-    joint infimum decomposes per point, so the gap vanishes identically; a
-    shared-score family (linear) can be strictly positive.
+    Always nonnegative (up to optimizer tolerance). A score box lets every
+    support point take its own score vector, so the best-in-class expected
+    risk ``inf_h sum_x w(x) C(h(x), x)`` decomposes into
+    ``sum_x w(x) inf_s C(s, x)``, which is the expected pointwise infimum
+    itself: the gap is exactly 0 and no oracle runs. A shared-score family
+    (linear) couples the points and can have a strictly positive gap; its
+    weights need a finite ``weight_bound``.
     """
     tau = check_tau(tau)
     if spec.kind == "score_box":
-        # joint minimization over one score assignment decomposes pointwise
-        per_point = [
-            cond_risk_star(pt.cond, tau, spec, seed=seed + 31 * k, **kw)
-            for k, pt in enumerate(dist.points)
-        ]
-        best_joint = sum(pt.weight * v for pt, v in zip(dist.points, per_point))
-        expected_inf = sum(pt.weight * v for pt, v in zip(dist.points, per_point))
-        return best_joint - expected_inf
+        return 0.0
     # linear family: joint optimization over shared weights
     lams = _linear_point_boxes(dist, spec)
     expected_inf = 0.0

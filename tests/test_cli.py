@@ -80,6 +80,15 @@ class TestTransformTable:
             assert T == pytest.approx(t_tau(beta, 1.5, 4))
 
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_nonpositive_grid_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "tt.csv"
+        code = main(["transform-table", "--grid", grid, "--out", str(out)])
+        assert code == 1
+        assert "--grid: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_tightness_suite_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -100,6 +109,15 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "bounds", "--count", "200",
                      "--out", str(tmp_path / "b.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "b.csv"
+        code = main(["verify", "--suite", "bounds", "--count", count,
+                     "--out", str(out)])
+        assert code == 1
+        assert "--count: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGapsCommand:
@@ -181,6 +199,11 @@ class TestEvaluateCommand:
 class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 1
+
+    def test_threads_flag_is_gone(self, capsys):
+        # it set OMP_NUM_THREADS after numpy had loaded, so it did nothing
+        assert main(["verify", "--suite", "tightness", "--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_help_exits_zero_and_lists_commands(self, capsys):
         assert main(["--help"]) == 0

@@ -220,16 +220,3 @@ class TestMisc:
         b = loss_upper_bound(1.0, 3, lam=2.0)
         assert b == pytest.approx(math.log(1 + 2 * math.exp(4.0)))
         assert loss_upper_bound(2.0, 3, lam=2.0) < 1.0
-
-    def test_backend_fallback_matches_jit(self):
-        from compsum import _backend
-        from compsum._kernels import pgd_box_weighted_min
-        if not _backend.NUMBA_ENABLED:
-            pytest.skip("numba backend disabled; nothing to compare")
-        rng = np.random.default_rng(7)
-        c = rng.dirichlet(np.ones(4))
-        starts = rng.uniform(-3, 3, size=(4, 4))
-        jit_out = pgd_box_weighted_min(c, 1.3, 5.0, starts, 2000, 1e-10)
-        py_out = pgd_box_weighted_min.py_func(c, 1.3, 5.0, starts, 2000, 1e-10)
-        assert jit_out[0] == pytest.approx(py_out[0], abs=1e-12)
-        assert np.allclose(jit_out[1], py_out[1], atol=1e-9)

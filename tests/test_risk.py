@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from compsum import losses
+from compsum import losses, risk
 from compsum.risk import (
     calibration_gap,
     cond_risk,
@@ -19,6 +19,7 @@ from compsum.risk import (
     load_distribution,
     minimizability_gap,
     minimize_weighted_cond_risk,
+    minimize_weighted_cond_risk_batch,
     optimal_scores,
     save_distribution,
     score_box,
@@ -162,6 +163,51 @@ class TestBruteOracle:
             cond_risk_star_brute([0.5, 0.5], 1.0, linear_family(2, 1), seed=0)
 
 
+class TestBatchOracle:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_single_problem_oracle(self, n):
+        rng = np.random.default_rng(n)
+        C = rng.dirichlet(np.ones(n), size=6)
+        C[1::2] *= -1.0  # negated rows: suprema
+        lam = 3.0
+        seeds = [10 * n + b for b in range(6)]
+        for tau in (0.5, 1.0, 1.5, 2.5):
+            batch = minimize_weighted_cond_risk_batch(C, tau, lam, seeds)
+            assert len(batch) == len(C)
+            for c, seed, got in zip(C, seeds, batch):
+                want = minimize_weighted_cond_risk(c, tau, lam, seed=seed)
+                assert abs(got.value - want.value) <= 1e-9
+                assert got.converged == want.converged
+                if tau > 1.0:
+                    continue
+                # for tau <= 1 the weighted loss is convex in the scores
+                if c[0] < 0:
+                    # a convex function peaks at a box vertex, and a vertex
+                    # with both signs is the only point of its shift line
+                    assert np.all(np.abs(want.scores) == lam)
+                    assert np.abs(got.scores - want.scores).max() <= 1e-9
+                else:
+                    # the loss ignores a common shift of the scores, so the
+                    # minimizer is unique up to that shift
+                    assert np.abs((got.scores - got.scores.mean())
+                                  - (want.scores - want.scores.mean())
+                                  ).max() <= 1e-6
+
+    def test_one_problem_takes_the_scalar_path(self):
+        c = np.array([0.2, 0.5, 0.3])
+        (got,) = minimize_weighted_cond_risk_batch([c], 1.3, 5.0, [4])
+        want = minimize_weighted_cond_risk(c, 1.3, 5.0, seed=4)
+        assert got.value == want.value
+        assert np.array_equal(got.scores, want.scores)
+        assert got.converged == want.converged
+
+    def test_empty_batch_and_shape_errors(self):
+        assert minimize_weighted_cond_risk_batch(np.zeros((0, 2)), 1.0, 1.0,
+                                                 []) == []
+        with pytest.raises(ValueError):
+            minimize_weighted_cond_risk_batch([[0.5, 0.5]], 1.0, 1.0, [0, 1])
+
+
 def stationarity_residual(p, tau):
     """Independent oracle: the score-sum form of the risk derivative.
 
@@ -220,6 +266,31 @@ class TestMinimizabilityGap:
     def test_score_box_decomposes(self):
         dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])
         assert minimizability_gap(dist, score_box(2, 5.0), 1.0) == 0.0
+
+    def test_score_box_runs_no_oracle(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the score-box gap ran the box oracle")
+
+        monkeypatch.setattr(risk, "pgd_box_weighted_min", no_oracle)
+        monkeypatch.setattr(risk, "pgd_box_weighted_min_batch", no_oracle)
+        dist = finite_distribution([0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]])
+        for spec in (score_box(2, 1.5), score_box(2)):
+            gap = minimizability_gap(dist, spec, 1.7, seed=4)
+            assert gap == 0.0 and type(gap) is float
+        with pytest.raises(ValueError):
+            minimizability_gap(dist, score_box(2, 1.5), -1.0)
+
+    def test_linear_needs_finite_weight_bound(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the box oracle ran on an unbounded box")
+
+        monkeypatch.setattr(risk, "pgd_box_weighted_min", no_oracle)
+        monkeypatch.setattr(risk, "pgd_box_weighted_min_batch", no_oracle)
+        dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
+                                   xs=[[1.0], [-1.0]])
+        for bound in (math.inf, 1e308):
+            with pytest.raises(ValueError, match="finite weight_bound"):
+                minimizability_gap(dist, linear_family(2, 1, bound), 1.0)
 
     def test_linear_conflict_is_positive(self):
         # two points with identical features but opposite labels force a
