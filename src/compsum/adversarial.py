@@ -7,8 +7,11 @@ score-difference deviation term), local margin-consistency checks of
 hypothesis sets, and exact enumeration oracles for one-dimensional linear
 instances used to certify the adversarial consistency bound.
 
-PGD values are lower bounds on the true suprema; the exact oracles are the
-reference where enumeration is possible.
+Each PGD attack maximizes an objective of the scores, written once as a
+function ``objective(scores) -> (values, d values / d scores)``;
+``pgd_maximize`` runs the model and chains the score gradient to the
+inputs. PGD values are lower bounds on the true suprema; the exact oracles
+are the reference where enumeration is possible.
 """
 
 import math
@@ -142,35 +145,39 @@ def _steepest_ascent(g, p_norm):
     return step
 
 
-def pgd_maximize(value_fn, grad_fn, X, ball, adv, rng=None):
-    """Maximize a per-row objective over per-row balls by projected ascent.
+def pgd_maximize(model, objective, X, ball, adv, rng=None):
+    """Maximize ``objective`` at the model's scores over per-row balls by
+    projected ascent.
 
-    Restart 0 starts at the clean points; further restarts start uniformly
-    inside the (projected) ball. The best value seen at any iterate is
-    retained per row, so enlarging the budget never lowers the estimate.
-    Returns (best values, best points).
+    ``objective(scores)`` returns the per-row values and their gradient
+    with respect to the scores. Each iterate costs one ``model.forward``
+    and one objective call, plus one ``model.input_grad`` when a step is
+    taken from it. Restart 0 starts at the clean points; further restarts
+    start uniformly inside the (projected) ball. The best value seen at any
+    iterate is retained per row, so enlarging the budget never lowers the
+    estimate. Returns (best values, best points).
     """
     rng = np.random.default_rng(adv.seed) if rng is None else rng
-    best_v = np.asarray(value_fn(X), dtype=np.float64).copy()
+    v, ds = objective(model.forward(X))
+    best_v = np.asarray(v, dtype=np.float64).copy()
     best_X = X.copy()
     if ball.gamma == 0.0:
         return best_v, best_X
     step = adv.step_size(ball)
     for r in range(adv.restarts):
-        if r == 0:
-            Xp = X.copy()
-        else:
+        Xp = X
+        if r > 0:
             Xp = project_to_ball(
                 X + rng.uniform(-ball.gamma, ball.gamma, size=X.shape), X, ball)
-            v = np.asarray(value_fn(Xp))
+            v, ds = objective(model.forward(Xp))
             upd = v > best_v
             best_v[upd] = v[upd]
             best_X[upd] = Xp[upd]
         for _ in range(adv.pgd_steps):
-            g = grad_fn(Xp)
+            g = model.input_grad(Xp, ds)
             Xp = project_to_ball(Xp + step * _steepest_ascent(g, ball.p_norm),
                                  X, ball)
-            v = np.asarray(value_fn(Xp))
+            v, ds = objective(model.forward(Xp))
             upd = v > best_v
             best_v[upd] = v[upd]
             best_X[upd] = Xp[upd]
@@ -178,49 +185,73 @@ def pgd_maximize(value_fn, grad_fn, X, ball, adv, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# adversarial losses (PGD approximations)
+# attack objectives and the adversarial losses built on them
 # ---------------------------------------------------------------------------
 
-def _rho_inner_batch(scores, Y, rho):
-    """Row-wise sum over competing labels of the ramp at the score margins."""
-    B, n = scores.shape
-    rows = np.arange(B)
-    own = scores[rows, Y][:, None]
-    margins = own - scores
-    vals = rho_margin(margins, rho)
-    vals[rows, Y] = 0.0
-    return vals.sum(axis=1)
+def _ramp_objective(Y, tau, rho):
+    """Ramp-margin comp-sum loss: the outer transform of the summed ramps
+    at the score margins of each row's label."""
+
+    def objective(scores):
+        rows = np.arange(scores.shape[0])
+        margins = scores[rows, Y][:, None] - scores
+        ramps = rho_margin(margins, rho)
+        ramps[rows, Y] = 0.0
+        inner = ramps.sum(axis=1)
+        ramp_g = rho_margin_subgrad(margins, rho)
+        ramp_g[rows, Y] = 0.0
+        ds = -ramp_g
+        ds[rows, Y] = ramp_g.sum(axis=1)
+        ds *= phi_tau_deriv(inner, tau)[:, None]
+        return phi_tau(inner, tau), ds
+
+    return objective
 
 
-def _rho_loss_batch(model, Xp, Y, tau, rho):
-    return phi_tau(_rho_inner_batch(model.forward(Xp), Y, rho), tau)
+def deviation_objective(base_scores, Y):
+    """Score-difference deviation: per row, the l2 norm over competing
+    labels ``j`` of ``(s_y - s_j) - (base_y - base_j)``.
+
+    Its gradient is the unit deviation direction (0 where the deviation is
+    0), so the same objective serves the attack and the training step's
+    upstream gradient at the attacked points.
+    """
+    rows = np.arange(base_scores.shape[0])
+    base_diff = base_scores[rows, Y][:, None] - base_scores
+
+    def objective(scores):
+        dev = (scores[rows, Y][:, None] - scores) - base_diff
+        dev[rows, Y] = 0.0
+        norms = np.linalg.norm(dev, axis=1, keepdims=True)
+        u = dev / np.maximum(norms, 1e-300)
+        ds = -u
+        ds[rows, Y] = u.sum(axis=1)
+        return norms[:, 0], ds
+
+    return objective
 
 
-def _rho_loss_input_grad(model, Xp, Y, tau, rho):
-    scores = model.forward(Xp)
-    B, n = scores.shape
-    rows = np.arange(B)
-    own = scores[rows, Y][:, None]
-    margins = own - scores
-    inner = rho_margin(margins, rho)
-    inner[rows, Y] = 0.0
-    douter = phi_tau_deriv(inner.sum(axis=1), tau)
-    ramp_g = rho_margin_subgrad(margins, rho)
-    ramp_g[rows, Y] = 0.0
-    ds = -ramp_g
-    ds[rows, Y] = ramp_g.sum(axis=1)
-    ds *= douter[:, None]
-    return model.input_grad(Xp, ds)
+def _margin_objective(Y):
+    """Margin violation: best competing score minus the label's score,
+    with the competitor chosen by the highest-index tie rule."""
+
+    def objective(scores):
+        rows = np.arange(scores.shape[0])
+        masked = scores.copy()
+        masked[rows, Y] = -np.inf
+        comp = predict_batch(masked)
+        ds = np.zeros_like(scores)
+        ds[rows, comp] = 1.0
+        ds[rows, Y] -= 1.0
+        return masked[rows, comp] - scores[rows, Y], ds
+
+    return objective
 
 
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
-    tau = check_tau(tau)
-    vals, _ = pgd_maximize(
-        lambda Xp: _rho_loss_batch(model, Xp, Y, tau, adv.rho),
-        lambda Xp: _rho_loss_input_grad(model, Xp, Y, tau, adv.rho),
-        X, ball, adv, rng)
-    return vals
+    return pgd_maximize(model, _ramp_objective(Y, check_tau(tau), adv.rho),
+                        X, ball, adv, rng)[0]
 
 
 def adv_comp_rho_loss(model, x, y, tau, adv, ball):
@@ -234,41 +265,10 @@ def adv_comp_rho_loss(model, x, y, tau, adv, ball):
     return float(adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
-def _deviation_batch(model, Xp, X, Y, base_scores=None):
-    scores_p = model.forward(Xp)
-    scores_0 = model.forward(X) if base_scores is None else base_scores
-    B, n = scores_p.shape
-    rows = np.arange(B)
-    dev = (scores_p[rows, Y][:, None] - scores_p) - \
-        (scores_0[rows, Y][:, None] - scores_0)
-    dev[rows, Y] = 0.0
-    return dev
-
-
-def _deviation_norm_batch(model, Xp, X, Y, base_scores=None):
-    dev = _deviation_batch(model, Xp, X, Y, base_scores)
-    return np.linalg.norm(dev, axis=1)
-
-
-def _deviation_norm_input_grad(model, Xp, X, Y, base_scores=None):
-    dev = _deviation_batch(model, Xp, X, Y, base_scores)
-    norms = np.linalg.norm(dev, axis=1, keepdims=True)
-    u = dev / np.maximum(norms, 1e-300)
-    B, n = dev.shape
-    rows = np.arange(B)
-    ds = -u
-    ds[rows, Y] = u.sum(axis=1)
-    return model.input_grad(Xp, ds)
-
-
 def deviation_sup_batch(model, X, Y, adv, ball, rng=None):
     """PGD estimate of the worst score-difference deviation over the ball."""
-    base = model.forward(X)
-    vals, _ = pgd_maximize(
-        lambda Xp: _deviation_norm_batch(model, Xp, X, Y, base),
-        lambda Xp: _deviation_norm_input_grad(model, Xp, X, Y, base),
-        X, ball, adv, rng)
-    return vals
+    return pgd_maximize(model, deviation_objective(model.forward(X), Y),
+                        X, ball, adv, rng)[0]
 
 
 def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None):
@@ -291,36 +291,9 @@ def smooth_adv_comp_loss(model, x, y, tau, adv, ball):
     return float(smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
-def _margin_violation_batch(model, Xp, Y):
-    scores = model.forward(Xp)
-    B, n = scores.shape
-    rows = np.arange(B)
-    own = scores[rows, Y]
-    masked = scores.copy()
-    masked[rows, Y] = -np.inf
-    return masked.max(axis=1) - own
-
-
-def _margin_violation_input_grad(model, Xp, Y):
-    scores = model.forward(Xp)
-    B, n = scores.shape
-    rows = np.arange(B)
-    masked = scores.copy()
-    masked[rows, Y] = -np.inf
-    comp = n - 1 - np.argmax(masked[:, ::-1], axis=1)
-    ds = np.zeros_like(scores)
-    ds[rows, comp] = 1.0
-    ds[rows, Y] -= 1.0
-    return model.input_grad(Xp, ds)
-
-
 def margin_attack_batch(model, X, Y, ball, adv, rng=None):
     """PGD on the margin loss: returns the attacked points."""
-    _, Xbest = pgd_maximize(
-        lambda Xp: _margin_violation_batch(model, Xp, Y),
-        lambda Xp: _margin_violation_input_grad(model, Xp, Y),
-        X, ball, adv, rng)
-    return Xbest
+    return pgd_maximize(model, _margin_objective(Y), X, ball, adv, rng)[1]
 
 
 def adv_zero_one_batch(model, X, Y, ball, attack, rng=None):
@@ -475,7 +448,8 @@ def smooth_adv_comp_loss_exact_1d(model, x, y, tau, adv, gamma):
 def clean_rho_loss(model, x, y, tau, rho):
     """Pointwise ramp-margin comp-sum loss (no perturbation)."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return float(_rho_loss_batch(model, X, np.array([y]), check_tau(tau), rho)[0])
+    objective = _ramp_objective(np.array([y]), check_tau(tau), rho)
+    return float(objective(model.forward(X))[0][0])
 
 
 def cstar_adv_rho_closed(p, tau):
@@ -528,11 +502,6 @@ class AdvBoundReport:
     gap01: float = math.nan
     gap_surrogate: float = math.nan
     flags: list = field(default_factory=list)
-
-    def csv_row(self):
-        cols = [self.tau, self.n, self.lhs, self.rhs, self.slack,
-                self.gap01, self.gap_surrogate]
-        return ",".join(f"{v:.17g}" for v in cols) + "," + ";".join(self.flags)
 
 
 def verify_adv_bound(dist, spec, model, tau, adv, ball):

@@ -303,7 +303,6 @@ def lemma_sup_grid(scores, p, tau, y_max=None, pred=None, grid=512):
 class LemmaInfResult:
     closed: float
     brute: float
-    psi: float
     scores: np.ndarray
 
 
@@ -426,7 +425,7 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
     alpha = float(p[y_max] + p[pred_label])
     beta = float(p[y_max] - p[pred_label])
     closed = psi_tau(alpha, beta, tau, n)
-    return LemmaInfResult(closed, brute, closed, s_best)
+    return LemmaInfResult(closed, brute, s_best)
 
 
 # ---------------------------------------------------------------------------

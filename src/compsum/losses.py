@@ -121,9 +121,7 @@ def comp_sum_loss(scores, y, tau):
     """
     s = check_scores(scores)
     y = check_label(y, s.shape[0])
-    tau = check_tau(tau)
-    v = max(_logsumexp(s) - s[y], 0.0)
-    return float(_phi_of_gap_array(v, tau))
+    return float(comp_sum_loss_all_labels(s, tau)[y])
 
 
 def comp_sum_loss_all_labels(scores, tau):
@@ -141,15 +139,8 @@ def comp_sum_grad(scores, y, tau):
     ``tau = 1`` this is the familiar softmax-minus-onehot.
     """
     s = check_scores(scores)
-    n = s.shape[0]
-    y = check_label(y, n)
-    tau = check_tau(tau)
-    lse = _logsumexp(s)
-    sm = np.exp(s - lse)
-    wy = math.exp(min((tau - 1.0) * (s[y] - lse), EXP_CAP))
-    g = wy * sm
-    g[y] -= wy
-    return g
+    y = check_label(y, s.shape[0])
+    return comp_sum_grad_batch(s[None], [y], tau)[0]
 
 
 def comp_sum_loss_batch(scores, Y, tau):

@@ -207,18 +207,9 @@ def cond_risk_star_closed(p, tau):
     """
     p = check_cond_dist(p)
     tau = check_tau(tau)
-    if abs(tau - 1.0) < TAU_BRANCH_TOL:
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
     if tau >= 2.0 - TAU_BRANCH_TOL:
         return float((1.0 - p.max()) / (tau - 1.0))
-
-    r = 1.0 / (2.0 - tau)
-    with np.errstate(divide="ignore"):
-        logs = np.log(p)
-    terms = r * logs[np.isfinite(logs)]
-    lse = _logsumexp_1d(terms)
-    return float(math.expm1((2.0 - tau) * lse) / (1.0 - tau))
+    return _power_sum_stationary(p, tau)
 
 
 def cond_risk_power_sum_stationary(p, tau):
@@ -230,9 +221,6 @@ def cond_risk_power_sum_stationary(p, tau):
     """
     p = check_cond_dist(p)
     tau = check_tau(tau)
-    if abs(tau - 1.0) < TAU_BRANCH_TOL:
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
     if abs(tau - 2.0) < TAU_BRANCH_TOL:
         return float(1.0 - p.max())
     if tau > 2.0 and np.any(p < ZERO_PROB_EPS):
@@ -243,6 +231,16 @@ def cond_risk_power_sum_stationary(p, tau):
             stacklevel=2,
         )
         p = np.maximum(p, ZERO_PROB_EPS)
+    return _power_sum_stationary(p, tau)
+
+
+def _power_sum_stationary(p, tau):
+    """Shannon entropy at ``tau = 1``, else
+    ``expm1((2 - tau) * log sum_y p_y ** (1 / (2 - tau))) / (1 - tau)``
+    over the nonzero ``p_y``."""
+    if abs(tau - 1.0) < TAU_BRANCH_TOL:
+        nz = p[p > 0]
+        return float(-(nz * np.log(nz)).sum())
     r = 1.0 / (2.0 - tau)
     with np.errstate(divide="ignore"):
         logs = np.log(p)
@@ -280,7 +278,13 @@ def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
 
 
 def pgd_starts(n, lam, rng, count=8, weights=None):
-    """Deterministic multi-start seeds: zeros, informative corners, random."""
+    """Deterministic multi-start seeds: zeros, informative corners, random.
+
+    The random starts are drawn uniformly from ``[-lam, lam]``, so a box
+    whose width ``2 * lam`` is not a finite float is refused.
+    """
+    if not math.isfinite(2.0 * float(lam)):
+        raise ValueError(f"score box half-width {lam:g} is too wide to search")
     rows = [np.zeros(n)]
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)

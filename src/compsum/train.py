@@ -16,9 +16,8 @@ import numpy as np
 from .adversarial import (
     AdvParams,
     PerturbationBall,
-    _deviation_norm_batch,
-    _deviation_norm_input_grad,
     adv_zero_one_batch,
+    deviation_objective,
     pgd_maximize,
 )
 from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
@@ -151,20 +150,6 @@ def _standard_batch_grads(model, X, Y, tau):
     return loss, model.param_grads(X, ds)
 
 
-def _deviation_upstream(model, X_adv, X, Y):
-    scores_a = model.forward(X_adv)
-    scores_0 = model.forward(X)
-    rows = np.arange(X.shape[0])
-    dev = (scores_a[rows, Y][:, None] - scores_a) - \
-        (scores_0[rows, Y][:, None] - scores_0)
-    dev[rows, Y] = 0.0
-    norms = np.linalg.norm(dev, axis=1, keepdims=True)
-    u = dev / np.maximum(norms, 1e-300)
-    ds = -u
-    ds[rows, Y] = u.sum(axis=1)
-    return norms[:, 0], ds
-
-
 def _smooth_batch_grads(model, X, Y, cfg, rng):
     """Smooth adversarial loss and its parameter gradients on one batch.
 
@@ -172,14 +157,15 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     held fixed while differentiating both terms.
     """
     adv, ball = cfg.adversarial, cfg.ball
-    _, X_adv = _deviation_attack(model, X, Y, adv, ball, rng)
-
     scores = model.forward(X)
+    deviation = deviation_objective(scores, Y)
+    _, X_adv = pgd_maximize(model, deviation, X, ball, adv, rng)
+
     scaled = scores / adv.rho
     clean = comp_sum_loss_batch(scaled, Y, cfg.tau)
     ds_clean = comp_sum_grad_batch(scaled, Y, cfg.tau) / (adv.rho * X.shape[0])
 
-    dev_norms, ds_dev = _deviation_upstream(model, X_adv, X, Y)
+    dev_norms, ds_dev = deviation(model.forward(X_adv))
     loss = float(clean.mean() + adv.nu * dev_norms.mean())
     scale = adv.nu / X.shape[0]
     grads = model.param_grads(X, ds_clean)
@@ -188,14 +174,6 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     for k in grads:
         grads[k] = grads[k] + g_adv[k] + g_cln[k]
     return loss, grads
-
-
-def _deviation_attack(model, X, Y, adv, ball, rng):
-    base = model.forward(X)
-    return pgd_maximize(
-        lambda Xp: _deviation_norm_batch(model, Xp, X, Y, base),
-        lambda Xp: _deviation_norm_input_grad(model, Xp, X, Y, base),
-        X, ball, adv, rng)
 
 
 def evaluate(model, X, y, ball=None, attack=None, rng=None):
@@ -332,8 +310,11 @@ def make_model(kind, dim, n_classes, hidden=64, seed=0):
 
 
 def train_standard_best_lr(data, model_factory, cfg, lr_grid=(0.003, 0.01, 0.03, 0.1)):
-    """Train at each initial learning rate and keep the best model by
-    held-out (falling back to test) clean accuracy; diverged runs lose.
+    """Train at each initial learning rate and keep the best model by its
+    last finished epoch's held-out clean accuracy; a run that finishes no
+    epoch loses. The test split plays no part in the choice. With an empty
+    holdout every finite run scores 0, so the first finite rate in the grid
+    wins.
 
     Mirrors selecting the initial rate per surrogate from a small grid.
     """
@@ -342,7 +323,7 @@ def train_standard_best_lr(data, model_factory, cfg, lr_grid=(0.003, 0.01, 0.03,
         model = model_factory()
         model, history = train_standard(data, model, replace(cfg, lr0=lr0))
         finite = [h for h in history if not h.get("diverged")]
-        score = finite[-1]["clean_acc"] if finite else -math.inf
+        score = finite[-1]["holdout_metric"] if finite else -math.inf
         if best is None or score > best[0]:
             best = (score, model, history, lr0)
     _, model, history, lr0 = best

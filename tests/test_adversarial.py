@@ -9,6 +9,8 @@ import pytest
 from compsum.adversarial import (
     AdvParams,
     PerturbationBall,
+    _margin_objective,
+    _ramp_objective,
     adv_comp_rho_loss,
     adv_comp_rho_loss_exact_1d,
     adv_zero_one,
@@ -16,6 +18,7 @@ from compsum.adversarial import (
     check_local_rho_consistency,
     clean_rho_loss,
     cstar_adv_rho_closed,
+    deviation_objective,
     deviation_sup_batch,
     deviation_sup_exact_1d,
     project_to_ball,
@@ -80,6 +83,51 @@ class TestParams:
         a = AdvParams(n=2, pgd_steps=10)
         assert a.step_size(PerturbationBall(math.inf, 0.4)) == pytest.approx(
             0.1)
+
+
+def _ramp_case(tau):
+    def case(rng, S, Y):
+        # keep every competing margin off the ramp's kinks at 0 and rho
+        margins = S[np.arange(len(Y)), Y][:, None] - S
+        margins[np.arange(len(Y)), Y] = 0.5
+        keep = np.all((np.abs(margins) > 1e-3) & (np.abs(margins - 1.0) > 1e-3),
+                      axis=1)
+        return _ramp_objective(Y[keep], tau, 1.0), S[keep]
+    return case
+
+
+def _deviation_case(rng, S, Y):
+    # a base away from S keeps the deviation norm away from 0
+    return deviation_objective(S + rng.normal(size=S.shape), Y), S
+
+
+def _margin_case(rng, S, Y):
+    # keep the best competitor's score unique
+    masked = S.copy()
+    masked[np.arange(len(Y)), Y] = -np.inf
+    top2 = np.sort(masked, axis=1)[:, -2:]
+    keep = top2[:, 1] - top2[:, 0] > 1e-3
+    return _margin_objective(Y[keep]), S[keep]
+
+
+class TestObjectiveGradients:
+    @pytest.mark.parametrize("case", [
+        _ramp_case(0.0), _ramp_case(1.0), _ramp_case(1.5),
+        _deviation_case, _margin_case,
+    ], ids=["ramp-tau0", "ramp-tau1", "ramp-tau1.5", "deviation", "margin"])
+    def test_score_gradient_matches_central_differences(self, case):
+        rng = np.random.default_rng(17)
+        S = rng.normal(scale=1.5, size=(200, 4))
+        Y = rng.integers(0, 4, size=200)
+        objective, S = case(rng, S, Y)
+        assert S.shape[0] >= 50
+        _, ds = objective(S)
+        h = 1e-6
+        for j in range(S.shape[1]):
+            e = np.zeros(S.shape[1])
+            e[j] = h
+            fd = (objective(S + e)[0] - objective(S - e)[0]) / (2 * h)
+            assert np.allclose(ds[:, j], fd, rtol=1e-6, atol=1e-8)
 
 
 class TestProjections:

@@ -111,6 +111,11 @@ class TestBruteOracle:
         assert res.value == pytest.approx(0.0, abs=1e-6)
         assert res.scores[1] > res.scores[0]
 
+    def test_oversized_box_is_refused(self):
+        # 2 * lam overflows, so no start can be drawn from [-lam, lam]
+        with pytest.raises(ValueError, match="too wide"):
+            cond_risk_star_brute([0.5, 0.5], 1.0, score_box(2, 1e308))
+
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(2)
         for i in range(40):

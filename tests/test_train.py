@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from compsum import train as train_mod
 from compsum.adversarial import AdvParams, PerturbationBall
 from compsum.models import init_linear, init_mlp, load_model, save_model
 from compsum.train import (
@@ -92,6 +93,22 @@ class TestStandardTraining:
             lr_grid=(0.003, 500.0))
         assert lr == 0.003
         assert hist[-1]["clean_acc"] > 0.9
+
+    def test_lr_grid_selects_on_holdout_not_test(self, monkeypatch):
+        # the holdout prefers lr0 = 0.01, the test split lr0 = 0.1
+        accs = {0.01: (0.9, 0.5), 0.1: (0.6, 0.95)}
+
+        def fake_train_standard(data, model, cfg):
+            holdout, test = accs[cfg.lr0]
+            return model, [{"epoch": 0, "holdout_metric": holdout,
+                            "clean_acc": test}]
+
+        monkeypatch.setattr(train_mod, "train_standard", fake_train_standard)
+        _, hist, lr = train_standard_best_lr(small_data(), object,
+                                             TrainConfig(),
+                                             lr_grid=(0.01, 0.1))
+        assert lr == 0.01
+        assert hist[-1]["holdout_metric"] == 0.9
 
     def test_weight_averaging_runs_and_differs(self):
         data = small_data()
