@@ -191,30 +191,33 @@ def hbar_mu_scores(scores, mu, y_max, pred=None):
     return out
 
 
-def _lemma_sup_closed_fast(s, p, tau, y_max, pred):
-    """Validation-free core of ``lemma_sup_closed`` (hot in brute search)."""
+def _lemma_sup_closed_rows(S, p, tau, y_max, pred):
+    """Validation-free core of ``lemma_sup_closed`` on each row of the
+    ``(R, n)`` scores ``S``; returns the ``R`` values."""
     pm, ph = p[y_max], p[pred]
-    hm, hp = s[y_max], s[pred]
-    lse = risk._logsumexp_1d(s)
+    hm, hp = S[:, y_max], S[:, pred]
+    m = S.max(axis=1)
+    lse = m + np.log(np.exp(S - m[:, None]).sum(axis=1))
     l_ab = np.logaddexp(hm, hp)
 
     if abs(tau - 1.0) < losses.TAU_BRANCH_TOL:
         tot = pm + ph
-        t1 = 0.0 if pm == 0 else pm * (l_ab - hm + math.log(pm / tot))
-        t2 = 0.0 if ph == 0 else ph * (l_ab - hp + math.log(ph / tot))
-        return float(t1 + t2)
+        zero = np.zeros(S.shape[0])
+        t1 = zero if pm == 0 else pm * (l_ab - hm + math.log(pm / tot))
+        t2 = zero if ph == 0 else ph * (l_ab - hp + math.log(ph / tot))
+        return t1 + t2
 
     one_m_tau = 1.0 - tau
-    t2 = pm * math.exp(one_m_tau * (lse - hm))
-    t3 = ph * math.exp(one_m_tau * (lse - hp))
+    t2 = pm * np.exp(one_m_tau * (lse - hm))
+    t3 = ph * np.exp(one_m_tau * (lse - hp))
     if tau < 2.0:
         r = 1.0 / (2.0 - tau)
         lp = np.logaddexp(r * math.log(pm) if pm > 0 else -np.inf,
                           r * math.log(ph) if ph > 0 else -np.inf)
-        t1 = math.exp((2.0 - tau) * lp + one_m_tau * (lse - l_ab))
+        t1 = np.exp((2.0 - tau) * lp + one_m_tau * (lse - l_ab))
     else:
-        t1 = pm * math.exp(one_m_tau * (lse - l_ab))
-    return float((t1 - t2 - t3) / (tau - 1.0))
+        t1 = pm * np.exp(one_m_tau * (lse - l_ab))
+    return (t1 - t2 - t3) / (tau - 1.0)
 
 
 def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
@@ -231,7 +234,7 @@ def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
     pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
     if pred == y_max:
         raise ValueError("closed form needs predicted label != top label")
-    return _lemma_sup_closed_fast(s, p, tau, y_max, pred)
+    return float(_lemma_sup_closed_rows(s[None, :], p, tau, y_max, pred)[0])
 
 
 def _golden_max(f, lo, hi, iters=120):
@@ -262,16 +265,18 @@ def _family_gap(s, p, tau, y_max, pred, mu):
     ``{y_max, pred}`` contributes identically to both sides and cancels
     analytically; summing only the two participating labels avoids the
     catastrophic cancellation that the naive difference suffers when floor
-    scores make individual losses enormous.
+    scores make individual losses enormous. ``mu`` may be an array of
+    family parameters, giving one gap per entry.
     """
     lse = risk._logsumexp_1d(s)
     em_new = math.exp(s[pred]) - mu
     ep_new = math.exp(s[y_max]) + mu
-    gap = p[y_max] * (losses._phi_of_gap_array(np.float64(lse - s[y_max]), tau)
-                      - losses._phi_of_gap_array(np.float64(max(lse - math.log(em_new), 0.0)), tau))
-    gap += p[pred] * (losses._phi_of_gap_array(np.float64(lse - s[pred]), tau)
-                      - losses._phi_of_gap_array(np.float64(max(lse - math.log(ep_new), 0.0)), tau))
-    return float(gap)
+    phi = losses._phi_of_gap_array
+    gap = p[y_max] * (phi(np.float64(lse - s[y_max]), tau)
+                      - phi(np.maximum(lse - np.log(em_new), 0.0), tau))
+    gap += p[pred] * (phi(np.float64(lse - s[pred]), tau)
+                      - phi(np.maximum(lse - np.log(ep_new), 0.0), tau))
+    return gap
 
 
 def lemma_sup_grid(scores, p, tau, y_max=None, pred=None, grid=512):
@@ -287,12 +292,12 @@ def lemma_sup_grid(scores, p, tau, y_max=None, pred=None, grid=512):
     pred = predict(s) if pred is None else pred
 
     def f(mu):
-        return _family_gap(s, p, tau, y_max, pred, mu)
+        return float(_family_gap(s, p, tau, y_max, pred, mu))
 
     lo, hi = hbar_mu_range(s, y_max, pred)
     lo, hi = lo * (1.0 - 1e-12), hi * (1.0 - 1e-12)
     mus = np.linspace(lo, hi, grid)
-    vals = np.array([f(mu) for mu in mus])
+    vals = _family_gap(s, p, tau, y_max, pred, mus)
     i = int(np.argmax(vals))
     a = mus[max(i - 1, 0)]
     b = mus[min(i + 1, grid - 1)]
@@ -306,28 +311,41 @@ class LemmaInfResult:
     scores: np.ndarray
 
 
-def _golden_min_1d(f, lo, hi, iters=80):
+def _golden_min_rows(f, lo, hi, iters=80):
+    """Golden-section minimum of one 1-D function per row, rows in lockstep.
+
+    ``f(rows, x)`` evaluates the functions of the rows indexed by ``rows``
+    at the points ``x``. Each row stops once its bracket, which starts at
+    ``[lo, hi]``, has closed to a relative 1e-13 or after ``iters`` steps,
+    and stays frozen from then on. Returns each row's minimizer and value.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    rows = np.arange(len(lo))
+    a = np.array(lo, dtype=np.float64)
+    b = np.array(hi, dtype=np.float64)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
+    live = rows
     for _ in range(iters):
-        if b - a <= 1e-13 * (abs(a) + abs(b) + 1.0):
+        al, bl = a[live], b[live]
+        live = live[~(bl - al <= 1e-13 * (np.abs(al) + np.abs(bl) + 1.0))]
+        if live.size == 0:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        left = fc[live] < fd[live]
+        lw, rw = live[left], live[~left]
+        b[lw], d[lw], fd[lw] = d[lw], c[lw], fc[lw]
+        c[lw] = b[lw] - invphi * (b[lw] - a[lw])
+        a[rw], c[rw], fc[rw] = c[rw], d[rw], fd[rw]
+        d[rw] = a[rw] + invphi * (b[rw] - a[rw])
+        fx = f(live, np.where(left, c[live], d[live]))
+        fc[lw], fd[rw] = fx[left], fx[~left]
     mid = 0.5 * (a + b)
-    fm = f(mid)
-    if fm <= fc and fm <= fd:
-        return mid, fm
-    return (c, fc) if fc <= fd else (d, fd)
+    fm = f(rows, mid)
+    at_mid = (fm <= fc) & (fm <= fd)
+    at_c = fc <= fd
+    x = np.where(at_mid, mid, np.where(at_c, c, d))
+    return x, np.where(at_mid, fm, np.where(at_c, fc, fd))
 
 
 def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
@@ -339,8 +357,13 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
     score is pinned at 0 and the remaining coordinates live in
     ``[-spread, 0]``, which enforces the argmax constraint by construction.
     Multi-start projected descent on the (separately grid-verified) closed
-    supremum form is followed by cyclic coordinate golden-section polish;
-    the reported ``brute`` value re-evaluates the inner infimum numerically
+    supremum form is followed by cyclic coordinate golden-section polish.
+    The starts run in lockstep: each descent step evaluates the
+    finite-difference probes of every live start in one call of the closed
+    form and their candidates in a second, and each polish coordinate runs
+    one golden-section search over all starts; every start keeps its own
+    step size and stopping rule, and the first best start wins. The
+    reported ``brute`` value re-evaluates the inner infimum numerically
     at the minimizer found. ``closed`` is the two-argument transform at
     ``alpha = p_top + p_pred``, ``beta = p_top - p_pred``. The two agree
     for ``tau <= 2``; above that the closed form is only a lower bound of
@@ -357,65 +380,57 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
         raise ValueError("pred_label must differ from the top conditional label")
 
     others = np.array([j for j in range(n) if j != pred_label])
-    s_buf = np.empty(n)
-    s_buf[pred_label] = 0.0
+    dim = n - 1
 
-    def objective(u):
-        s_buf[others] = u
-        return _lemma_sup_closed_fast(s_buf, p, tau, y_max, pred_label)
+    def objective(U):
+        S = np.zeros((U.shape[0], n))
+        S[:, others] = U
+        return _lemma_sup_closed_rows(S, p, tau, y_max, pred_label)
 
     rng = np.random.default_rng(seed)
-    dim = n - 1
-    best_f, best_u = math.inf, None
-    for si in range(n_starts):
-        if si == 0:
-            u = np.zeros(dim)
-        elif si == 1:
-            u = np.full(dim, -1.0)
-        else:
-            u = rng.uniform(-spread, 0.0, dim)
-        f = objective(u)
-        step = 0.25
-        fd_h = 1e-7
-        for _ in range(iters):
-            g = np.empty(dim)
-            for j in range(dim):
-                uj = u[j]
-                up = min(uj + fd_h, 0.0)
-                um = max(uj - fd_h, -spread)
-                u[j] = up
-                fp = objective(u)
-                u[j] = um
-                fm = objective(u)
-                u[j] = uj
-                g[j] = (fp - fm) / (up - um) if up > um else 0.0
-            cand = np.clip(u - step * g, -spread, 0.0)
-            fc = objective(cand)
-            if fc < f:
-                u, f = cand, fc
-                step = min(step * 1.5, 50.0)
-            else:
-                step *= 0.5
-                if step < 1e-10:
-                    break
-        # cyclic coordinate golden-section polish
-        for _ in range(polish_sweeps):
-            for j in range(dim):
-                lo = max(u[j] - 2.0, -spread)
-                hi = min(u[j] + 2.0, 0.0)
+    starts = [np.zeros(dim), np.full(dim, -1.0)]
+    starts += [rng.uniform(-spread, 0.0, dim) for _ in range(n_starts - 2)]
+    U = np.array(starts[:n_starts])
+    F = objective(U)
+    step = np.full(n_starts, 0.25)
+    fd_h = 1e-7
+    cols = np.arange(dim)
+    live = np.arange(n_starts)
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        u = U[live]
+        up = np.minimum(u + fd_h, 0.0)
+        um = np.maximum(u - fd_h, -spread)
+        # rows [0, dim) of each start move coordinate j up, [dim, 2 dim) down
+        probes = np.repeat(u[:, None, :], 2 * dim, axis=1)
+        probes[:, cols, cols] = up
+        probes[:, dim + cols, cols] = um
+        fpm = objective(probes.reshape(-1, dim)).reshape(live.size, 2 * dim)
+        g = np.zeros_like(u)
+        np.divide(fpm[:, :dim] - fpm[:, dim:], up - um, out=g, where=up > um)
+        cand = np.clip(u - step[live, None] * g, -spread, 0.0)
+        fc = objective(cand)
+        better = fc < F[live]
+        acc, rej = live[better], live[~better]
+        U[acc], F[acc] = cand[better], fc[better]
+        step[acc] = np.minimum(step[acc] * 1.5, 50.0)
+        step[rej] *= 0.5
+        live = live[better | (step[live] >= 1e-10)]
+    # cyclic coordinate golden-section polish
+    for _ in range(polish_sweeps):
+        for j in range(dim):
+            def along_j(rows, v, j=j):
+                V = U[rows]
+                V[:, j] = v
+                return objective(V)
 
-                def f1(v, _j=j):
-                    old = u[_j]
-                    u[_j] = v
-                    val = objective(u)
-                    u[_j] = old
-                    return val
-
-                v_best, f_best = _golden_min_1d(f1, lo, hi)
-                if f_best < f:
-                    u[j], f = v_best, f_best
-        if f < best_f:
-            best_f, best_u = f, u.copy()
+            lo = np.maximum(U[:, j] - 2.0, -spread)
+            hi = np.minimum(U[:, j] + 2.0, 0.0)
+            v_best, f_best = _golden_min_rows(along_j, lo, hi)
+            better = f_best < F
+            U[better, j], F[better] = v_best[better], f_best[better]
+    best_u = U[int(np.argmin(F))]
 
     s_best = np.empty(n)
     s_best[pred_label] = 0.0

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Commands: ``transform-table``, ``verify``, ``gaps``, ``train``,
-``evaluate``. Exit codes: 0 ok, 1 usage or config error, 2 verification
-failure. Output files are written to a temporary sibling and renamed on
-success, so rejected runs never leave partial outputs.
+``evaluate``. Exit codes: 0 ok, 1 usage or config error or a diverged
+training run, 2 verification failure. Output files are written to a
+temporary sibling and renamed on success, so rejected runs never leave
+partial outputs; a diverged run still writes its metrics and checkpoint.
 """
 
 import argparse
@@ -34,13 +35,8 @@ METRICS_HEADER = "epoch,lr,train_loss,clean_acc,robust_acc,checkpoint_flag"
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        if v == 0.0:
-            v = 0.0  # normalize negative zero
-        return f"{v:.17g}"
-    return str(v)
+    """``suites.fmt_number``, with NaN written as an empty field."""
+    return "" if math.isnan(v) else suites.fmt_number(v)
 
 
 def write_csv(path, header, rows):
@@ -154,7 +150,7 @@ def _train_single(values, data, tau, out_path, checkpoint_path):
         model, history = train_standard(data, factory(), cfg)
     write_csv(out_path, METRICS_HEADER, _metrics_rows(history))
     save_model(model, checkpoint_path)
-    return model, history
+    return history
 
 
 def cmd_train(args):
@@ -165,15 +161,22 @@ def cmd_train(args):
     out = args.out or "metrics.csv"
     base, ext = os.path.splitext(out)
     sweep = values["train.tau_sweep"]
+    runs = []
     if sweep:
         for tau in sweep:
             tag = f"{base}_tau{tau:g}"
-            _train_single(values, data, tau, tag + (ext or ".csv"),
-                          tag + ".ckpt")
+            runs.append((tau, _train_single(values, data, tau,
+                                            tag + (ext or ".csv"),
+                                            tag + ".ckpt")))
     else:
-        _train_single(values, data, values["train.tau"], out,
-                      base + ".ckpt")
-    return 0
+        tau = values["train.tau"]
+        runs.append((tau, _train_single(values, data, tau, out,
+                                        base + ".ckpt")))
+    diverged = [(tau, h[-1]["epoch"]) for tau, h in runs
+                if h and h[-1].get("diverged")]
+    for tau, epoch in diverged:
+        print(f"train: tau={tau:g} diverged at epoch {epoch}", file=sys.stderr)
+    return 1 if diverged else 0
 
 
 def cmd_evaluate(args):

@@ -15,7 +15,8 @@ from .models import LinearModel
 from .risk import finite_distribution, linear_family, score_box
 
 
-def _fmt(v):
+def fmt_number(v):
+    """A number as CSV text: 17 significant digits, negative zero as 0."""
     if v == 0.0:
         v = 0.0  # normalize negative zero
     return f"{v:.17g}"
@@ -82,7 +83,7 @@ def run_tightness_suite(taus=(0.0, 0.25, 0.5, 0.75, 1.0), n_beta=21, n=5,
             inst = bounds.build_tightness_instance(beta, tau, n)
             zo, sur = bounds.tightness_sides(inst)
             expected = transform.t_tau(beta, tau, n)
-            rows.append(",".join(_fmt(v) for v in
+            rows.append(",".join(fmt_number(v) for v in
                                  (tau, beta, zo, sur, expected)))
             if abs(zo - beta) > tol:
                 violations.append(
@@ -107,8 +108,9 @@ def run_gaps_suite(count=100, seed=7, taus=(0.0, 1.0, 1.5, 2.0), tol=1e-10):
         r_star = c0 + float(rng.exponential(1.0))
         vals = [risk.gap_upper_bound_deterministic(spec, t, r_star)
                 for t in taus]
-        rows.append(",".join([str(i), _fmt(lam), str(n), _fmt(r_star)]
-                             + [_fmt(v) for v in vals]))
+        rows.append(",".join([str(i), fmt_number(lam), str(n),
+                              fmt_number(r_star)]
+                             + [fmt_number(v) for v in vals]))
         for a, b in zip(vals, vals[1:]):
             if b > a + tol:
                 violations.append(
@@ -121,8 +123,9 @@ def gap_table(lam, n, r_star, taus):
     spec = score_box(n, lam)
     c0 = math.exp(-2.0 * lam) * (n - 1)
     header = "tau,c_star_tau0,r_star_tau0,m_tilde"
-    rows = [",".join(_fmt(v) for v in
-                     (t, c0, r_star, risk.gap_upper_bound_deterministic(spec, t, r_star)))
+    rows = [",".join(fmt_number(v) for v in
+                     (t, c0, r_star,
+                      risk.gap_upper_bound_deterministic(spec, t, r_star)))
             for t in taus]
     return header, rows
 
@@ -152,8 +155,8 @@ def run_lemmas_suite(seed=11, n_sup=60, n_inf=24, n_cons=1000, n_psi=40,
         tau = float(rng.uniform(0.0, 3.0))
         closed = bounds.lemma_sup_closed(s, p, tau, y_max)
         numeric = bounds.lemma_sup_grid(s, p, tau, y_max)
-        rows.append(f"sup,{_fmt(tau)},{n},{_fmt(closed)},{_fmt(numeric)},"
-                    f"{_fmt(closed - numeric)}")
+        rows.append(",".join(["sup", fmt_number(tau), str(n)] + [
+            fmt_number(v) for v in (closed, numeric, closed - numeric)]))
         if abs(closed - numeric) > sup_tol:
             violations.append(
                 f"sup closed/grid differ by {closed - numeric} at tau={tau}")
@@ -165,8 +168,9 @@ def run_lemmas_suite(seed=11, n_sup=60, n_inf=24, n_cons=1000, n_psi=40,
         tau = float(rng.uniform(0.0, 2.0)) if i % 2 == 0 else \
             float(rng.uniform(2.0, 3.0))
         res = bounds.verify_lemma_inf(p, tau, seed=int(rng.integers(1 << 30)))
-        rows.append(f"inf,{_fmt(tau)},{n},{_fmt(res.closed)},{_fmt(res.brute)},"
-                    f"{_fmt(res.closed - res.brute)}")
+        rows.append(",".join(["inf", fmt_number(tau), str(n)] + [
+            fmt_number(v) for v in (res.closed, res.brute,
+                                    res.closed - res.brute)]))
         if tau <= 2.0:
             if abs(res.closed - res.brute) > inf_tol:
                 violations.append(
@@ -192,7 +196,7 @@ def run_lemmas_suite(seed=11, n_sup=60, n_inf=24, n_cons=1000, n_psi=40,
         worst = max(worst, rel)
         if rel > cons_tol:
             violations.append(f"exp-sum conservation off by {rel}")
-    rows.append(f"conservation,nan,nan,nan,{_fmt(worst)},nan")
+    rows.append(f"conservation,nan,nan,nan,{fmt_number(worst)},nan")
 
     for _ in range(n_psi):
         n = int(rng.choice([2, 3, 5]))
@@ -247,8 +251,9 @@ def run_adversarial_suite(count=1000, seed=13, tol=1e-6, keep_rows=200):
                 f"below the ramp bound {rep.rhs}")
         if i < keep_rows:
             rows.append(",".join(
-                [_fmt(rep.tau), str(rep.n), _fmt(rep.lhs), _fmt(rep.rhs),
-                 _fmt(rep.slack), _fmt(rep.rhs_smooth), str(int(cor_ok)),
+                [fmt_number(rep.tau), str(rep.n), fmt_number(rep.lhs),
+                 fmt_number(rep.rhs), fmt_number(rep.slack),
+                 fmt_number(rep.rhs_smooth), str(int(cor_ok)),
                  ";".join(rep.flags)]))
     rows.append(f"# min_slack={min_slack:.3e}")
     return header, rows, violations

@@ -40,15 +40,16 @@ def _log_half_power_sum(la, lb, inv_r):
 
 def t_tau(beta, tau, n):
     """Consistency transform at ``beta`` in [0, 1]."""
-    beta = _check_beta(beta)
-    tau = check_tau(tau)
-    n = _check_n(n)
+    return _t_tau_unchecked(_check_beta(beta), check_tau(tau), _check_n(n))
 
+
+def _t_tau_unchecked(beta, tau, n):
+    """``t_tau`` on arguments already validated (the bisection's core)."""
     if 0.0 < beta < 1e-5 and tau < 2.0 - TAU_BRANCH_TOL:
         # below this scale the exact branches lose the quadratic signal to
         # cancellation; the polynomial form is relatively accurate to
         # O(beta^2) here
-        return t_tilde(beta, tau, n)
+        return _t_tilde_unchecked(beta, tau, n)
 
     if abs(tau - 1.0) < TAU_BRANCH_TOL:
         t1 = 0.5 * (1.0 + beta) * math.log1p(beta)
@@ -61,9 +62,8 @@ def t_tau(beta, tau, n):
     # (1 +/- beta) ** (1 / (2 - tau)), evaluated in log space so the
     # exponent blow-up near tau = 2 stays finite
     r = 1.0 / (2.0 - tau)
-    with np.errstate(divide="ignore"):
-        la = r * np.log1p(beta)
-        lb = r * np.log1p(-beta)  # -inf at beta = 1
+    la = r * np.log1p(beta)
+    lb = r * np.log1p(-beta) if beta < 1.0 else -np.inf
     core = float(_log_half_power_sum(la, lb, 2.0 - tau))
     if tau < 1.0:
         return max(2.0 ** (1.0 - tau) / (1.0 - tau) * (-math.expm1(core)), 0.0)
@@ -102,7 +102,7 @@ def gamma_tau(t, tau, n, max_iter=200):
     lo, hi = 0.0, 1.0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if t_tau(mid, tau, n) < t:
+        if _t_tau_unchecked(mid, tau, n) < t:
             lo = mid
         else:
             hi = mid
@@ -113,9 +113,10 @@ def gamma_tau(t, tau, n, max_iter=200):
 
 def t_tilde(beta, tau, n):
     """Tightest-order polynomial lower bound of the transform."""
-    beta = _check_beta(beta)
-    tau = check_tau(tau)
-    n = _check_n(n)
+    return _t_tilde_unchecked(_check_beta(beta), check_tau(tau), _check_n(n))
+
+
+def _t_tilde_unchecked(beta, tau, n):
     if tau < 1.0:
         return beta * beta / (2.0 ** tau * (2.0 - tau))
     if tau < 2.0:

@@ -9,6 +9,8 @@ import pytest
 from compsum import transform
 from compsum.bounds import (
     BOUND_CSV_HEADER,
+    _golden_min_rows,
+    _lemma_sup_closed_rows,
     build_tightness_instance,
     hbar_mu_range,
     hbar_mu_scores,
@@ -198,6 +200,47 @@ class TestLemmaForms:
     def test_pred_label_must_differ(self):
         with pytest.raises(ValueError):
             verify_lemma_inf(np.array([0.2, 0.8]), 1.0, pred_label=1)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [0.7, 0.0, 0.3]])
+    def test_sup_closed_rows_vs_grid(self, tau, p):
+        # the predicted label 1 leads every row; in the second
+        # distribution it carries zero probability
+        p = np.array(p)
+        rng = np.random.default_rng(6)
+        S = rng.normal(scale=2.0, size=(8, 3))
+        S[:, 1] = S.max(axis=1) + rng.uniform(0.0, 1.0, size=8)
+        vals = _lemma_sup_closed_rows(S, p, tau, 0, 1)
+        assert vals.shape == (8,)
+        for s, v in zip(S, vals):
+            assert v == pytest.approx(lemma_sup_grid(s, p, tau, 0, 1), abs=1e-6)
+
+    def test_golden_min_rows_matches_each_row_alone(self):
+        # brackets of different widths and offsets close after different
+        # numbers of steps; a closed row must not move again
+        lo = np.array([-1.0, -10.0, 0.5, 100.0, -1e3])
+        hi = np.array([1.0, 10.0, 0.6, 100.001, 1e3])
+        shift = np.array([0.3, -7.2, 0.55, 100.0004, 512.25])
+        steps = [[] for _ in lo]
+        calls = []
+
+        def f(rows, x):
+            calls.append(rows)
+            return (x - shift[rows]) ** 2
+
+        x, fx = _golden_min_rows(f, lo, hi)
+        np.testing.assert_allclose(x, shift, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(fx, (x - shift) ** 2, rtol=0.0, atol=0.0)
+        for k, rows in enumerate(calls[1:-1]):
+            for r in rows:
+                steps[r].append(k)
+        # each row takes a run of steps from the first, then stays frozen
+        assert all(s == list(range(len(s))) for s in steps)
+        assert len({len(s) for s in steps}) > 1
+        for r in range(len(lo)):
+            xr, fr = _golden_min_rows(lambda rows, v: (v - shift[r]) ** 2,
+                                      lo[r:r + 1], hi[r:r + 1])
+            assert (xr[0], fr[0]) == (x[r], fx[r])
 
 
 class TestLearningBound:

@@ -163,6 +163,21 @@ class TestTrainCommand:
         robust = [row.split(",")[4] for row in rows]
         assert all(r != "" for r in robust)
 
+    def test_diverged_run_is_reported_and_exits_one(self, tmp_path, capsys):
+        # at this rate tau = 0 overflows in its first epoch; tau = 1 does not
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG + "train.tau_sweep = 0, 1\n"
+                                  "train.lr0 = 1e6\n")
+        out = tmp_path / "div.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["train: tau=0 diverged at epoch 0"]
+        assert (tmp_path / "div_tau0.csv").read_text().splitlines() == [
+            "epoch,lr,train_loss,clean_acc,robust_acc,checkpoint_flag",
+            "0,1000000,inf,,,0"]
+        for name in ("div_tau0.ckpt", "div_tau1.csv", "div_tau1.ckpt"):
+            assert (tmp_path / name).exists()
+
     def test_bad_config_exits_one_without_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("train.zap = 1\n")
