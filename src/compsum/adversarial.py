@@ -3,9 +3,10 @@
 Provides the worst-case zero-one loss over a perturbation ball, the
 ramp-margin comp-sum loss with projected-gradient inner maximization, the
 smooth adversarial loss (clean loss at scaled scores plus a worst-case
-score-difference deviation term), local margin-consistency checks of
-hypothesis sets, and exact enumeration oracles for one-dimensional linear
-instances used to certify the adversarial consistency bound.
+score-difference deviation term), a local margin-consistency check decided
+once per hypothesis set by a constant witness, and exact enumeration
+oracles for one-dimensional linear instances used to certify the
+adversarial consistency bound.
 
 Each PGD attack maximizes an objective of the scores, written once as a
 function ``objective(scores) -> (values, d values / d scores)``;
@@ -323,58 +324,42 @@ class RhoConsistencyResult:
     witness: object = None
 
 
-def check_local_rho_consistency(spec, sample_points, rho, ball,
-                                n_ball_samples=64, seed=0):
-    """Per-point check that the set contains a hypothesis keeping every
-    pairwise score gap at least ``rho`` with a fixed ordering on the ball.
+def check_local_rho_consistency(spec, rho):
+    """Decide whether the set contains a hypothesis keeping every pairwise
+    score gap at least ``rho`` with a fixed ordering on every ball.
 
-    For both supported kinds the witness is a constant staircase with
-    spacing exactly ``rho`` (score box: levels inside ``[-lam, lam]``;
-    linear family: zero weights, biases inside the coefficient bound), so
-    the interval bound on the gaps is exact; the witness is additionally
-    evaluated on a dense ball sample.
+    For both supported kinds the witness is the staircase
+    ``-0.5 * (n - 1) * rho + rho * arange(n)``: score levels inside
+    ``[-lam, lam]`` for the score box, zero weights with those biases
+    inside the coefficient bound for the linear family. The witness is
+    constant in x, so its infimum over any ball equals its value at any
+    point, and one exact test of its gaps and order decides the set for
+    every point and every ball radius.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     n = spec.n
     span = (n - 1) * rho
-    rng = np.random.default_rng(seed)
-    results = []
-
     if spec.kind == "score_box":
-        fits = span <= 2.0 * spec.lam + 1e-12
-        witness = None
-        if fits:
-            levels = -0.5 * span + rho * np.arange(n)
-            witness = levels
-        reason = "staircase witness with spacing rho" if fits else (
-            f"cannot fit {n} levels spaced {rho} inside [-{spec.lam}, {spec.lam}]")
+        bound, reason = spec.lam, "staircase witness with spacing rho"
+        failure = (f"cannot fit {n} levels spaced {rho} inside "
+                   f"[-{spec.lam}, {spec.lam}]")
     elif spec.kind == "linear":
-        fits = span <= 2.0 * spec.weight_bound + 1e-12
-        witness = None
-        if fits:
-            levels = -0.5 * span + rho * np.arange(n)
-            witness = LinearModel(np.zeros((n, spec.feature_dim)), levels)
-        reason = "constant staircase witness" if fits else (
-            f"bias bound {spec.weight_bound} below required {span / 2}")
+        bound, reason = spec.weight_bound, "constant staircase witness"
+        failure = f"bias bound {spec.weight_bound} below required {span / 2}"
     else:
         raise ValueError(f"unsupported hypothesis kind {spec.kind!r}")
+    if span > 2.0 * bound + 1e-12:
+        return RhoConsistencyResult(False, failure)
 
-    for x in sample_points:
-        ok = fits
-        if fits:
-            x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-            for _ in range(n_ball_samples):
-                delta = rng.uniform(-ball.gamma, ball.gamma, size=x.shape)
-                xp = project_to_ball((x + delta)[None, :], x[None, :], ball)[0]
-                s = witness if spec.kind == "score_box" else \
-                    witness.forward(xp[None, :])[0]
-                gaps = np.abs(s[:, None] - s[None, :])[~np.eye(n, dtype=bool)]
-                if gaps.min() < rho - 1e-12 or np.any(np.argsort(s) != np.arange(n)):
-                    ok = False
-                    break
-        results.append(RhoConsistencyResult(ok, reason, witness))
-    return results
+    levels = -0.5 * span + rho * np.arange(n)
+    gaps = np.abs(levels[:, None] - levels[None, :])[~np.eye(n, dtype=bool)]
+    if gaps.min() < rho - 1e-12 or np.any(np.argsort(levels) != np.arange(n)):
+        return RhoConsistencyResult(
+            False, f"staircase gaps fall below {rho} in floating point")
+    witness = levels if spec.kind == "score_box" else \
+        LinearModel(np.zeros((n, spec.feature_dim)), levels)
+    return RhoConsistencyResult(True, reason, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +500,18 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     supports (``sup-ramp gap >= phi_tau(1) * zero-one gap`` with
     ``phi_tau(1) <= 1``). ``rhs_smooth`` replaces the hypothesis's
     sup-ramp risk by its smooth adversarial loss, which can only increase
-    the bound. Refuses instances whose support points fail the local
-    margin consistency check.
+    the bound. Refuses hypothesis sets of another label count or feature
+    dimension, and sets that fail the local margin consistency check.
     """
     tau = check_tau(tau)
     w, b = _linear_wb(model)
-    xs = [pt.x for pt in dist.points]
-    checks = check_local_rho_consistency(spec, xs, adv.rho, ball)
-    bad = [i for i, c in enumerate(checks) if not c.passed]
-    if bad:
+    if spec.n != dist.n or (spec.kind == "linear" and spec.feature_dim != 1):
+        raise ValueError(f"hypothesis set {spec} does not describe "
+                         f"one-dimensional {dist.n}-label instances")
+    check = check_local_rho_consistency(spec, adv.rho)
+    if not check.passed:
         raise ValueError(
-            f"hypothesis set is not locally margin-consistent at support "
-            f"points {bad}: {checks[bad[0]].reason}")
+            f"hypothesis set is not locally margin-consistent: {check.reason}")
 
     gamma = ball.gamma
     r_adv01 = 0.0

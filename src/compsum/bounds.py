@@ -268,7 +268,7 @@ def _family_gap(s, p, tau, y_max, pred, mu):
     scores make individual losses enormous. ``mu`` may be an array of
     family parameters, giving one gap per entry.
     """
-    lse = risk._logsumexp_1d(s)
+    lse = losses._logsumexp(s)
     em_new = math.exp(s[pred]) - mu
     ep_new = math.exp(s[y_max]) + mu
     phi = losses._phi_of_gap_array

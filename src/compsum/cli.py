@@ -102,11 +102,11 @@ def cmd_transform_table(args):
 def cmd_verify(args):
     runner = suites.SUITES[args.suite]
     accepted = inspect.signature(runner).parameters
-    kwargs = {}
-    if args.count is not None and "count" in accepted:
-        kwargs["count"] = args.count
-    if args.seed is not None and "seed" in accepted:
-        kwargs["seed"] = args.seed
+    kwargs = {name: getattr(args, name) for name in ("count", "seed")
+              if getattr(args, name) is not None}
+    for name in kwargs:
+        if name not in accepted:
+            raise ValueError(f"suite {args.suite} does not take --{name}")
     header, rows, violations = runner(**kwargs)
     if args.out:
         write_csv(args.out, header, rows)

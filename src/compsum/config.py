@@ -14,14 +14,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(v):
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
-
-
 def _parse_float_list(v):
     return tuple(float(x) for x in v.split(",") if x.strip())
 

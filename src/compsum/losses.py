@@ -100,9 +100,13 @@ def phi_tau_deriv(u, tau):
     return out if out.ndim else float(out)
 
 
-def _logsumexp(s):
-    m = s.max()
-    return m + math.log(np.exp(s - m).sum())
+def _logsumexp(a):
+    """Max-shifted ``log(sum(exp(a)))`` of a 1-D array; a non-finite
+    maximum is returned as it is."""
+    m = np.max(a)
+    if not np.isfinite(m):
+        return m
+    return m + math.log(np.exp(a - m).sum())
 
 
 def _phi_of_gap_array(v, tau):

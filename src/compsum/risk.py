@@ -245,15 +245,8 @@ def _power_sum_stationary(p, tau):
     with np.errstate(divide="ignore"):
         logs = np.log(p)
     terms = r * logs[np.isfinite(logs)]
-    lse = _logsumexp_1d(terms)
+    lse = losses._logsumexp(terms)
     return float(math.expm1((2.0 - tau) * lse) / (1.0 - tau))
-
-
-def _logsumexp_1d(a):
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + math.log(np.exp(a - m).sum())
 
 
 def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):

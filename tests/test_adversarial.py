@@ -315,28 +315,38 @@ class TestInputGradients:
 
 class TestLocalRhoConsistency:
     def test_score_box_staircase(self):
-        ball = PerturbationBall(math.inf, 0.2)
-        res = check_local_rho_consistency(score_box(4, 3.0),
-                                          [np.zeros(2)], 1.0, ball)
-        assert res[0].passed
-        levels = res[0].witness
+        res = check_local_rho_consistency(score_box(4, 3.0), 1.0)
+        assert res.passed
+        levels = res.witness
         assert np.all(np.diff(levels) >= 1.0 - 1e-12)
         assert np.all(np.abs(levels) <= 3.0 + 1e-12)
 
     def test_too_small_box_fails(self):
-        ball = PerturbationBall(math.inf, 0.2)
-        res = check_local_rho_consistency(score_box(2, 0.4),
-                                          [np.zeros(2)], 1.0, ball)
-        assert not res[0].passed
+        res = check_local_rho_consistency(score_box(2, 0.4), 1.0)
+        assert not res.passed
 
     def test_linear_constants(self):
-        ball = PerturbationBall(math.inf, 0.2)
         res = check_local_rho_consistency(linear_family(3, 2, weight_bound=5.0),
-                                          [np.zeros(2)], 1.0, ball)
-        assert res[0].passed
+                                          1.0)
+        assert res.passed
         res = check_local_rho_consistency(linear_family(3, 2, weight_bound=0.5),
-                                          [np.zeros(2)], 1.0, ball)
-        assert not res[0].passed
+                                          1.0)
+        assert not res.passed
+
+    @pytest.mark.parametrize("p_norm", [1.0, 2.0, math.inf])
+    def test_linear_witness_is_constant_on_balls(self, p_norm):
+        # the check decides the set once because the witness's scores are
+        # its levels at every input, so at every point of every ball
+        res = check_local_rho_consistency(linear_family(4, 3, weight_bound=2.0),
+                                          1.0)
+        levels = res.witness.b
+        rng = np.random.default_rng(5)
+        X = rng.normal(scale=10.0, size=(50, 3))
+        ball = PerturbationBall(p_norm, 0.7)
+        Xp = project_to_ball(X + rng.uniform(-0.7, 0.7, size=X.shape), X, ball)
+        for pts in (X, Xp):
+            assert np.array_equal(res.witness.forward(pts),
+                                  np.broadcast_to(levels, (50, 4)))
 
 
 class TestAdvBound:
@@ -382,6 +392,31 @@ class TestAdvBound:
         with pytest.raises(ValueError, match="not locally"):
             verify_adv_bound(dist, linear_family(2, 1, weight_bound=0.5),
                              model, 1.0, adv, PerturbationBall(math.inf, 0.1))
+
+    @pytest.mark.parametrize("spec,reason", [
+        (linear_family(3, 1, weight_bound=0.5), "bias bound 0.5"),
+        (score_box(2, 0.4), "cannot fit 2 levels"),
+    ])
+    def test_refuses_each_kind_at_unit_rho(self, spec, reason):
+        n = spec.n
+        model = LinearModel(np.ones((n, 1)), np.zeros(n))
+        dist = finite_distribution([1.0], [np.full(n, 1.0 / n)], xs=[[0.0]])
+        with pytest.raises(ValueError,
+                           match=f"not locally margin-consistent: {reason}"):
+            verify_adv_bound(dist, spec, model, 1.0, AdvParams(n=n, rho=1.0),
+                             PerturbationBall(math.inf, 0.1))
+
+    @pytest.mark.parametrize("spec", [
+        linear_family(3, 1, weight_bound=5.0),
+        linear_family(2, 7, weight_bound=5.0),
+        score_box(3, 5.0),
+    ])
+    def test_refuses_set_of_other_shape(self, spec):
+        dist = finite_distribution([1.0], [[0.5, 0.5]], xs=[[0.0]])
+        with pytest.raises(ValueError, match="does not describe"):
+            verify_adv_bound(dist, spec, linear2(1.0, -1.0), 1.0,
+                             AdvParams(n=2, rho=1.0),
+                             PerturbationBall(math.inf, 0.1))
 
     def test_multiplier_constant_at_log_two(self):
         assert phi_tau(1.0, 1.0) == math.log(2.0)

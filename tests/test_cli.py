@@ -105,6 +105,19 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self):
         assert main(["verify", "--suite", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("suite,argv,flag", [
+        ("tightness", ["--count", "5", "--seed", "9"], "--count"),
+        ("tightness", ["--seed", "9"], "--seed"),
+        ("lemmas", ["--count", "5"], "--count"),
+    ])
+    def test_flag_the_suite_does_not_take_is_usage_error(
+            self, tmp_path, capsys, suite, argv, flag):
+        out = tmp_path / "r.csv"
+        code = main(["verify", "--suite", suite, "--out", str(out)] + argv)
+        assert code == 1
+        assert f"suite {suite} does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bounds_suite_small(self, tmp_path):
         code = main(["verify", "--suite", "bounds", "--count", "200",
                      "--out", str(tmp_path / "b.csv")])
