@@ -349,12 +349,14 @@ def check_local_rho_consistency(spec, rho):
         failure = f"bias bound {spec.weight_bound} below required {span / 2}"
     else:
         raise ValueError(f"unsupported hypothesis kind {spec.kind!r}")
-    if span > 2.0 * bound + 1e-12:
+    # relative tolerances: the staircase's rounding scales with rho
+    if span > 2.0 * bound * (1.0 + 1e-12):
         return RhoConsistencyResult(False, failure)
 
     levels = -0.5 * span + rho * np.arange(n)
     gaps = np.abs(levels[:, None] - levels[None, :])[~np.eye(n, dtype=bool)]
-    if gaps.min() < rho - 1e-12 or np.any(np.argsort(levels) != np.arange(n)):
+    if gaps.min() < rho * (1.0 - 1e-12) or \
+            np.any(np.argsort(levels) != np.arange(n)):
         return RhoConsistencyResult(
             False, f"staircase gaps fall below {rho} in floating point")
     witness = levels if spec.kind == "score_box" else \

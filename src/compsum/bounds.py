@@ -460,6 +460,7 @@ class LearningBoundResult:
     b_tau: float
     m: int
     delta: float
+    oracle_nonconverged: int
 
 
 def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
@@ -473,7 +474,8 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     ``gap + 4 * complexity + 2 * B * sqrt(log(2 / delta) / (2 m))``.
     Also reports the realized zero-one excess of the minimizer for direct
     comparison. Arguments beyond the transform's range yield the vacuous
-    bound 1.
+    bound 1. ``oracle_nonconverged`` counts the oracle solves of both
+    batches (minimizers and suprema) that ended unconverged.
     """
     tau = check_tau(tau)
     if spec.kind != "score_box" or not math.isfinite(spec.lam):
@@ -498,6 +500,7 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     fits = minimize_weighted_cond_risk_batch(
         counts[seen] / counts[seen].sum(axis=1, keepdims=True), tau, spec.lam,
         (seed + 1000 + seen).tolist(), max_iter=opt_iters)
+    nonconverged = sum(not res.converged for res in fits)
     assignment = np.zeros((K, n))
     for k, res in zip(seen, fits):
         assignment[k] = res.scores
@@ -518,6 +521,7 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     fits = minimize_weighted_cond_risk_batch(
         -coeffs[draw, pts] / m, tau, spec.lam,
         (seed + 5000 + 17 * draw + pts).tolist(), max_iter=opt_iters)
+    nonconverged += sum(not res.converged for res in fits)
     sups = np.zeros(n_sign_draws)
     np.add.at(sups, draw, [-res.value for res in fits])
     rademacher = float(sups.mean())
@@ -533,8 +537,8 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     if arg > tmax:
         return LearningBoundResult(1.0, realized, True, m_gap, rademacher,
                                    rademacher_se, concentration, arg, b_tau,
-                                   m, delta)
+                                   m, delta, nonconverged)
     bound = gamma_tau(arg, tau, n)
     return LearningBoundResult(bound, realized, False, m_gap, rademacher,
                                rademacher_se, concentration, arg, b_tau,
-                               m, delta)
+                               m, delta, nonconverged)

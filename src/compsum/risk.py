@@ -2,8 +2,8 @@
 
 The closed-form best-in-class conditional risk assumes a symmetric and
 complete hypothesis set; the brute-force oracle minimizes over an explicit
-score box by multi-start projected gradient descent and is the independent
-cross-check for every closed form in this module.
+score box by multi-start safeguarded projected Newton descent and is the
+independent cross-check for every closed form in this module.
 
 The minimizability gap (best-in-class expected risk minus the expected
 pointwise infimum) is always upper bounded by the approximation error,
@@ -314,10 +314,13 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, n_starts=8,
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
     Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
-    single-problem oracle, so each result is that call's result. Several
-    problems run through the lockstep kernel, all their starts at once; a
-    single problem goes to the scalar kernel, which is faster when a few
-    starts run long. Returns one ``BruteResult`` per row.
+    single-problem oracle, so each result is that call's result up to
+    rounding (both kernels take the same steps). Several problems run
+    through the lockstep kernel, all their starts at once. A single problem
+    goes to the scalar kernel through ``minimize_weighted_cond_risk``, so
+    that the benchmark's tracer, which wraps that kernel, sees it. Speed is
+    not the reason: the lockstep kernel solves a single problem faster,
+    since its starts share iterations. Returns one ``BruteResult`` per row.
     """
     C = np.asarray(C, dtype=np.float64)
     tau = check_tau(tau)
@@ -344,9 +347,11 @@ def cond_risk_star_brute(p, tau, spec, *, seed=0, n_starts=8,
                          max_iter=10000, gtol=1e-10):
     """Independent oracle: minimize the conditional risk over a score box.
 
-    Multi-start projected gradient descent with backtracking line search;
-    ``converged`` is False when any start exhausted the iteration cap before
-    reaching the projected-gradient tolerance (a warning, not an error).
+    Multi-start safeguarded projected Newton descent (an Armijo search on
+    the projected arc, with a projected-gradient step as fallback);
+    ``converged`` is False when any start exhausted the iteration cap
+    before reaching the projected-gradient tolerance (a warning, not an
+    error).
     """
     p = check_cond_dist(p)
     if spec.kind != "score_box":

@@ -325,6 +325,20 @@ class TestLocalRhoConsistency:
         res = check_local_rho_consistency(score_box(2, 0.4), 1.0)
         assert not res.passed
 
+    def test_large_rho_passes_on_a_box_that_fits(self):
+        # the staircase's rounding grows with rho; the gap test must not
+        # refuse it
+        for rho in np.random.default_rng(0).uniform(1e3, 1e6, size=200):
+            res = check_local_rho_consistency(score_box(5, 1e9), rho)
+            assert res.passed, (rho, res.reason)
+            assert np.all(np.diff(res.witness) >= rho * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    def test_too_small_box_fails_at_every_scale(self, scale):
+        res = check_local_rho_consistency(score_box(3, 0.99 * scale), scale)
+        assert not res.passed
+        assert check_local_rho_consistency(score_box(3, scale), scale).passed
+
     def test_linear_constants(self):
         res = check_local_rho_consistency(linear_family(3, 2, weight_bound=5.0),
                                           1.0)

@@ -291,6 +291,17 @@ class TestLearningBound:
             prev = r.bound
         assert prev < 1.0  # non-vacuous by m = 800
 
+    def test_counts_unconverged_oracle_solves(self):
+        # two support points: at most 2 minimizers and 2 suprema per draw
+        dist = self._easy_dist()
+        r = learning_bound(dist, score_box(2, 30.0), 1.0, m=100, delta=0.05,
+                           seed=2, n_sign_draws=20)
+        assert r.oracle_nonconverged == 0
+        capped = learning_bound(dist, score_box(2, 30.0), 1.0, m=100,
+                                delta=0.05, seed=2, n_sign_draws=20,
+                                opt_iters=1)
+        assert 0 < capped.oracle_nonconverged <= 2 + 2 * 20
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             learning_bound(self._easy_dist(), score_box(2, 1.5), 1.0,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from compsum import losses, risk
+from compsum import _kernels, losses, risk
 from compsum.risk import (
     calibration_gap,
     cond_risk,
@@ -198,6 +198,17 @@ class TestBatchOracle:
                                   - (want.scores - want.scores.mean())
                                   ).max() <= 1e-6
 
+    def test_matches_single_problem_oracle_ten_labels(self):
+        rng = np.random.default_rng(10)
+        C = rng.dirichlet(np.ones(10), size=3) * 0.9 + 0.01
+        seeds = [3, 4, 5]
+        batch = minimize_weighted_cond_risk_batch(C, 1.6, 30.0, seeds)
+        for c, seed, got in zip(C, seeds, batch):
+            want = minimize_weighted_cond_risk(c, 1.6, 30.0, seed=seed)
+            assert got.converged and want.converged
+            assert abs(got.value - want.value) <= 1e-9
+            assert abs(got.value - cond_risk_star_closed(c, 1.6)) <= 1e-9
+
     def test_one_problem_takes_the_scalar_path(self):
         c = np.array([0.2, 0.5, 0.3])
         (got,) = minimize_weighted_cond_risk_batch([c], 1.3, 5.0, [4])
@@ -228,6 +239,118 @@ def stationarity_residual(p, tau):
                     for j in range(p.size) if j != y)
         res[y] = p[y] * (1.0 - S[y]) / S[y] ** tau + other
     return res
+
+
+def criterion2_draw(gen_seed, index):
+    """The ``index``-th (0-based) accepted (p, tau) draw of the acceptance
+    criterion-2 generator with generator seed ``gen_seed``."""
+    rng = np.random.default_rng(gen_seed)
+    count = -1
+    while True:
+        n = int(rng.choice([2, 3, 5, 10]))
+        tau = float(rng.uniform(0.0, 3.0))
+        p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        if abs(2.0 - tau) > 1e-9 and \
+                abs(1.0 / (2.0 - tau)) * math.log(p.max() / p.min()) > 48.0:
+            continue
+        count += 1
+        if count == index:
+            return p, tau
+
+
+def count_grad_evals(monkeypatch):
+    """Count the scalar kernel's gradient evaluations from here on."""
+    calls = [0]
+    original = _kernels.weighted_cond_value_grad
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "weighted_cond_value_grad", counted)
+    return calls
+
+
+class TestHessian:
+    def central_differences(self, S, C, tau, h=1e-5):
+        fd = np.empty(S.shape + (S.shape[1],))
+        for j in range(S.shape[1]):
+            e = np.zeros(S.shape[1])
+            e[j] = h
+            fd[:, :, j] = (_kernels.weighted_cond_value_grad_rows(S + e, C, tau)[1]
+                           - _kernels.weighted_cond_value_grad_rows(S - e, C, tau)[1]
+                           ) / (2.0 * h)
+        return fd
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_matches_central_differences(self, tau):
+        rng = np.random.default_rng(int(10 * tau))
+        for n in (2, 3, 5, 10):
+            S = rng.normal(scale=2.0, size=(6, n))
+            C = rng.dirichlet(np.ones(n), size=6)
+            C[1::2] *= -1.0  # negated rows: suprema
+            H = _kernels.weighted_cond_hessian_rows(S, C, tau)
+            assert H.shape == (6, n, n)
+            assert np.array_equal(H, np.swapaxes(H, 1, 2))
+            fd = self.central_differences(S, C, tau)
+            for got, want in zip(H, fd):
+                assert np.abs(got - want).max() <= 1e-7 * max(
+                    1.0, np.abs(want).max())
+
+    def test_saturated_row_matches_saturated_gradient(self):
+        # label 1 sits 805 below the top: (1 - tau) v passes EXP_CAP, its
+        # loss and derivative saturate, and phi'' drops out
+        S = np.array([[0.0, -800.0, 5.0], [0.3, -0.2, 0.1]])
+        C = np.array([[0.3, 0.5, 0.2], [-0.3, 0.5, -0.2]])
+        H = _kernels.weighted_cond_hessian_rows(S, C, 0.0)
+        assert np.all(np.isfinite(H))
+        fd = self.central_differences(S, C, 0.0)
+        for got, want in zip(H, fd):
+            assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
+class TestNewtonOracle:
+    @pytest.mark.parametrize("gen_seed, index, seed", [
+        (20240811, 15, 16),  # criterion-2 draw 16: n = 10, tau ~ 1.663
+        (0, 7, 7),           # former backend-bench case 7: n = 5, tau ~ 1.351
+    ])
+    def test_formerly_capped_instances_converge(self, gen_seed, index, seed):
+        # both ran starts to the 10 000-iteration cap under first-order steps
+        p, tau = criterion2_draw(gen_seed, index)
+        res = cond_risk_star_brute(p, tau, score_box(len(p), 30.0), seed=seed)
+        assert res.converged
+        assert abs(res.value - cond_risk_star_closed(p, tau)) <= 1e-9
+
+    @pytest.mark.parametrize("p, tau, lam, top, bottom", [
+        ([0.7, 0.2, 0.1], 0.5, 0.5, 0, 2),
+        ([0.6, 0.25, 0.1, 0.05], 0.0, 1.0, None, 3),
+        ([0.4, 0.35, 0.25], 2.5, 1.0, 0, 2),
+    ])
+    def test_boundary_minimizer_in_few_steps(self, monkeypatch, p, tau, lam,
+                                             top, bottom):
+        # minimizers on the box boundary: the coordinates held at a bound
+        # leave the Newton system, and the remaining steps converge fast
+        # (about 5 gradient evaluations per start; without the active set,
+        # 10 to 40)
+        calls = count_grad_evals(monkeypatch)
+        res = minimize_weighted_cond_risk(np.array(p), tau, lam, seed=3)
+        assert res.converged
+        assert res.scores[bottom] == -lam
+        if top is not None:
+            assert res.scores[top] == lam
+        assert calls[0] <= 8 * 7
+
+    def test_interior_minimizer_matches_closed_form(self, monkeypatch):
+        p = np.array([0.5, 0.3, 0.15, 0.05])
+        calls = count_grad_evals(monkeypatch)
+        for tau in (0.3, 1.0, 1.7):
+            res = cond_risk_star_brute(p, tau, score_box(4, 30.0), seed=2)
+            assert res.converged
+            assert abs(res.value - cond_risk_star_closed(p, tau)) <= 1e-12
+            assert np.abs((res.scores - res.scores.mean())
+                          - (optimal_scores(p, tau)
+                             - optimal_scores(p, tau).mean())).max() <= 1e-6
+        assert calls[0] <= 3 * 8 * 80
 
 
 class TestOptimalScores:
