@@ -6,157 +6,28 @@ estimator) minimizes ``sum_y c[y] * loss(s, y, tau)`` over a box
 steps (Bertsekas 1982, SIAM J. Control Optim. 20:221) on the closed-form
 score Hessian, which is cheap at the label counts used here. First-order
 steps stall where the objective flattens exponentially along the score
-spread (tau near 1.2 to 1.75); Newton steps do not. It comes in two forms
-that run the same iteration, ``_newton_step``: ``pgd_box_weighted_min``
-solves one problem, one start after another; and
-``pgd_box_weighted_min_batch`` runs every start of many problems in
-lockstep as rows of numpy arrays.
-"""
+spread (tau near 1.2 to 1.75); Newton steps do not.
 
-import math
+The weighted value, its score gradient and its Hessian exist once each,
+row-wise: one row of scores per start. Two kernels run the same iteration,
+``_newton_step``, on them: ``pgd_box_weighted_min`` solves one problem,
+one start after another, on one-row arrays; ``pgd_box_weighted_min_batch``
+runs every start of many problems in lockstep. From the same start both
+take the same steps, bit for bit.
+"""
 
 import numpy as np
 
 from .losses import EXP_CAP, _phi_of_gap_array
 
 
-def phi_of_gap(v, tau):
-    """Outer concave transform evaluated at an inner sum of exp(v) - 1.
-
-    ``v = logsumexp(scores) - scores[y] >= 0`` is the stable representation
-    of the inner sum; the transform reduces to ``expm1((1 - tau) * v) /
-    (1 - tau)`` with the log branch at tau = 1.
-    """
-    if abs(tau - 1.0) < 1e-9:
-        return v
-    a = (1.0 - tau) * v
-    if a > EXP_CAP:
-        a = EXP_CAP
-    return math.expm1(a) / (1.0 - tau)
-
-
-def weighted_cond_value(s, c, tau):
-    """sum_y c[y] * loss(s, y, tau) for a single score vector ``s``."""
-    n = s.shape[0]
-    m = s[0]
-    for j in range(1, n):
-        if s[j] > m:
-            m = s[j]
-    t = 0.0
-    for j in range(n):
-        t += math.exp(s[j] - m)
-    lse = m + math.log(t)
-    total = 0.0
-    for y in range(n):
-        total += c[y] * phi_of_gap(lse - s[y], tau)
-    return total
-
-
-def weighted_cond_value_grad(s, c, tau, g):
-    """Value of ``weighted_cond_value`` with its exact score gradient in ``g``."""
-    n = s.shape[0]
-    m = s[0]
-    for j in range(1, n):
-        if s[j] > m:
-            m = s[j]
-    t = 0.0
-    for j in range(n):
-        t += math.exp(s[j] - m)
-    lse = m + math.log(t)
-
-    total = 0.0
-    dot = 0.0
-    for y in range(n):
-        v = lse - s[y]
-        total += c[y] * phi_of_gap(v, tau)
-        # d(loss)/dv at v equals exp((1 - tau) * v), saturated like the value
-        a = (1.0 - tau) * v
-        if a > EXP_CAP:
-            a = EXP_CAP
-        w = math.exp(a)
-        g[y] = -c[y] * w
-        dot += c[y] * w
-    for j in range(n):
-        g[j] += math.exp(s[j] - lse) * dot
-    return total
-
-
-def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
-    """Minimize sum_y c[y] * loss(s, y, tau) over the box [-lam, lam]^n.
-
-    Multi-start safeguarded projected Newton descent; one iteration is
-    ``_newton_step`` on a single row, with the gradient from
-    ``weighted_cond_value_grad``. A start stops when its unit-step
-    projected-gradient norm is at most ``gtol``, when the value has not
-    moved over a 64-iteration window, or when neither the Newton arc nor
-    the projected-gradient fallback improves it (numerically stationary);
-    only a start still running at ``max_iter`` has not converged.
-
-    ``starts`` is a (k, n) array of initial points (clipped into the box);
-    starts run sequentially and the minimum is reduced in start order, so
-    the result is deterministic for a given ``starts`` array. Returns
-    (best value, best scores, all starts reached the tolerance).
-    """
-    k, n = starts.shape
-    best_x = np.empty(n)
-    best_f = np.inf
-    all_conv = True
-
-    x = np.empty(n)
-    g = np.empty(n)
-    # one-row views for the shared row-wise step
-    X, G, C = x[None, :], g[None, :], c[None, :]
-    step = np.empty(1)
-
-    for si in range(k):
-        np.clip(starts[si], -lam, lam, out=x)
-        fx = weighted_cond_value(x, c, tau)
-        step[0] = 1.0
-        conv = False
-        it = 0
-        f_checkpoint = fx
-        while it < max_iter:
-            it += 1
-            # value-stall criterion: no measurable progress over a window
-            # counts as converged (the gradient test below can stay above
-            # tolerance at float resolution on very flat objectives)
-            if it % 64 == 0:
-                if f_checkpoint - fx <= 1e-15 * (1.0 + abs(fx)):
-                    conv = True
-                    break
-                f_checkpoint = fx
-            weighted_cond_value_grad(x, c, tau, g)
-            pgn = _pg_norm_rows(X, G, lam)
-            if pgn[0] <= gtol:
-                conv = True
-                break
-            moved, xn, fn = _newton_step(X, G, np.array([fx]), C, tau, lam,
-                                         pgn, step)
-            if not moved[0]:
-                # no representable step improves on x: numerically stationary
-                conv = True
-                break
-            x[:] = xn[0]
-            fx = float(fn[0])
-
-        if not conv:
-            all_conv = False
-        if fx < best_f:
-            best_f = fx
-            best_x[:] = x
-
-    return best_f, best_x, all_conv
-
-
-# ---------------------------------------------------------------------------
-# row-wise form: the shared iteration and the lockstep kernel
-# ---------------------------------------------------------------------------
-
 def _rows_sum(a):
-    """Row sums accumulated column by column, in the scalar kernel's order.
+    """Row sums added column by column, left to right.
 
-    Both forms add in that order: one accumulate call is cheaper for a few
-    rows, a loop over the columns for many.
+    The fixed order keeps a row's sum independent of how many rows share
+    the array, so one-row and many-row calls agree bit for bit. One
+    accumulate call is cheaper for a few rows, a loop over the columns for
+    many.
     """
     if a.shape[0] <= 64:
         return np.add.accumulate(a, axis=1)[:, -1]
@@ -171,23 +42,25 @@ def _rows_lse(S):
     return m + np.log(_rows_sum(np.exp(S - m[:, None])))
 
 
-def weighted_cond_value_rows(S, C, tau):
-    """``weighted_cond_value`` of each score row of ``S`` with its row of ``C``."""
+def weighted_cond_value(S, C, tau):
+    """``sum_y C[r, y] * loss(S[r], y, tau)`` for each row ``r``: (R,)."""
     v = _rows_lse(S)[:, None] - S
     return _rows_sum(C * _phi_of_gap_array(v, tau))
 
 
-def weighted_cond_value_grad_rows(S, C, tau):
-    """Row-wise ``weighted_cond_value_grad``: (values, gradient rows)."""
+def weighted_cond_value_grad(S, C, tau):
+    """``weighted_cond_value`` with its exact score gradient rows:
+    (values (R,), gradients (R, n))."""
     lse = _rows_lse(S)
     v = lse[:, None] - S
+    # d(loss)/dv at v equals exp((1 - tau) * v), saturated like the value
     w = np.exp(np.minimum((1.0 - tau) * v, EXP_CAP))
     G = -C * w
     G += np.exp(S - lse[:, None]) * _rows_sum(C * w)[:, None]
     return _rows_sum(C * _phi_of_gap_array(v, tau)), G
 
 
-def weighted_cond_hessian_rows(S, C, tau):
+def weighted_cond_hessian(S, C, tau):
     """Score Hessians of ``weighted_cond_value`` for each row: (R, n, n).
 
     With ``v_y = lse(s) - s_y``, ``dv_y/ds = sigma - e_y`` and
@@ -211,7 +84,7 @@ def weighted_cond_hessian_rows(S, C, tau):
     return H
 
 
-def _pg_norm_rows(X, G, lam):
+def _pg_norm(X, G, lam):
     """Norm of each row's unit-step projected-gradient move."""
     d = np.clip(X - G, -lam, lam) - X
     return np.sqrt(_rows_sum(d * d))
@@ -232,7 +105,7 @@ def _newton_dirs(X, G, C, tau, lam, pgn):
     active = (((X <= -lam + eps) & (G > 0.0))
               | ((X >= lam - eps) & (G < 0.0)))
     free = ~active
-    H = weighted_cond_hessian_rows(X, C, tau)
+    H = weighted_cond_hessian(X, C, tau)
     H *= free[:, :, None] & free[:, None, :]
     diag = np.arange(X.shape[1])
     H[:, diag, diag] += active
@@ -264,7 +137,7 @@ def _arc_search(X, D, G, F, C, tau, lam):
         z = np.clip(X + alpha * D, -lam, lam)
         d = z - X
         gd = _rows_sum(G * d)
-        f = weighted_cond_value_rows(z, C, tau)
+        f = weighted_cond_value(z, C, tau)
         ok = (gd < 0.0) & (f <= F + 1e-4 * gd + 1e-15 * np.abs(F))
         done = pend[ok]
         accepted[done] = True
@@ -298,7 +171,7 @@ def _backtrack(y, g, fy, step, c, tau, lam):
         dn = _rows_sum(d * d)
         moved = dn != 0.0
         pend, z, gd, dn, sp = pend[moved], z[moved], gd[moved], dn[moved], sp[moved]
-        f = weighted_cond_value_rows(z, c[pend], tau)
+        f = weighted_cond_value(z, c[pend], tau)
         fyp = fy[pend]
         ok = f <= fyp + gd + dn / (2.0 * sp) + 1e-15 * np.abs(fyp)
         done = pend[ok]
@@ -333,16 +206,76 @@ def _newton_step(X, G, F, C, tau, lam, pgn, step):
     return moved, xn, fn
 
 
+def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
+    """Minimize sum_y c[y] * loss(s, y, tau) over the box [-lam, lam]^n.
+
+    Multi-start safeguarded projected Newton descent; one iteration is
+    ``_newton_step`` on a single row, with the gradient from
+    ``weighted_cond_value_grad``. A start stops when its unit-step
+    projected-gradient norm is at most ``gtol``, when the value has not
+    moved over a 64-iteration window, or when neither the Newton arc nor
+    the projected-gradient fallback improves it (numerically stationary);
+    only a start still running at ``max_iter`` has not converged.
+
+    ``starts`` is a (k, n) array of initial points (clipped into the box);
+    starts run sequentially and the minimum is reduced in start order, so
+    the result is deterministic for a given ``starts`` array. Returns
+    (best value, best scores, all starts reached the tolerance).
+    """
+    k, n = starts.shape
+    best_x = np.empty(n)
+    best_f = np.inf
+    all_conv = True
+
+    x = np.empty(n)
+    # one-row views; every start's value is taken on this same buffer,
+    # which is how the benchmark's tracer counts starts
+    X, C = x[None, :], c[None, :]
+
+    for si in range(k):
+        np.clip(starts[si], -lam, lam, out=x)
+        F = weighted_cond_value(X, C, tau)
+        f_checkpoint = F[0]
+        step = np.ones(1)
+        # every break is a converged stop; only the cap reaches ``else``
+        for it in range(1, max_iter + 1):
+            # value-stall criterion: no measurable progress over a window
+            # counts as converged (the gradient test below can stay above
+            # tolerance at float resolution on very flat objectives)
+            if it % 64 == 0:
+                if f_checkpoint - F[0] <= 1e-15 * (1.0 + abs(F[0])):
+                    break
+                f_checkpoint = F[0]
+            _, G = weighted_cond_value_grad(X, C, tau)
+            pgn = _pg_norm(X, G, lam)
+            if pgn[0] <= gtol:
+                break
+            moved, xn, fn = _newton_step(X, G, F, C, tau, lam, pgn, step)
+            if not moved[0]:
+                # no representable step improves on x: numerically stationary
+                break
+            x[:] = xn[0]
+            F = fn
+        else:
+            all_conv = False
+        if F[0] < best_f:
+            best_f = float(F[0])
+            best_x[:] = x
+
+    return best_f, best_x, all_conv
+
+
 def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
     """Lockstep form of ``pgd_box_weighted_min`` for B problems on one box.
 
     ``C`` is (B, n) and ``starts`` is (B, k, n). Every start of every
     problem is one row. All rows take their iterations together through
     the same ``_newton_step``, each row with its own line search and
-    fallback step, so every row follows the path of the scalar kernel from
-    the same start, with the same stop tests. Rows leave the arrays as
-    they stop. Per problem the best start is the first minimum in start
-    order, and it converged when every start did.
+    fallback step, so every row takes bit for bit the steps that
+    ``pgd_box_weighted_min`` takes from the same start, with the same stop
+    tests. Rows leave the arrays as they stop. Per problem the best start
+    is the first minimum in start order, and it converged when every start
+    did.
     Returns (values (B,), scores (B, n), converged (B,)).
     """
     B, k, n = starts.shape
@@ -354,7 +287,7 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
     rows = np.arange(R)
     c = np.repeat(C, k, axis=0)
     x = np.clip(starts.reshape(R, n), -lam, lam)
-    fx = weighted_cond_value_rows(x, c, tau)
+    fx = weighted_cond_value(x, c, tau)
     f_checkpoint = fx.copy()
     step = np.ones(R)
     it = 0
@@ -366,8 +299,8 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
         if it % 64 == 0:
             stop = f_checkpoint - fx <= 1e-15 * (1.0 + np.abs(fx))
             f_checkpoint = fx.copy()
-        _, g = weighted_cond_value_grad_rows(x, c, tau)
-        pgn = _pg_norm_rows(x, g, lam)
+        _, g = weighted_cond_value_grad(x, c, tau)
+        pgn = _pg_norm(x, g, lam)
         stop |= pgn <= gtol
 
         live = np.flatnonzero(~stop)

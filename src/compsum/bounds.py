@@ -196,8 +196,7 @@ def _lemma_sup_closed_rows(S, p, tau, y_max, pred):
     ``(R, n)`` scores ``S``; returns the ``R`` values."""
     pm, ph = p[y_max], p[pred]
     hm, hp = S[:, y_max], S[:, pred]
-    m = S.max(axis=1)
-    lse = m + np.log(np.exp(S - m[:, None]).sum(axis=1))
+    lse = losses._logsumexp_rows(S)
     l_ab = np.logaddexp(hm, hp)
 
     if abs(tau - 1.0) < losses.TAU_BRANCH_TOL:

@@ -109,6 +109,12 @@ def _logsumexp(a):
     return m + math.log(np.exp(a - m).sum())
 
 
+def _logsumexp_rows(S):
+    """Max-shifted ``log(sum(exp(row)))`` of each row of a 2-D array."""
+    m = S.max(axis=1)
+    return m + np.log(np.exp(S - m[:, None]).sum(axis=1))
+
+
 def _phi_of_gap_array(v, tau):
     """Vectorized loss from log-sum gaps ``v = logsumexp(h) - h_y >= 0``."""
     if abs(tau - 1.0) < TAU_BRANCH_TOL:
@@ -152,8 +158,7 @@ def comp_sum_loss_batch(scores, Y, tau):
     s = np.asarray(scores, dtype=np.float64)
     Y = np.asarray(Y)
     tau = check_tau(tau)
-    m = s.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(s - m).sum(axis=1))
+    lse = _logsumexp_rows(s)
     v = np.maximum(lse - s[np.arange(s.shape[0]), Y], 0.0)
     return _phi_of_gap_array(v, tau)
 
@@ -164,8 +169,7 @@ def comp_sum_grad_batch(scores, Y, tau):
     Y = np.asarray(Y)
     tau = check_tau(tau)
     rows = np.arange(s.shape[0])
-    m = s.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(s - m).sum(axis=1))
+    lse = _logsumexp_rows(s)
     sm = np.exp(s - lse[:, None])
     wy = np.exp(np.minimum((tau - 1.0) * (s[rows, Y] - lse), EXP_CAP))
     g = wy[:, None] * sm

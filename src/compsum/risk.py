@@ -20,7 +20,7 @@ import numpy as np
 
 from . import losses
 from ._kernels import (pgd_box_weighted_min, pgd_box_weighted_min_batch,
-                       weighted_cond_value_grad_rows)
+                       weighted_cond_value_grad)
 from .losses import TAU_BRANCH_TOL, check_tau
 
 # Box half-width standing in for an unbounded (complete) score set in the
@@ -314,13 +314,14 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, n_starts=8,
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
     Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
-    single-problem oracle, so each result is that call's result up to
-    rounding (both kernels take the same steps). Several problems run
-    through the lockstep kernel, all their starts at once. A single problem
-    goes to the scalar kernel through ``minimize_weighted_cond_risk``, so
-    that the benchmark's tracer, which wraps that kernel, sees it. Speed is
-    not the reason: the lockstep kernel solves a single problem faster,
-    since its starts share iterations. Returns one ``BruteResult`` per row.
+    single-problem oracle, so each result is that call's result bit for
+    bit (both kernels take the same steps on the same row-wise functions).
+    Several problems run through the lockstep kernel, all their starts at
+    once. A single problem goes to the one-problem kernel through
+    ``minimize_weighted_cond_risk``, so that the benchmark's tracer, which
+    wraps that kernel, sees it. Speed is not the reason: the lockstep
+    kernel solves a single problem faster, since its starts share
+    iterations. Returns one ``BruteResult`` per row.
     """
     C = np.asarray(C, dtype=np.float64)
     tau = check_tau(tau)
@@ -408,7 +409,7 @@ def _linear_joint_minimum(dist, spec, tau, seed, iters=4000, n_starts=6):
     def risk_and_grad(theta):
         W = theta[: n * d].reshape(n, d)
         b = theta[n * d:]
-        vals, G = weighted_cond_value_grad_rows(xs @ W.T + b, wc, tau)
+        vals, G = weighted_cond_value_grad(xs @ W.T + b, wc, tau)
         return float(vals.sum()), np.concatenate([(G.T @ xs).ravel(),
                                                   G.sum(axis=0)])
 

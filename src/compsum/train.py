@@ -168,11 +168,12 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     dev_norms, ds_dev = deviation(model.forward(X_adv))
     loss = float(clean.mean() + adv.nu * dev_norms.mean())
     scale = adv.nu / X.shape[0]
-    grads = model.param_grads(X, ds_clean)
+    # the deviation's gradient at the clean points is minus its gradient
+    # at the attacked ones
+    grads = model.param_grads(X, ds_clean - scale * ds_dev)
     g_adv = model.param_grads(X_adv, scale * ds_dev)
-    g_cln = model.param_grads(X, -scale * ds_dev)
     for k in grads:
-        grads[k] = grads[k] + g_adv[k] + g_cln[k]
+        grads[k] = grads[k] + g_adv[k]
     return loss, grads
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from compsum import train as train_mod
-from compsum.adversarial import AdvParams, PerturbationBall
+from compsum.adversarial import AdvParams, PerturbationBall, deviation_objective
 from compsum.models import init_linear, init_mlp, load_model, save_model
 from compsum.train import (
     TrainConfig,
@@ -207,6 +207,42 @@ class TestAdversarialTraining:
         for h in hist:
             assert h["checkpoint_flag"] == int(h["holdout_metric"] > best)
             best = max(best, h["holdout_metric"])
+
+    def test_smooth_batch_grads_match_central_differences(self, monkeypatch):
+        # at restarts = 2 the attack leaves the clean points, so the
+        # deviation term and its gradients at X and at X_adv are nonzero;
+        # X_adv is held fixed, as the training step treats it
+        data = gaussian_mixture_dataset(n_classes=3, dim=4, n_train=12,
+                                        n_test=3, seed=5)
+        X, Y = data.X_train, data.y_train
+        adv = AdvParams(n=3, rho=0.7, pgd_steps=5, restarts=2, seed=5)
+        cfg = TrainConfig(tau=1.5, adversarial=adv,
+                          ball=PerturbationBall(math.inf, 0.3))
+        for model in (init_linear(4, 3, seed=5), init_mlp(4, 6, 3, seed=5)):
+            _, X_adv = train_mod.pgd_maximize(
+                model, deviation_objective(model.forward(X), Y), X, cfg.ball,
+                adv, np.random.default_rng(5))
+            assert np.all(np.any(X_adv != X, axis=1))
+
+            def loss(flat):
+                m2 = type(model)(**{k: v.copy()
+                                    for k, v in model.params().items()})
+                m2.set_flat(flat)
+                return train_mod._smooth_batch_grads(m2, X, Y, cfg, None)[0]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(train_mod, "pgd_maximize",
+                           lambda *args: (None, X_adv))
+                _, grads = train_mod._smooth_batch_grads(model, X, Y, cfg,
+                                                         None)
+                gflat = np.concatenate([grads[k].ravel()
+                                        for k in model.params()])
+                flat = model.get_flat()
+                for idx in range(flat.size):
+                    e = np.zeros_like(flat)
+                    e[idx] = 1e-6
+                    fd = (loss(flat + e) - loss(flat - e)) / 2e-6
+                    assert gflat[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestModelsAndCheckpoints:
