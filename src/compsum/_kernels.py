@@ -6,7 +6,9 @@ estimator) minimizes ``sum_y c[y] * loss(s, y, tau)`` over a box
 steps (Bertsekas 1982, SIAM J. Control Optim. 20:221) on the closed-form
 score Hessian, which is cheap at the label counts used here. First-order
 steps stall where the objective flattens exponentially along the score
-spread (tau near 1.2 to 1.75); Newton steps do not.
+spread (tau near 1.2 to 1.75); Newton steps do not. An iteration is one
+Armijo search along the projected Newton arc; a start whose arc finds no
+decrease is numerically stationary and stops.
 
 The weighted value, its score gradient and its Hessian exist once each,
 row-wise: one row of scores per start. Two kernels run the same iteration,
@@ -150,60 +152,13 @@ def _arc_search(X, D, G, F, C, tau, lam):
     return accepted, xn, fn
 
 
-def _backtrack(y, g, fy, step, c, tau, lam):
-    """Projected-gradient backtracking for every row at once.
-
-    Each row halves its own ``step`` (updated in place) until the quadratic
-    majorization at its ``y`` holds. A row gives up, unaccepted, when its
-    step falls below 1e-18 or its projected step is zero. Returns
-    (accepted, accepted points, their values).
-    """
-    accepted = np.zeros(y.shape[0], dtype=bool)
-    xn = np.empty_like(y)
-    fn = np.empty_like(fy)
-    pend = np.arange(y.shape[0])
-    while pend.size:
-        pend = pend[step[pend] >= 1e-18]
-        yp, gp, sp = y[pend], g[pend], step[pend]
-        z = np.clip(yp - sp[:, None] * gp, -lam, lam)
-        d = z - yp
-        gd = _rows_sum(gp * d)
-        dn = _rows_sum(d * d)
-        moved = dn != 0.0
-        pend, z, gd, dn, sp = pend[moved], z[moved], gd[moved], dn[moved], sp[moved]
-        f = weighted_cond_value(z, c[pend], tau)
-        fyp = fy[pend]
-        ok = f <= fyp + gd + dn / (2.0 * sp) + 1e-15 * np.abs(fyp)
-        done = pend[ok]
-        accepted[done] = True
-        xn[done] = z[ok]
-        fn[done] = f[ok]
-        pend = pend[~ok]
-        step[pend] *= 0.5
-    return accepted, xn, fn
-
-
-def _newton_step(X, G, F, C, tau, lam, pgn, step):
-    """One safeguarded projected Newton iteration for every row.
-
-    Rows whose Newton arc fails take a projected-gradient step instead:
-    backtracking on the majorization condition from their own ``step``
-    (updated in place), which grows by 1.3 after each accepted fallback,
-    up to 1e8. Returns (moved, new points, their values); a row that did
-    not move is numerically stationary.
-    """
+def _newton_step(X, G, F, C, tau, lam, pgn):
+    """One safeguarded projected Newton iteration for every row: the Armijo
+    search along the projected Newton arc. Returns (moved, new points, their
+    values); a row whose arc fails did not move and is numerically
+    stationary."""
     D = _newton_dirs(X, G, C, tau, lam, pgn)
-    moved, xn, fn = _arc_search(X, D, G, F, C, tau, lam)
-    rest = np.flatnonzero(~moved)
-    if rest.size:
-        st = step[rest]
-        ok, xg, fg = _backtrack(X[rest], G[rest], F[rest], st, C[rest], tau,
-                                lam)
-        step[rest] = np.where(ok & (st < 1e8), st * 1.3, st)
-        moved[rest] = ok
-        xn[rest[ok]] = xg[ok]
-        fn[rest[ok]] = fg[ok]
-    return moved, xn, fn
+    return _arc_search(X, D, G, F, C, tau, lam)
 
 
 def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
@@ -213,9 +168,9 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     ``_newton_step`` on a single row, with the gradient from
     ``weighted_cond_value_grad``. A start stops when its unit-step
     projected-gradient norm is at most ``gtol``, when the value has not
-    moved over a 64-iteration window, or when neither the Newton arc nor
-    the projected-gradient fallback improves it (numerically stationary);
-    only a start still running at ``max_iter`` has not converged.
+    moved over a 64-iteration window, or when its Newton arc finds no
+    decrease (numerically stationary); only a start still running at
+    ``max_iter`` has not converged.
 
     ``starts`` is a (k, n) array of initial points (clipped into the box);
     starts run sequentially and the minimum is reduced in start order, so
@@ -236,7 +191,6 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
         np.clip(starts[si], -lam, lam, out=x)
         F = weighted_cond_value(X, C, tau)
         f_checkpoint = F[0]
-        step = np.ones(1)
         # every break is a converged stop; only the cap reaches ``else``
         for it in range(1, max_iter + 1):
             # value-stall criterion: no measurable progress over a window
@@ -250,9 +204,9 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
             pgn = _pg_norm(X, G, lam)
             if pgn[0] <= gtol:
                 break
-            moved, xn, fn = _newton_step(X, G, F, C, tau, lam, pgn, step)
+            moved, xn, fn = _newton_step(X, G, F, C, tau, lam, pgn)
             if not moved[0]:
-                # no representable step improves on x: numerically stationary
+                # the Newton arc finds no decrease: numerically stationary
                 break
             x[:] = xn[0]
             F = fn
@@ -270,12 +224,11 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
 
     ``C`` is (B, n) and ``starts`` is (B, k, n). Every start of every
     problem is one row. All rows take their iterations together through
-    the same ``_newton_step``, each row with its own line search and
-    fallback step, so every row takes bit for bit the steps that
-    ``pgd_box_weighted_min`` takes from the same start, with the same stop
-    tests. Rows leave the arrays as they stop. Per problem the best start
-    is the first minimum in start order, and it converged when every start
-    did.
+    the same ``_newton_step``, each row with its own line search, so every
+    row takes bit for bit the steps that ``pgd_box_weighted_min`` takes
+    from the same start, with the same stop tests. Rows leave the arrays as
+    they stop. Per problem the best start is the first minimum in start
+    order, and it converged when every start did.
     Returns (values (B,), scores (B, n), converged (B,)).
     """
     B, k, n = starts.shape
@@ -289,7 +242,6 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
     x = np.clip(starts.reshape(R, n), -lam, lam)
     fx = weighted_cond_value(x, c, tau)
     f_checkpoint = fx.copy()
-    step = np.ones(R)
     it = 0
     while rows.size and it < max_iter:
         it += 1
@@ -304,10 +256,8 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
         stop |= pgn <= gtol
 
         live = np.flatnonzero(~stop)
-        live_step = step[live]
         moved, xn, fn = _newton_step(x[live], g[live], fx[live], c[live], tau,
-                                     lam, pgn[live], live_step)
-        step[live] = live_step
+                                     lam, pgn[live])
         stop[live[~moved]] = True
         a = live[moved]
         x[a] = xn[moved]
@@ -320,7 +270,7 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
             conv_out[done] = True
             keep = ~stop
             rows, c, x = rows[keep], c[keep], x[keep]
-            fx, f_checkpoint, step = fx[keep], f_checkpoint[keep], step[keep]
+            fx, f_checkpoint = fx[keep], f_checkpoint[keep]
     f_out[rows] = fx
     x_out[rows] = x
 

@@ -2,7 +2,8 @@
 
 The closed-form best-in-class conditional risk assumes a symmetric and
 complete hypothesis set; the brute-force oracle minimizes over an explicit
-score box by multi-start safeguarded projected Newton descent and is the
+score box by multi-start safeguarded projected Newton descent (one Armijo
+search along the projected Newton arc per iteration) and is the
 independent cross-check for every closed form in this module.
 
 The minimizability gap (best-in-class expected risk minus the expected
@@ -26,6 +27,11 @@ from .losses import TAU_BRANCH_TOL, check_tau
 # Box half-width standing in for an unbounded (complete) score set in the
 # brute-force oracle.
 UNBOUNDED_BOX_LAM = 30.0
+
+# Starts per brute-force oracle problem, and the unit-step projected-gradient
+# norm at which a start has converged.
+ORACLE_STARTS = 8
+ORACLE_GTOL = 1e-10
 
 # Smoothing floor for zero probabilities when tau > 2 makes the closed-form
 # exponent negative.
@@ -292,8 +298,7 @@ def pgd_starts(n, lam, rng, count=8, weights=None):
     return np.stack(rows[:count])
 
 
-def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, n_starts=8,
-                                max_iter=10000, gtol=1e-10):
+def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
     """Minimize ``sum_y c[y] * loss(s, y, tau)`` over the box ``[-lam, lam]^n``.
 
     ``c`` may carry negative entries (used with negated coefficients to
@@ -302,15 +307,14 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, n_starts=8,
     c = np.ascontiguousarray(c, dtype=np.float64)
     tau = check_tau(tau)
     rng = np.random.default_rng(seed)
-    starts = pgd_starts(c.shape[0], lam, rng, count=n_starts, weights=c)
+    starts = pgd_starts(c.shape[0], lam, rng, count=ORACLE_STARTS, weights=c)
     val, scores, conv = pgd_box_weighted_min(
-        c, tau, float(lam), np.ascontiguousarray(starts), max_iter, gtol
+        c, tau, float(lam), np.ascontiguousarray(starts), max_iter, ORACLE_GTOL
     )
     return BruteResult(float(val), np.asarray(scores), bool(conv))
 
 
-def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, n_starts=8,
-                                      max_iter=10000, gtol=1e-10):
+def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
     Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
@@ -330,37 +334,31 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, n_starts=8,
         raise ValueError("C must be a (B, n) array with one seed per row")
     if len(seeds) <= 1:
         return [minimize_weighted_cond_risk(c, tau, lam, seed=s,
-                                            n_starts=n_starts,
-                                            max_iter=max_iter, gtol=gtol)
+                                            max_iter=max_iter)
                 for c, s in zip(C, seeds)]
     starts = np.stack([
-        pgd_starts(C.shape[1], lam, np.random.default_rng(s), count=n_starts,
-                   weights=c)
+        pgd_starts(C.shape[1], lam, np.random.default_rng(s),
+                   count=ORACLE_STARTS, weights=c)
         for c, s in zip(C, seeds)
     ])
     vals, scores, conv = pgd_box_weighted_min_batch(
-        C, tau, float(lam), starts, max_iter, gtol)
+        C, tau, float(lam), starts, max_iter, ORACLE_GTOL)
     return [BruteResult(float(v), x, bool(ok))
             for v, x, ok in zip(vals, scores, conv)]
 
 
-def cond_risk_star_brute(p, tau, spec, *, seed=0, n_starts=8,
-                         max_iter=10000, gtol=1e-10):
+def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     """Independent oracle: minimize the conditional risk over a score box.
 
     Multi-start safeguarded projected Newton descent (an Armijo search on
-    the projected arc, with a projected-gradient step as fallback);
-    ``converged`` is False when any start exhausted the iteration cap
-    before reaching the projected-gradient tolerance (a warning, not an
-    error).
+    the projected Newton arc); ``converged`` is False when any start was
+    still running at ``max_iter`` (a warning, not an error).
     """
     p = check_cond_dist(p)
     if spec.kind != "score_box":
         raise ValueError("brute-force oracle needs a score_box spec")
-    return minimize_weighted_cond_risk(
-        p, tau, spec.box_lam(), seed=seed, n_starts=n_starts,
-        max_iter=max_iter, gtol=gtol,
-    )
+    return minimize_weighted_cond_risk(p, tau, spec.box_lam(), seed=seed,
+                                       max_iter=max_iter)
 
 
 def cond_risk_star(p, tau, spec, **kw):
@@ -398,8 +396,9 @@ def _linear_point_boxes(dist, spec):
     return lams
 
 
-def _linear_joint_minimum(dist, spec, tau, seed, iters=4000, n_starts=6):
-    """Minimize the expected risk over shared (W, b) by projected GD."""
+def _linear_joint_minimum(dist, spec, tau, seed):
+    """Minimize the expected risk over shared (W, b) by projected GD from
+    six starts of at most 4000 steps each."""
     d, n = spec.feature_dim, spec.n
     bound = spec.weight_bound
     xs = np.stack([pt.x for pt in dist.points])
@@ -414,11 +413,11 @@ def _linear_joint_minimum(dist, spec, tau, seed, iters=4000, n_starts=6):
                                                   G.sum(axis=0)])
 
     best_val = math.inf
-    for si in range(n_starts):
+    for si in range(6):
         theta = np.zeros(n * d + n) if si == 0 else rng.uniform(-bound, bound, n * d + n)
         f, g = risk_and_grad(theta)
         step = 1.0
-        for _ in range(iters):
+        for _ in range(4000):
             cand = np.clip(theta - step * g, -bound, bound)
             fc, gc = risk_and_grad(cand)
             if fc <= f - 1e-12 * abs(f):

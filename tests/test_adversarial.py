@@ -21,6 +21,7 @@ from compsum.adversarial import (
     deviation_objective,
     deviation_sup_batch,
     deviation_sup_exact_1d,
+    pgd_maximize,
     project_to_ball,
     rho_margin,
     rho_margin_subgrad,
@@ -228,6 +229,26 @@ class TestAgainstExactOracles:
                                            0.2)
             pgd = float(deviation_sup_batch(model, x, y, adv, ball)[0])
             assert pgd == pytest.approx(exact, abs=1e-8)
+
+    @pytest.mark.parametrize("p_norm, q", [
+        (1.0, math.inf), (2.0, 2.0), (math.inf, 1.0),
+    ])
+    def test_margin_attack_reaches_dual_norm(self, p_norm, q):
+        # with two labels the margin is affine in x, so its supremum over the
+        # ball is the clean margin plus gamma times the dual norm of
+        # w_c - w_y, which the steepest-ascent steps of every geometry reach
+        rng = np.random.default_rng(5)
+        model = LinearModel(rng.normal(size=(2, 4)), rng.normal(size=2))
+        X = rng.normal(size=(20, 4))
+        Y = rng.integers(0, 2, size=20)
+        objective = _margin_objective(Y)
+        adv = AdvParams(n=2, pgd_steps=10, seed=0)
+        best, _ = pgd_maximize(model, objective, X,
+                               PerturbationBall(p_norm, 0.3), adv)
+        dw = model.W[1 - Y] - model.W[Y]
+        exact = (objective(model.forward(X))[0]
+                 + 0.3 * np.linalg.norm(dw, ord=q, axis=1))
+        assert np.abs(best - exact).max() <= 1e-12
 
     def test_sup_inner_hits_interior_breakpoints(self):
         # two ramps saturating on opposite sides peak strictly inside the

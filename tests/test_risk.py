@@ -1,6 +1,7 @@
 """Risk-module tests: closed forms against the brute-force oracle, gaps,
 serialization."""
 
+import inspect
 import math
 
 import numpy as np
@@ -264,10 +265,12 @@ def count_grad_evals(monkeypatch):
 
 
 def test_one_problem_kernel_call_pattern(monkeypatch):
-    # the benchmark's tracer counts oracle starts and gradient evaluations
-    # through these two module globals: the value is called exactly once per
-    # start on the first buffer it sees, and every gradient call follows
-    # the first start
+    # the benchmark's tracer wraps the one-problem kernel with this
+    # signature, and counts oracle starts and gradient evaluations through
+    # two module globals: the value is called exactly once per start on the
+    # first buffer it sees, and every gradient call follows the first start
+    assert list(inspect.signature(risk.pgd_box_weighted_min).parameters) == [
+        "c", "tau", "lam", "starts", "max_iter", "gtol"]
     events, start_buf = [], []
     value = _kernels.weighted_cond_value
     value_grad = _kernels.weighted_cond_value_grad
@@ -376,6 +379,41 @@ class TestNewtonOracle:
                           - (optimal_scores(p, tau)
                              - optimal_scores(p, tau).mean())).max() <= 1e-6
         assert calls[0] <= 3 * 8 * 80
+
+    def test_failed_newton_arc_is_a_converged_stop(self, monkeypatch):
+        # one start's Newton arc finds no decrease at the box vertex (5, -5);
+        # that start stops there as numerically stationary
+        failed = [0]
+        arc_search = _kernels._arc_search
+
+        def counted(*args):
+            accepted, xn, fn = arc_search(*args)
+            failed[0] += int((~accepted).sum())
+            return accepted, xn, fn
+
+        monkeypatch.setattr(_kernels, "_arc_search", counted)
+        c = np.array([0.04, -0.06])
+        res = minimize_weighted_cond_risk(c, 1.0, 5.0, seed=1)
+        assert failed[0] >= 1
+        assert res.converged
+        assert np.array_equal(res.scores, [5.0, -5.0])
+        exact = 0.04 * math.log1p(math.exp(-10.0)) \
+            - 0.06 * math.log1p(math.exp(10.0))
+        assert abs(res.value - exact) <= 1e-12
+        failed[0] = 0
+        for got in minimize_weighted_cond_risk_batch([c, c], 1.0, 5.0, [1, 1]):
+            assert got.value == res.value
+            assert np.array_equal(got.scores, res.scores)
+            assert got.converged
+        assert failed[0] >= 2
+
+    def test_iteration_cap_is_not_converged(self):
+        p = np.array([0.7, 0.2, 0.1])
+        assert not minimize_weighted_cond_risk(p, 1.5, 30.0,
+                                               max_iter=1).converged
+        batch = minimize_weighted_cond_risk_batch([p, p], 1.5, 30.0, [0, 1],
+                                                  max_iter=1)
+        assert not any(res.converged for res in batch)
 
 
 class TestOptimalScores:
