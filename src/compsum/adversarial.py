@@ -151,15 +151,18 @@ def pgd_maximize(model, objective, X, ball, adv, rng=None):
     projected ascent.
 
     ``objective(scores)`` returns the per-row values and their gradient
-    with respect to the scores. Each iterate costs one ``model.forward``
-    and one objective call, plus one ``model.input_grad`` when a step is
-    taken from it. Restart 0 starts at the clean points; further restarts
-    start uniformly inside the (projected) ball. The best value seen at any
-    iterate is retained per row, so enlarging the budget never lowers the
-    estimate. Returns (best values, best points).
+    with respect to the scores. Each iterate costs one ``model.forward_vjp``
+    (one hidden-layer pass) and one objective call; a step taken from it
+    pulls the score gradient back through that same pass. Restart 0 starts
+    at the clean points; further restarts start uniformly inside the
+    (projected) ball, so ``restarts * (pgd_steps + 1)`` forward passes in
+    all. The best value seen at any iterate is retained per row, so
+    enlarging the budget never lowers the estimate. Returns (best values,
+    best points).
     """
     rng = np.random.default_rng(adv.seed) if rng is None else rng
-    v, ds = objective(model.forward(X))
+    scores, back = model.forward_vjp(X)
+    v, ds = objective(scores)
     best_v = np.asarray(v, dtype=np.float64).copy()
     best_X = X.copy()
     if ball.gamma == 0.0:
@@ -170,15 +173,17 @@ def pgd_maximize(model, objective, X, ball, adv, rng=None):
         if r > 0:
             Xp = project_to_ball(
                 X + rng.uniform(-ball.gamma, ball.gamma, size=X.shape), X, ball)
-            v, ds = objective(model.forward(Xp))
+            scores, back = model.forward_vjp(Xp)
+            v, ds = objective(scores)
             upd = v > best_v
             best_v[upd] = v[upd]
             best_X[upd] = Xp[upd]
         for _ in range(adv.pgd_steps):
-            g = model.input_grad(Xp, ds)
+            g = back.inputs(ds)
             Xp = project_to_ball(Xp + step * _steepest_ascent(g, ball.p_norm),
                                  X, ball)
-            v, ds = objective(model.forward(Xp))
+            scores, back = model.forward_vjp(Xp)
+            v, ds = objective(scores)
             upd = v > best_v
             best_v[upd] = v[upd]
             best_X[upd] = Xp[upd]

@@ -1,14 +1,27 @@
 """Small differentiable score models with hand-coded gradients.
 
 Attacks need input gradients and the trainer needs parameter gradients, so
-both are explicit. All arrays are float64; batches are row-major
-``(batch, dim)``.
+both are explicit. ``forward_vjp(X)`` returns the scores at ``X`` with a
+``Pullback`` that maps a score cotangent to both, reusing what that one
+forward pass computed (the MLP's hidden activation) instead of computing
+it again. All arrays are float64; batches are row-major ``(batch, dim)``.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+
+class Pullback(NamedTuple):
+    """Gradients at the points of one forward pass. ``inputs(ds)`` maps a
+    score cotangent ``ds`` of shape ``(batch, n_labels)`` to the input
+    gradient ``(batch, dim)``; ``params(ds)`` maps it to a dict of parameter
+    gradients keyed like ``params()``. Valid until the parameters change."""
+
+    inputs: Callable
+    params: Callable
 
 
 @dataclass
@@ -29,11 +42,11 @@ class LinearModel:
     def forward(self, X):
         return X @ self.W.T + self.b
 
-    def input_grad(self, X, dscores):
-        return dscores @ self.W
-
-    def param_grads(self, X, dscores):
-        return {"W": dscores.T @ X, "b": dscores.sum(axis=0)}
+    def forward_vjp(self, X):
+        W = self.W
+        return self.forward(X), Pullback(
+            inputs=lambda ds: ds @ W,
+            params=lambda ds: {"W": ds.T @ X, "b": ds.sum(axis=0)})
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -74,23 +87,24 @@ class MLPModel:
     def forward(self, X):
         return np.tanh(X @ self.W1 + self.b1) @ self.W2 + self.b2
 
-    def _hidden_act(self, X):
-        return np.tanh(X @ self.W1 + self.b1)
+    def forward_vjp(self, X):
+        W1, W2 = self.W1, self.W2
+        Z = np.tanh(X @ W1 + self.b1)
 
-    def input_grad(self, X, dscores):
-        Z = self._hidden_act(X)
-        dZ = (dscores @ self.W2.T) * (1.0 - Z * Z)
-        return dZ @ self.W1.T
+        def hidden_grad(ds):
+            return (ds @ W2.T) * (1.0 - Z * Z)
 
-    def param_grads(self, X, dscores):
-        Z = self._hidden_act(X)
-        dZ = (dscores @ self.W2.T) * (1.0 - Z * Z)
-        return {
-            "W1": X.T @ dZ,
-            "b1": dZ.sum(axis=0),
-            "W2": Z.T @ dscores,
-            "b2": dscores.sum(axis=0),
-        }
+        def params(ds):
+            dZ = hidden_grad(ds)
+            return {
+                "W1": X.T @ dZ,
+                "b1": dZ.sum(axis=0),
+                "W2": Z.T @ ds,
+                "b2": ds.sum(axis=0),
+            }
+
+        return Z @ W2 + self.b2, Pullback(
+            inputs=lambda ds: hidden_grad(ds) @ W1.T, params=params)
 
     def params(self):
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}

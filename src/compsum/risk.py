@@ -431,7 +431,7 @@ def _linear_joint_minimum(dist, spec, tau, seed):
     return best_val
 
 
-def minimizability_gap(dist, spec, tau, *, seed=0, **kw):
+def minimizability_gap(dist, spec, tau, *, seed=0):
     """Best-in-class expected risk minus the expected pointwise infimum.
 
     Always nonnegative (up to optimizer tolerance). A score box lets every

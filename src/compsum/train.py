@@ -144,10 +144,10 @@ class _NesterovSGD:
 
 
 def _standard_batch_grads(model, X, Y, tau):
-    scores = model.forward(X)
+    scores, back = model.forward_vjp(X)
     loss = float(comp_sum_loss_batch(scores, Y, tau).mean())
     ds = comp_sum_grad_batch(scores, Y, tau) / X.shape[0]
-    return loss, model.param_grads(X, ds)
+    return loss, back.params(ds)
 
 
 def _smooth_batch_grads(model, X, Y, cfg, rng):
@@ -157,7 +157,7 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     held fixed while differentiating both terms.
     """
     adv, ball = cfg.adversarial, cfg.ball
-    scores = model.forward(X)
+    scores, back = model.forward_vjp(X)
     deviation = deviation_objective(scores, Y)
     _, X_adv = pgd_maximize(model, deviation, X, ball, adv, rng)
 
@@ -165,13 +165,14 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     clean = comp_sum_loss_batch(scaled, Y, cfg.tau)
     ds_clean = comp_sum_grad_batch(scaled, Y, cfg.tau) / (adv.rho * X.shape[0])
 
-    dev_norms, ds_dev = deviation(model.forward(X_adv))
+    scores_adv, back_adv = model.forward_vjp(X_adv)
+    dev_norms, ds_dev = deviation(scores_adv)
     loss = float(clean.mean() + adv.nu * dev_norms.mean())
     scale = adv.nu / X.shape[0]
     # the deviation's gradient at the clean points is minus its gradient
     # at the attacked ones
-    grads = model.param_grads(X, ds_clean - scale * ds_dev)
-    g_adv = model.param_grads(X_adv, scale * ds_dev)
+    grads = back.params(ds_clean - scale * ds_dev)
+    g_adv = back_adv.params(scale * ds_dev)
     for k in grads:
         grads[k] = grads[k] + g_adv[k]
     return loss, grads

@@ -30,8 +30,8 @@ from compsum.adversarial import (
     sup_rho_inner_exact_1d,
     verify_adv_bound,
 )
-from compsum.losses import comp_sum_loss_batch, phi_tau
-from compsum.models import LinearModel, init_mlp
+from compsum.losses import comp_sum_grad_batch, comp_sum_loss_batch, phi_tau
+from compsum.models import LinearModel, init_linear, init_mlp
 from compsum.risk import finite_distribution, linear_family, score_box
 
 
@@ -312,26 +312,64 @@ class TestMonotonicityAndChain:
             assert 0.0 <= v <= phi_tau(float(n - 1), 1.2) + 1e-12
 
 
+def _check_input_grad_fd(model):
+    """``forward_vjp``'s input pullback of the comp-sum loss gradient
+    against central differences of the loss, row by row."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(5, model.dim))
+    Y = rng.integers(0, model.n_labels, size=5)
+    tau = 1.3
+
+    scores, back = model.forward_vjp(X)
+    g = back.inputs(comp_sum_grad_batch(scores, Y, tau))
+    h = 1e-6
+    for i in range(5):
+        for j in range(model.dim):
+            Xp = X.copy(); Xp[i, j] += h
+            Xm = X.copy(); Xm[i, j] -= h
+            lp = comp_sum_loss_batch(model.forward(Xp), Y, tau)[i]
+            lm = comp_sum_loss_batch(model.forward(Xm), Y, tau)[i]
+            fd = (lp - lm) / (2 * h)
+            assert g[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
 class TestInputGradients:
     def test_mlp_input_grad_matches_fd(self):
-        rng = np.random.default_rng(7)
-        model = init_mlp(4, 8, 3, seed=0)
-        X = rng.normal(size=(5, 4))
-        Y = rng.integers(0, 3, size=5)
-        tau = 1.3
+        _check_input_grad_fd(init_mlp(4, 8, 3, seed=0))
 
-        from compsum.losses import comp_sum_grad_batch
-        ds = comp_sum_grad_batch(model.forward(X), Y, tau)
-        g = model.input_grad(X, ds)
-        h = 1e-6
-        for i in range(5):
-            for j in range(4):
-                Xp = X.copy(); Xp[i, j] += h
-                Xm = X.copy(); Xm[i, j] -= h
-                lp = comp_sum_loss_batch(model.forward(Xp), Y, tau)[i]
-                lm = comp_sum_loss_batch(model.forward(Xm), Y, tau)[i]
-                fd = (lp - lm) / (2 * h)
-                assert g[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+    def test_linear_input_grad_matches_fd(self):
+        _check_input_grad_fd(init_linear(4, 3, seed=0))
+
+    @pytest.mark.parametrize("steps,restarts", [(5, 1), (3, 3)])
+    def test_pgd_makes_one_hidden_pass_per_iterate(self, monkeypatch, steps,
+                                                   restarts):
+        # every hidden-layer pass is one np.tanh call in compsum.models; the
+        # step from an iterate pulls back through that iterate's pass
+        model = init_mlp(4, 8, 3, seed=0)
+        calls = {"tanh": 0, "forward": 0, "forward_vjp": 0}
+        tanh = np.tanh
+
+        def counting_tanh(*args, **kwargs):
+            calls["tanh"] += 1
+            return tanh(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tanh", counting_tanh)
+        for name in ("forward", "forward_vjp"):
+            method = getattr(model, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6, 4))
+        Y = rng.integers(0, 3, size=6)
+        adv = AdvParams(n=3, pgd_steps=steps, restarts=restarts, seed=0)
+        pgd_maximize(model, _margin_objective(Y), X,
+                     PerturbationBall(math.inf, 0.2), adv)
+        assert calls == {"tanh": restarts * (steps + 1), "forward": 0,
+                         "forward_vjp": restarts * (steps + 1)}
 
 
 class TestLocalRhoConsistency:

@@ -483,6 +483,17 @@ class TestMinimizabilityGap:
             with pytest.raises(ValueError, match="finite weight_bound"):
                 minimizability_gap(dist, linear_family(2, 1, bound), 1.0)
 
+    def test_unknown_keyword_raises(self):
+        # the gap takes no oracle options; a keyword it would silently
+        # drop (max_iter reaches the per-point oracle elsewhere) is an error
+        dist = finite_distribution([0.5, 0.5], [[0.85, 0.15], [0.2, 0.8]],
+                                   xs=[[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(TypeError, match="bogus"):
+            minimizability_gap(dist, score_box(2, 1.0), 1.0, bogus=1)
+        with pytest.raises(TypeError, match="max_iter"):
+            minimizability_gap(dist, linear_family(2, 2, weight_bound=50.0),
+                               1.0, max_iter=1)
+
     def test_linear_conflict_is_positive(self):
         # two points with identical features but opposite labels force a
         # shared score vector

@@ -258,7 +258,7 @@ class TestModelsAndCheckpoints:
                 m2.set_flat(flat)
                 return float((m2.forward(X) * ds).sum())
 
-            grads = model.param_grads(X, ds)
+            grads = model.forward_vjp(X)[1].params(ds)
             flat = model.get_flat()
             gflat = np.concatenate([grads[k].ravel()
                                     for k in model.params()])
@@ -268,6 +268,12 @@ class TestModelsAndCheckpoints:
                 e[idx] = 1e-6
                 fd = (loss(flat + e) - loss(flat - e)) / 2e-6
                 assert gflat[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_forward_vjp_scores_are_forward(self):
+        rng = np.random.default_rng(8)
+        for model in (init_linear(3, 4, seed=2), init_mlp(3, 5, 4, seed=2)):
+            X = rng.normal(size=(7, 3))
+            assert np.array_equal(model.forward_vjp(X)[0], model.forward(X))
 
     def test_checkpoint_round_trip(self, tmp_path):
         for model in (init_linear(4, 3, seed=1), init_mlp(4, 8, 3, seed=1)):
