@@ -146,7 +146,7 @@ def _steepest_ascent(g, p_norm):
     return step
 
 
-def pgd_maximize(model, objective, X, ball, adv, rng=None):
+def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
     """Maximize ``objective`` at the model's scores over per-row balls by
     projected ascent.
 
@@ -154,14 +154,15 @@ def pgd_maximize(model, objective, X, ball, adv, rng=None):
     with respect to the scores. Each iterate costs one ``model.forward_vjp``
     (one hidden-layer pass) and one objective call; a step taken from it
     pulls the score gradient back through that same pass. Restart 0 starts
-    at the clean points; further restarts start uniformly inside the
-    (projected) ball, so ``restarts * (pgd_steps + 1)`` forward passes in
-    all. The best value seen at any iterate is retained per row, so
-    enlarging the budget never lowers the estimate. Returns (best values,
-    best points).
+    at the clean points, whose pass ``clean = model.forward_vjp(X)`` the
+    caller hands in; further restarts start uniformly inside the
+    (projected) ball, so ``restarts * (pgd_steps + 1) - 1`` forward passes
+    beyond the clean one. The best value seen at any iterate is retained
+    per row, so enlarging the budget never lowers the estimate. Returns
+    (best values, best points).
     """
     rng = np.random.default_rng(adv.seed) if rng is None else rng
-    scores, back = model.forward_vjp(X)
+    scores, back = clean
     v, ds = objective(scores)
     best_v = np.asarray(v, dtype=np.float64).copy()
     best_X = X.copy()
@@ -257,7 +258,7 @@ def _margin_objective(Y):
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
     return pgd_maximize(model, _ramp_objective(Y, check_tau(tau), adv.rho),
-                        X, ball, adv, rng)[0]
+                        X, model.forward_vjp(X), ball, adv, rng)[0]
 
 
 def adv_comp_rho_loss(model, x, y, tau, adv, ball):
@@ -273,8 +274,9 @@ def adv_comp_rho_loss(model, x, y, tau, adv, ball):
 
 def deviation_sup_batch(model, X, Y, adv, ball, rng=None):
     """PGD estimate of the worst score-difference deviation over the ball."""
-    return pgd_maximize(model, deviation_objective(model.forward(X), Y),
-                        X, ball, adv, rng)[0]
+    clean = model.forward_vjp(X)
+    return pgd_maximize(model, deviation_objective(clean[0], Y), X, clean,
+                        ball, adv, rng)[0]
 
 
 def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None):
@@ -297,16 +299,14 @@ def smooth_adv_comp_loss(model, x, y, tau, adv, ball):
     return float(smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
-def margin_attack_batch(model, X, Y, ball, adv, rng=None):
-    """PGD on the margin loss: returns the attacked points."""
-    return pgd_maximize(model, _margin_objective(Y), X, ball, adv, rng)[1]
-
-
-def adv_zero_one_batch(model, X, Y, ball, attack, rng=None):
-    """Worst-case zero-one losses (PGD lower bound): 1 where any attacked
-    or clean point is misclassified under the highest-index tie rule."""
-    Xbest = margin_attack_batch(model, X, Y, ball, attack, rng)
-    wrong_clean = predict_batch(model.forward(X)) != Y
+def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
+    """Worst-case zero-one losses (PGD lower bound, attacking the margin
+    from the clean pass ``clean = model.forward_vjp(X)``): 1 where any
+    attacked or clean point is misclassified under the highest-index tie
+    rule."""
+    _, Xbest = pgd_maximize(model, _margin_objective(Y), X, clean, ball,
+                            attack, rng)
+    wrong_clean = predict_batch(clean[0]) != Y
     wrong_adv = predict_batch(model.forward(Xbest)) != Y
     return (wrong_clean | wrong_adv).astype(np.int64)
 
@@ -315,7 +315,8 @@ def adv_zero_one(model, x, y, ball, attack):
     """Worst-case zero-one loss of one example; exact at ``gamma = 0``."""
     X = np.asarray(x, dtype=np.float64)[None, :]
     Y = np.array([losses.check_label(y, model.n_labels)])
-    return int(adv_zero_one_batch(model, X, Y, ball, attack)[0])
+    return int(adv_zero_one_batch(model, X, Y, model.forward_vjp(X), ball,
+                                  attack)[0])
 
 
 # ---------------------------------------------------------------------------

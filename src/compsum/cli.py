@@ -13,14 +13,13 @@ import inspect
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import config as cfgmod
 from . import suites, transform
 from .config import ConfigError
-from .models import load_model, save_model
+from .models import load_model, save_model, write_atomic
 from .train import (
     evaluate,
     gaussian_mixture_dataset,
@@ -41,18 +40,8 @@ def _fmt(v):
 
 def write_csv(path, header, rows):
     """Write header plus rows atomically (temp file, rename on success)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "".join(line + "\n" for line in [header, *rows])
+                 .encode())
 
 
 def _metrics_rows(history):

@@ -1,5 +1,10 @@
 """Small differentiable score models with hand-coded gradients.
 
+Each model owns one float64 vector ``flat`` that holds all its parameters
+in checkpoint order (``W, b``; ``W1, b1, W2, b2``). The named arrays are
+reshaped views into it, so the optimizer, the divergence check and
+checkpoints work on ``flat`` alone and only this module knows the layout.
+
 Attacks need input gradients and the trainer needs parameter gradients, so
 both are explicit. ``forward_vjp(X)`` returns the scores at ``X`` with a
 ``Pullback`` that maps a score cotangent to both, reusing what that one
@@ -8,7 +13,8 @@ it again. All arrays are float64; batches are row-major ``(batch, dim)``.
 """
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -17,15 +23,36 @@ import numpy as np
 class Pullback(NamedTuple):
     """Gradients at the points of one forward pass. ``inputs(ds)`` maps a
     score cotangent ``ds`` of shape ``(batch, n_labels)`` to the input
-    gradient ``(batch, dim)``; ``params(ds)`` maps it to a dict of parameter
-    gradients keyed like ``params()``. Valid until the parameters change."""
+    gradient ``(batch, dim)``; ``params(ds)`` maps it to one flat parameter
+    gradient laid out like the model's ``flat``. Valid until the parameters
+    change."""
 
     inputs: Callable
     params: Callable
 
 
+class _FlatModel:
+    """Packs the dataclass fields, in declaration order, into one vector
+    ``flat`` and rebinds each field to a view of it."""
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, f.name)) for f in fields(self)]
+        self.flat = np.concatenate([a.ravel() for a in arrays],
+                                   dtype=np.float64)
+        i = 0
+        for f, a in zip(fields(self), arrays):
+            setattr(self, f.name, self.flat[i:i + a.size].reshape(a.shape))
+            i += a.size
+
+    def get_flat(self):
+        return self.flat.copy()
+
+    def set_flat(self, flat):
+        self.flat[:] = flat
+
+
 @dataclass
-class LinearModel:
+class LinearModel(_FlatModel):
     """Per-label affine scores ``W x + b``."""
 
     W: np.ndarray  # (n_labels, dim)
@@ -46,25 +73,15 @@ class LinearModel:
         W = self.W
         return self.forward(X), Pullback(
             inputs=lambda ds: ds @ W,
-            params=lambda ds: {"W": ds.T @ X, "b": ds.sum(axis=0)})
-
-    def params(self):
-        return {"W": self.W, "b": self.b}
-
-    def get_flat(self):
-        return np.concatenate([self.W.ravel(), self.b])
-
-    def set_flat(self, flat):
-        nw = self.W.size
-        self.W = flat[:nw].reshape(self.W.shape).copy()
-        self.b = flat[nw:].copy()
+            params=lambda ds: np.concatenate([(ds.T @ X).ravel(),
+                                              ds.sum(axis=0)]))
 
     def header_dims(self):
         return [self.dim, self.n_labels]
 
 
 @dataclass
-class MLPModel:
+class MLPModel(_FlatModel):
     """Two-layer perceptron with tanh hidden activation."""
 
     W1: np.ndarray  # (dim, hidden)
@@ -96,29 +113,11 @@ class MLPModel:
 
         def params(ds):
             dZ = hidden_grad(ds)
-            return {
-                "W1": X.T @ dZ,
-                "b1": dZ.sum(axis=0),
-                "W2": Z.T @ ds,
-                "b2": ds.sum(axis=0),
-            }
+            return np.concatenate([(X.T @ dZ).ravel(), dZ.sum(axis=0),
+                                   (Z.T @ ds).ravel(), ds.sum(axis=0)])
 
         return Z @ W2 + self.b2, Pullback(
             inputs=lambda ds: hidden_grad(ds) @ W1.T, params=params)
-
-    def params(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-
-    def get_flat(self):
-        return np.concatenate([self.W1.ravel(), self.b1,
-                               self.W2.ravel(), self.b2])
-
-    def set_flat(self, flat):
-        i = 0
-        for name in ("W1", "b1", "W2", "b2"):
-            arr = getattr(self, name)
-            setattr(self, name, flat[i:i + arr.size].reshape(arr.shape).copy())
-            i += arr.size
 
     def header_dims(self):
         return [self.dim, self.hidden, self.n_labels]
@@ -146,18 +145,32 @@ def init_mlp(dim, hidden, n_labels, seed=0):
 _MAGIC = "compsum-model"
 
 
+def write_atomic(path, data):
+    """Write the bytes ``data`` to the sibling ``<path>.tmp`` and rename it
+    onto ``path``. On any failure the sibling is removed and ``path`` keeps
+    what it held before."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model, path):
     kind = "linear" if isinstance(model, LinearModel) else "mlp"
     dims = " ".join(str(d) for d in model.header_dims())
-    with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC} {kind} {dims}\n".encode("ascii"))
-        fh.write(model.get_flat().astype("<f8").tobytes())
+    write_atomic(path, f"{_MAGIC} {kind} {dims}\n".encode("ascii")
+                 + model.flat.astype("<f8").tobytes())
 
 
 def load_model(path):
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip().split()
-        if not header or header[0] != _MAGIC:
+        if len(header) < 2 or header[0] != _MAGIC:
             raise ValueError(f"bad checkpoint header in {path}")
         kind = header[1]
         dims = [int(v) for v in header[2:]]
@@ -171,8 +184,8 @@ def load_model(path):
                          np.zeros((hidden, n)), np.zeros(n))
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    expected = model.get_flat().size
-    if flat.size != expected:
-        raise ValueError(f"checkpoint holds {flat.size} floats, expected {expected}")
+    if flat.size != model.flat.size:
+        raise ValueError(f"checkpoint holds {flat.size} floats, "
+                         f"expected {model.flat.size}")
     model.set_flat(flat)
     return model

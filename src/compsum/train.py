@@ -131,16 +131,14 @@ class _NesterovSGD:
         self.model = model
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
+        self.velocity = np.zeros_like(model.flat)
 
     def step(self, grads, lr):
-        mu = self.momentum
-        for name, p in self.model.params().items():
-            g = grads[name] + self.weight_decay * p
-            v = self.velocity[name]
-            v *= mu
-            v += g
-            p -= lr * (g + mu * v) if mu else lr * g
+        mu, p, v = self.momentum, self.model.flat, self.velocity
+        g = grads + self.weight_decay * p
+        v *= mu
+        v += g
+        p -= lr * (g + mu * v) if mu else lr * g
 
 
 def _standard_batch_grads(model, X, Y, tau):
@@ -157,36 +155,35 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     held fixed while differentiating both terms.
     """
     adv, ball = cfg.adversarial, cfg.ball
-    scores, back = model.forward_vjp(X)
+    clean = model.forward_vjp(X)
+    scores, back = clean
     deviation = deviation_objective(scores, Y)
-    _, X_adv = pgd_maximize(model, deviation, X, ball, adv, rng)
+    _, X_adv = pgd_maximize(model, deviation, X, clean, ball, adv, rng)
 
     scaled = scores / adv.rho
-    clean = comp_sum_loss_batch(scaled, Y, cfg.tau)
+    clean_loss = comp_sum_loss_batch(scaled, Y, cfg.tau)
     ds_clean = comp_sum_grad_batch(scaled, Y, cfg.tau) / (adv.rho * X.shape[0])
 
     scores_adv, back_adv = model.forward_vjp(X_adv)
     dev_norms, ds_dev = deviation(scores_adv)
-    loss = float(clean.mean() + adv.nu * dev_norms.mean())
+    loss = float(clean_loss.mean() + adv.nu * dev_norms.mean())
     scale = adv.nu / X.shape[0]
     # the deviation's gradient at the clean points is minus its gradient
     # at the attacked ones
-    grads = back.params(ds_clean - scale * ds_dev)
-    g_adv = back_adv.params(scale * ds_dev)
-    for k in grads:
-        grads[k] = grads[k] + g_adv[k]
-    return loss, grads
+    return loss, (back.params(ds_clean - scale * ds_dev)
+                  + back_adv.params(scale * ds_dev))
 
 
 def evaluate(model, X, y, ball=None, attack=None, rng=None):
     """Clean accuracy, plus worst-case accuracy under the margin attack
     when a ball is given. The attack includes the clean point, so the
     robust accuracy never exceeds the clean one."""
-    out = {"clean_acc": float((predict_batch(model.forward(X)) == y).mean())}
+    clean = model.forward_vjp(X)
+    out = {"clean_acc": float((predict_batch(clean[0]) == y).mean())}
     if ball is not None:
         if attack is None:
             attack = AdvParams(n=model.n_labels, pgd_steps=40)
-        wrong = adv_zero_one_batch(model, X, y, ball, attack, rng)
+        wrong = adv_zero_one_batch(model, X, y, clean, ball, attack, rng)
         out["robust_acc"] = float(1.0 - wrong.mean())
     return out
 
@@ -216,22 +213,20 @@ def _train_loop(data, model, cfg, batch_step, select_metric):
         losses_epoch = []
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            last_flat = model.get_flat()
             # divergence is detected via the finiteness check below, so the
             # float overflow on the way there is expected, not a defect
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = batch_step(model, Xtr[sel], ytr[sel], rng)
-            if not math.isfinite(loss) or \
-                    not all(np.all(np.isfinite(g)) for g in grads.values()):
-                # divergence: abort with the last finite state
-                model.set_flat(last_flat)
+            if not (math.isfinite(loss) and np.isfinite(grads).all()):
+                # divergence: abort before the step, so the model keeps the
+                # state after the last finite one
                 diverged = True
                 break
             opt.step(grads, lr)
             losses_epoch.append(loss)
             if avg_flat is not None:
                 d = cfg.weight_avg_decay
-                avg_flat = d * avg_flat + (1.0 - d) * model.get_flat()
+                avg_flat = d * avg_flat + (1.0 - d) * model.flat
         if diverged:
             history.append({"epoch": epoch, "lr": lr,
                             "train_loss": math.inf, "clean_acc": math.nan,

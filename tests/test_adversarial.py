@@ -243,7 +243,7 @@ class TestAgainstExactOracles:
         Y = rng.integers(0, 2, size=20)
         objective = _margin_objective(Y)
         adv = AdvParams(n=2, pgd_steps=10, seed=0)
-        best, _ = pgd_maximize(model, objective, X,
+        best, _ = pgd_maximize(model, objective, X, model.forward_vjp(X),
                                PerturbationBall(p_norm, 0.3), adv)
         dw = model.W[1 - Y] - model.W[Y]
         exact = (objective(model.forward(X))[0]
@@ -344,7 +344,9 @@ class TestInputGradients:
     def test_pgd_makes_one_hidden_pass_per_iterate(self, monkeypatch, steps,
                                                    restarts):
         # every hidden-layer pass is one np.tanh call in compsum.models; the
-        # step from an iterate pulls back through that iterate's pass
+        # step from an iterate pulls back through that iterate's pass, and
+        # the attack's callers hand it the clean pass they already made
+        from compsum import train as train_mod
         model = init_mlp(4, 8, 3, seed=0)
         calls = {"tanh": 0, "forward": 0, "forward_vjp": 0}
         tanh = np.tanh
@@ -365,11 +367,28 @@ class TestInputGradients:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 4))
         Y = rng.integers(0, 3, size=6)
+        ball = PerturbationBall(math.inf, 0.2)
         adv = AdvParams(n=3, pgd_steps=steps, restarts=restarts, seed=0)
-        pgd_maximize(model, _margin_objective(Y), X,
-                     PerturbationBall(math.inf, 0.2), adv)
-        assert calls == {"tanh": restarts * (steps + 1), "forward": 0,
-                         "forward_vjp": restarts * (steps + 1)}
+        passes = restarts * (steps + 1)  # the clean pass included
+        pgd_maximize(model, _margin_objective(Y), X, model.forward_vjp(X),
+                     ball, adv)
+        assert calls == {"tanh": passes, "forward": 0,
+                         "forward_vjp": passes}
+
+        # evaluate: the attack's passes plus one at the attacked points
+        calls.update(tanh=0, forward=0, forward_vjp=0)
+        train_mod.evaluate(model, X, Y, ball, adv)
+        assert calls == {"tanh": passes + 1, "forward": 1,
+                         "forward_vjp": passes}
+
+        # smooth training step: likewise, with a pullback at the attacked
+        # points
+        calls.update(tanh=0, forward=0, forward_vjp=0)
+        cfg = train_mod.TrainConfig(adversarial=adv, ball=ball)
+        train_mod._smooth_batch_grads(model, X, Y, cfg,
+                                      np.random.default_rng(0))
+        assert calls == {"tanh": passes + 1, "forward": 0,
+                         "forward_vjp": passes + 1}
 
 
 class TestLocalRhoConsistency:

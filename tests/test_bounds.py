@@ -331,8 +331,7 @@ class TestTrainLoopSelection:
         snapshots = []
 
         def batch_step(m, Xb, Yb, rng):
-            g = {k: np.ones_like(v) * 0.01 for k, v in m.params().items()}
-            return 0.0, g
+            return 0.0, np.ones_like(m.flat) * 0.01
 
         def select_metric(m, Xv, yv, rng):
             snapshots.append(m.get_flat())

@@ -218,6 +218,20 @@ class TestEvaluateCommand:
         assert printed[-2] == "clean_acc"
         assert 0.0 <= float(printed[-1]) <= 1.0
 
+    @pytest.mark.parametrize("body", [b"compsum-model\n",
+                                      b"compsum-model\n\0\0\0\0\0\0\0\0",
+                                      b"\n"])
+    def test_bad_checkpoint_header_is_an_error(self, tmp_path, capsys, body):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(body)
+        assert main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint header")
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CFG)

@@ -1,6 +1,8 @@
 """Trainer tests: determinism, descent, robustness relations, checkpoints."""
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -84,6 +86,38 @@ class TestStandardTraining:
                                      cfg)
         assert any(h.get("diverged") for h in hist)
         assert np.all(np.isfinite(model.get_flat()))
+
+    @pytest.mark.parametrize("diverge_at,bad", [(0, "loss"), (7, "grads")])
+    def test_divergence_keeps_state_after_last_finite_step(self, diverge_at,
+                                                           bad):
+        # a batch is checked before the step on it, so a diverging run ends
+        # on exactly the parameters that the last finite step left (the
+        # initial ones when the first batch diverges); 7 is in epoch 1
+        data = small_data()
+        model = make_model("mlp", 4, 2, 16, seed=0)
+        cfg = TrainConfig(lr0=0.5, momentum=0.9, weight_decay=1e-3,
+                          epochs=3, batch_size=64, seed=0)
+        seen = []
+
+        def batch_step(m, X, Y, rng):
+            seen.append(m.get_flat())
+            loss, grads = train_mod._standard_batch_grads(m, X, Y, 1.0)
+            if len(seen) > diverge_at:
+                if bad == "loss":
+                    loss = math.inf
+                else:
+                    grads[-1] = math.nan
+            return loss, grads
+
+        def select_metric(m, Xv, yv, rng):
+            return 0.0, {"clean_acc": 0.0, "robust_acc": 0.0}
+
+        history, _, _ = train_mod._train_loop(data, model, cfg, batch_step,
+                                              select_metric)
+        assert history[-1]["diverged"] == 1
+        assert len(seen) == diverge_at + 1
+        assert np.array_equal(model.flat, seen[-1])
+        assert np.array_equal(model.flat, seen[0]) == (diverge_at == 0)
 
     def test_lr_grid_prefers_stable_rate(self):
         data = small_data()
@@ -218,25 +252,24 @@ class TestAdversarialTraining:
         adv = AdvParams(n=3, rho=0.7, pgd_steps=5, restarts=2, seed=5)
         cfg = TrainConfig(tau=1.5, adversarial=adv,
                           ball=PerturbationBall(math.inf, 0.3))
-        for model in (init_linear(4, 3, seed=5), init_mlp(4, 6, 3, seed=5)):
+        for make in (lambda: init_linear(4, 3, seed=5),
+                     lambda: init_mlp(4, 6, 3, seed=5)):
+            model, m2 = make(), make()
+            clean = model.forward_vjp(X)
             _, X_adv = train_mod.pgd_maximize(
-                model, deviation_objective(model.forward(X), Y), X, cfg.ball,
+                model, deviation_objective(clean[0], Y), X, clean, cfg.ball,
                 adv, np.random.default_rng(5))
             assert np.all(np.any(X_adv != X, axis=1))
 
             def loss(flat):
-                m2 = type(model)(**{k: v.copy()
-                                    for k, v in model.params().items()})
                 m2.set_flat(flat)
                 return train_mod._smooth_batch_grads(m2, X, Y, cfg, None)[0]
 
             with monkeypatch.context() as mp:
                 mp.setattr(train_mod, "pgd_maximize",
                            lambda *args: (None, X_adv))
-                _, grads = train_mod._smooth_batch_grads(model, X, Y, cfg,
+                _, gflat = train_mod._smooth_batch_grads(model, X, Y, cfg,
                                                          None)
-                gflat = np.concatenate([grads[k].ravel()
-                                        for k in model.params()])
                 flat = model.get_flat()
                 for idx in range(flat.size):
                     e = np.zeros_like(flat)
@@ -248,20 +281,18 @@ class TestAdversarialTraining:
 class TestModelsAndCheckpoints:
     def test_param_grads_match_fd(self):
         rng = np.random.default_rng(6)
-        for model in (init_linear(3, 2, seed=0), init_mlp(3, 5, 2, seed=0)):
+        for make in (lambda: init_linear(3, 2, seed=0),
+                     lambda: init_mlp(3, 5, 2, seed=0)):
+            model, m2 = make(), make()
             X = rng.normal(size=(4, 3))
             ds = rng.normal(size=(4, model.n_labels))
 
             def loss(flat):
-                m2 = type(model)(**{k: v.copy()
-                                    for k, v in model.params().items()})
                 m2.set_flat(flat)
                 return float((m2.forward(X) * ds).sum())
 
-            grads = model.forward_vjp(X)[1].params(ds)
+            gflat = model.forward_vjp(X)[1].params(ds)
             flat = model.get_flat()
-            gflat = np.concatenate([grads[k].ravel()
-                                    for k in model.params()])
             for idx in rng.choice(flat.size, size=min(10, flat.size),
                                   replace=False):
                 e = np.zeros_like(flat)
@@ -284,6 +315,31 @@ class TestModelsAndCheckpoints:
             assert np.array_equal(loaded.get_flat(), model.get_flat())
             header = path.read_bytes().split(b"\n", 1)[0]
             assert header.startswith(b"compsum-model ")
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_model(init_mlp(4, 8, 3, seed=1), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(init_mlp(4, 8, 3, seed=2), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_views_share_the_flat_vector(self):
+        for model in (init_linear(3, 2, seed=0), init_mlp(3, 5, 2, seed=0)):
+            flat = model.get_flat()
+            model.set_flat(flat + 1.0)
+            assert np.array_equal(model.flat, flat + 1.0)
+            arrays = [getattr(model, f.name)
+                      for f in dataclasses.fields(model)]
+            assert all(np.shares_memory(a, model.flat) for a in arrays)
+            assert np.array_equal(
+                np.concatenate([a.ravel() for a in arrays]), model.flat)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         model = init_linear(4, 3, seed=1)
