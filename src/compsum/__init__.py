@@ -21,6 +21,7 @@ from .bounds import (
     tightness_sides,
     verify_h_consistency_bound,
     verify_lemma_inf,
+    verify_lemma_inf_batch,
 )
 from .losses import (
     comp_sum_grad,
@@ -78,7 +79,7 @@ __all__ = [
     "BoundReport", "verify_h_consistency_bound",
     "build_tightness_instance", "tightness_sides",
     "hbar_mu_scores", "lemma_sup_closed", "lemma_sup_grid",
-    "verify_lemma_inf", "learning_bound",
+    "verify_lemma_inf", "verify_lemma_inf_batch", "learning_bound",
     "PerturbationBall", "AdvParams", "rho_margin",
     "adv_comp_rho_loss", "smooth_adv_comp_loss", "adv_zero_one",
     "check_local_rho_consistency", "verify_adv_bound",

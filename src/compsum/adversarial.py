@@ -272,19 +272,21 @@ def adv_comp_rho_loss(model, x, y, tau, adv, ball):
     return float(adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
-def deviation_sup_batch(model, X, Y, adv, ball, rng=None):
-    """PGD estimate of the worst score-difference deviation over the ball."""
-    clean = model.forward_vjp(X)
+def deviation_sup_batch(model, X, Y, clean, adv, ball, rng=None):
+    """PGD estimate of the worst score-difference deviation over the ball,
+    from the clean pass ``clean = model.forward_vjp(X)``."""
     return pgd_maximize(model, deviation_objective(clean[0], Y), X, clean,
                         ball, adv, rng)[0]
 
 
 def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """Clean loss at scores scaled by ``1 / rho`` plus the weighted worst
-    score-difference deviation (PGD estimate)."""
+    score-difference deviation (PGD estimate); one clean pass serves both."""
     tau = check_tau(tau)
-    clean = losses.comp_sum_loss_batch(model.forward(X) / adv.rho, Y, tau)
-    return clean + adv.nu * deviation_sup_batch(model, X, Y, adv, ball, rng)
+    clean = model.forward_vjp(X)
+    loss = losses.comp_sum_loss_batch(clean[0] / adv.rho, Y, tau)
+    return loss + adv.nu * deviation_sup_batch(model, X, Y, clean, adv, ball,
+                                               rng)
 
 
 def smooth_adv_comp_loss(model, x, y, tau, adv, ball):

@@ -9,6 +9,7 @@ assembles the sampled learning bound.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,32 +192,74 @@ def hbar_mu_scores(scores, mu, y_max, pred=None):
     return out
 
 
-def _lemma_sup_closed_rows(S, p, tau, y_max, pred):
-    """Validation-free core of ``lemma_sup_closed`` on each row of the
-    ``(R, n)`` scores ``S``; returns the ``R`` values."""
-    pm, ph = p[y_max], p[pred]
-    hm, hp = S[:, y_max], S[:, pred]
-    lse = losses._logsumexp_rows(S)
-    l_ab = np.logaddexp(hm, hp)
+class _SupRows(NamedTuple):
+    """Per-row parameters of the closed supremum: the probabilities ``pm``
+    and ``ph`` of the top label ``y_max`` and of the predicted label
+    ``pred``, ``tau``, and the constants ``lm, lh, lp`` of ``_sup_rows``."""
 
+    pm: np.ndarray
+    ph: np.ndarray
+    tau: np.ndarray
+    y_max: np.ndarray
+    pred: np.ndarray
+    lm: np.ndarray
+    lh: np.ndarray
+    lp: np.ndarray
+
+    def take(self, idx):
+        return _SupRows(*(a[idx] for a in self))
+
+
+def _sup_rows(p, tau, y_max, pred):
+    """One instance's ``_SupRows``, one row long.
+
+    At tau = 1 the constants are ``lm = log(pm / (pm + ph))`` and
+    ``lh = log(ph / (pm + ph))``; for tau < 2 otherwise ``lp`` is the
+    log-sum of ``r log pm`` and ``r log ph`` with ``r = 1 / (2 - tau)``.
+    A constant of another branch, or of a zero probability, is 0. They are
+    computed once with ``math.log``: ``np.log`` on an array may differ in
+    the last bit.
+    """
+    pm, ph = float(p[y_max]), float(p[pred])
+    lm = lh = lp = 0.0
     if abs(tau - 1.0) < losses.TAU_BRANCH_TOL:
         tot = pm + ph
-        zero = np.zeros(S.shape[0])
-        t1 = zero if pm == 0 else pm * (l_ab - hm + math.log(pm / tot))
-        t2 = zero if ph == 0 else ph * (l_ab - hp + math.log(ph / tot))
-        return t1 + t2
-
-    one_m_tau = 1.0 - tau
-    t2 = pm * np.exp(one_m_tau * (lse - hm))
-    t3 = ph * np.exp(one_m_tau * (lse - hp))
-    if tau < 2.0:
+        lm = math.log(pm / tot) if pm > 0 else 0.0
+        lh = math.log(ph / tot) if ph > 0 else 0.0
+    elif tau < 2.0:
         r = 1.0 / (2.0 - tau)
-        lp = np.logaddexp(r * math.log(pm) if pm > 0 else -np.inf,
-                          r * math.log(ph) if ph > 0 else -np.inf)
-        t1 = np.exp((2.0 - tau) * lp + one_m_tau * (lse - l_ab))
-    else:
-        t1 = pm * np.exp(one_m_tau * (lse - l_ab))
-    return (t1 - t2 - t3) / (tau - 1.0)
+        lp = float(np.logaddexp(r * math.log(pm) if pm > 0 else -np.inf,
+                                r * math.log(ph) if ph > 0 else -np.inf))
+    return _SupRows(*(np.array([v]) for v in
+                      (pm, ph, tau, y_max, pred, lm, lh, lp)))
+
+
+def _lemma_sup_closed_rows(S, q):
+    """Validation-free core of ``lemma_sup_closed`` on each row of the
+    ``(R, n)`` scores ``S`` with the per-row parameters ``q`` (a
+    ``_SupRows`` of length ``R``); each row takes the branch of its own
+    ``tau``. Returns the ``R`` values."""
+    rows = np.arange(S.shape[0])
+    hm, hp = S[rows, q.y_max], S[rows, q.pred]
+    lse = losses._logsumexp_rows(S)
+    l_ab = np.logaddexp(hm, hp)
+    one = np.abs(q.tau - 1.0) < losses.TAU_BRANCH_TOL
+    value = np.zeros(S.shape[0])
+    if not one.all():
+        one_m_tau = 1.0 - q.tau
+        t2 = q.pm * np.exp(one_m_tau * (lse - hm))
+        t3 = q.ph * np.exp(one_m_tau * (lse - hp))
+        x = one_m_tau * (lse - l_ab)
+        t1 = np.exp((2.0 - q.tau) * q.lp + x)
+        above = q.tau >= 2.0
+        if above.any():
+            t1 = np.where(above, q.pm * np.exp(x), t1)
+        value = (t1 - t2 - t3) / np.where(one, 1.0, q.tau - 1.0)
+    if one.any():
+        # a zero probability has a zero constant, so its term is 0
+        value = np.where(one, q.pm * (l_ab - hm + q.lm)
+                         + q.ph * (l_ab - hp + q.lh), value)
+    return value
 
 
 def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
@@ -233,7 +276,8 @@ def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
     pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
     if pred == y_max:
         raise ValueError("closed form needs predicted label != top label")
-    return float(_lemma_sup_closed_rows(s[None, :], p, tau, y_max, pred)[0])
+    return float(_lemma_sup_closed_rows(s[None, :],
+                                        _sup_rows(p, tau, y_max, pred))[0])
 
 
 def _golden_max(f, lo, hi, iters=120):
@@ -287,6 +331,7 @@ def lemma_sup_grid(scores, p, tau, y_max=None, pred=None, grid=512):
     """
     s = losses.check_scores(scores)
     p = risk.check_cond_dist(p, s.shape[0])
+    tau = check_tau(tau)
     y_max = predict(p) if y_max is None else y_max
     pred = predict(s) if pred is None else pred
 
@@ -351,50 +396,121 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
                      n_starts=6, iters=300, polish_sweeps=5):
     """Brute-force the infimum over scores of ``C(h) - inf_mu C(h_mu)``.
 
-    The infimum runs over hypotheses predicting ``pred_label`` (default:
-    the runner-up conditional label). By shift invariance the predicted
+    A batch of one: see ``verify_lemma_inf_batch``, whose search this runs
+    on the one instance ``(p, tau, seed, pred_label)``.
+    """
+    return verify_lemma_inf_batch([p], [tau], [seed], [pred_label], spread,
+                                  n_starts, iters, polish_sweeps)[0]
+
+
+def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None, spread=24.0,
+                           n_starts=6, iters=300, polish_sweeps=5):
+    """``verify_lemma_inf`` on many instances; one ``LemmaInfResult`` each.
+
+    The infimum of instance ``i`` runs over hypotheses predicting
+    ``pred_labels[i]`` (default, or where the entry is None: the runner-up
+    conditional label of ``ps[i]``). By shift invariance the predicted
     score is pinned at 0 and the remaining coordinates live in
     ``[-spread, 0]``, which enforces the argmax constraint by construction.
     Multi-start projected descent on the (separately grid-verified) closed
-    supremum form is followed by cyclic coordinate golden-section polish.
-    The starts run in lockstep: each descent step evaluates the
-    finite-difference probes of every live start in one call of the closed
-    form and their candidates in a second, and each polish coordinate runs
-    one golden-section search over all starts; every start keeps its own
-    step size and stopping rule, and the first best start wins. The
-    reported ``brute`` value re-evaluates the inner infimum numerically
-    at the minimizer found. ``closed`` is the two-argument transform at
+    supremum form is followed by cyclic coordinate golden-section polish;
+    the starts are two fixed points and ``n_starts - 2`` uniform draws from
+    ``seeds[i]``. Instances with the same label count run in lockstep, each
+    start one row: each descent step evaluates the finite-difference probes
+    of every live row in one call of the closed form and their candidates
+    in a second, and each polish coordinate runs one golden-section search
+    over all rows. Every row keeps its own step size, stopping rule and
+    bracket, so an instance's result does not depend on the rest of the
+    batch; the first best start of an instance wins. The reported ``brute``
+    value re-evaluates the inner infimum numerically at the minimizer
+    found. ``closed`` is the two-argument transform at
     ``alpha = p_top + p_pred``, ``beta = p_top - p_pred``. The two agree
     for ``tau <= 2``; above that the closed form is only a lower bound of
     the brute value (which is the direction the consistency bound uses).
     """
-    p = risk.check_cond_dist(p)
-    tau = check_tau(tau)
-    n = p.shape[0]
-    y_max = predict(p)
-    if pred_label is None:
-        order = np.argsort(p)
-        pred_label = int(order[-2]) if int(order[-1]) == y_max else int(order[-1])
-    if pred_label == y_max:
-        raise ValueError("pred_label must differ from the top conditional label")
+    ps = [risk.check_cond_dist(p) for p in ps]
+    taus = [check_tau(tau) for tau in taus]
+    seeds = list(seeds)
+    pred_labels = [None] * len(ps) if pred_labels is None else \
+        list(pred_labels)
+    if not len(ps) == len(taus) == len(seeds) == len(pred_labels):
+        raise ValueError("ps, taus, seeds and pred_labels must have equal "
+                         f"lengths, got {len(ps)}, {len(taus)}, "
+                         f"{len(seeds)} and {len(pred_labels)}")
+    if int(n_starts) != n_starts or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts}")
+    spread = float(spread)
+    if not (math.isfinite(spread) and spread > 0.0):
+        raise ValueError("spread must be a finite positive real, "
+                         f"got {spread}")
+    n_starts = int(n_starts)
+    tops, preds = [], []
+    for p, pred in zip(ps, pred_labels):
+        y_max = predict(p)
+        if pred is None:
+            order = np.argsort(p)
+            pred = int(order[-2] if order[-1] == y_max else order[-1])
+        pred = losses.check_label(pred, p.shape[0], "pred_label")
+        if pred == y_max:
+            raise ValueError("pred_label must differ from the top conditional "
+                             "label")
+        tops.append(y_max)
+        preds.append(pred)
 
-    others = np.array([j for j in range(n) if j != pred_label])
-    dim = n - 1
+    results = [None] * len(ps)
+    for n in sorted({p.shape[0] for p in ps}):
+        group = [i for i, p in enumerate(ps) if p.shape[0] == n]
+        dim = n - 1
+        starts = []
+        for i in group:
+            rng = np.random.default_rng(seeds[i])
+            starts += [np.zeros(dim), np.full(dim, -1.0)][:n_starts]
+            starts += [rng.uniform(-spread, 0.0, dim)
+                       for _ in range(n_starts - 2)]
+        # every start of every instance is one row
+        q = _SupRows(*map(np.concatenate, zip(*(
+            _sup_rows(ps[i], taus[i], tops[i], preds[i]) for i in group))))
+        q = q.take(np.repeat(np.arange(len(group)), n_starts))
+        others = np.repeat([[j for j in range(n) if j != preds[i]]
+                            for i in group], n_starts, axis=0)
+        U, F = _lemma_inf_descent(np.array(starts), q, others, spread,
+                                  iters, polish_sweeps)
+        best = F.reshape(len(group), n_starts).argmin(axis=1)
+        for k, i in enumerate(group):
+            p, tau, y_max, pred = ps[i], taus[i], tops[i], preds[i]
+            s_best = np.empty(n)
+            s_best[pred] = 0.0
+            s_best[others[k * n_starts]] = U[k * n_starts + best[k]]
+            # honest re-evaluation: the numeric supremum over mu at the
+            # minimizer
+            brute = lemma_sup_grid(s_best, p, tau, y_max, pred)
+            alpha = float(p[y_max] + p[pred])
+            beta = float(p[y_max] - p[pred])
+            results[i] = LemmaInfResult(psi_tau(alpha, beta, tau, n), brute,
+                                        s_best)
+    return results
 
-    def objective(U):
-        S = np.zeros((U.shape[0], n))
-        S[:, others] = U
-        return _lemma_sup_closed_rows(S, p, tau, y_max, pred_label)
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim), np.full(dim, -1.0)]
-    starts += [rng.uniform(-spread, 0.0, dim) for _ in range(n_starts - 2)]
-    U = np.array(starts[:n_starts])
-    F = objective(U)
-    step = np.full(n_starts, 0.25)
+def _lemma_inf_descent(U, q, others, spread, iters, polish_sweeps):
+    """Lockstep descent and polish of the closed supremum from each row of
+    the starts ``U``; returns the final ``U`` and its values.
+
+    Row ``r`` minimizes over the scores whose labels ``others[r]`` take
+    the coordinates of ``U[r]`` and whose remaining (predicted) label is
+    pinned at 0, with the parameters ``q[r]``.
+    """
+    R, dim = U.shape
+
+    def objective(idx, V):
+        S = np.zeros((len(idx), dim + 1))
+        S[np.arange(len(idx))[:, None], others[idx]] = V
+        return _lemma_sup_closed_rows(S, q.take(idx))
+
+    F = objective(np.arange(R), U)
+    step = np.full(R, 0.25)
     fd_h = 1e-7
     cols = np.arange(dim)
-    live = np.arange(n_starts)
+    live = np.arange(R)
     for _ in range(iters):
         if live.size == 0:
             break
@@ -405,11 +521,12 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
         probes = np.repeat(u[:, None, :], 2 * dim, axis=1)
         probes[:, cols, cols] = up
         probes[:, dim + cols, cols] = um
-        fpm = objective(probes.reshape(-1, dim)).reshape(live.size, 2 * dim)
+        fpm = objective(np.repeat(live, 2 * dim),
+                        probes.reshape(-1, dim)).reshape(live.size, 2 * dim)
         g = np.zeros_like(u)
         np.divide(fpm[:, :dim] - fpm[:, dim:], up - um, out=g, where=up > um)
         cand = np.clip(u - step[live, None] * g, -spread, 0.0)
-        fc = objective(cand)
+        fc = objective(live, cand)
         better = fc < F[live]
         acc, rej = live[better], live[~better]
         U[acc], F[acc] = cand[better], fc[better]
@@ -419,27 +536,17 @@ def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
     # cyclic coordinate golden-section polish
     for _ in range(polish_sweeps):
         for j in range(dim):
-            def along_j(rows, v, j=j):
-                V = U[rows]
+            def along_j(idx, v, j=j):
+                V = U[idx]
                 V[:, j] = v
-                return objective(V)
+                return objective(idx, V)
 
             lo = np.maximum(U[:, j] - 2.0, -spread)
             hi = np.minimum(U[:, j] + 2.0, 0.0)
             v_best, f_best = _golden_min_rows(along_j, lo, hi)
             better = f_best < F
             U[better, j], F[better] = v_best[better], f_best[better]
-    best_u = U[int(np.argmin(F))]
-
-    s_best = np.empty(n)
-    s_best[pred_label] = 0.0
-    s_best[others] = best_u
-    # honest re-evaluation: the numeric supremum over mu at the minimizer
-    brute = lemma_sup_grid(s_best, p, tau, y_max, pred_label)
-    alpha = float(p[y_max] + p[pred_label])
-    beta = float(p[y_max] - p[pred_label])
-    closed = psi_tau(alpha, beta, tau, n)
-    return LemmaInfResult(closed, brute, s_best)
+    return U, F
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,15 @@ def check_scores(scores):
     return s
 
 
-def check_label(y, n):
-    y = int(y)
-    if not 0 <= y < n:
-        raise ValueError(f"label index {y} outside [0, {n})")
-    return y
+def check_label(y, n, name="label index"):
+    """Validate an integer label in [0, n) and return it as an int;
+    ``name`` is the argument the error message names."""
+    label = int(y)
+    if label != y:
+        raise ValueError(f"{name} must be an integer, got {y}")
+    if not 0 <= label < n:
+        raise ValueError(f"{name} {label} outside [0, {n})")
+    return label
 
 
 def predict(scores):

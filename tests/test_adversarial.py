@@ -26,6 +26,7 @@ from compsum.adversarial import (
     rho_margin,
     rho_margin_subgrad,
     smooth_adv_comp_loss,
+    smooth_adv_comp_loss_batch,
     smooth_adv_comp_loss_exact_1d,
     sup_rho_inner_exact_1d,
     verify_adv_bound,
@@ -227,7 +228,9 @@ class TestAgainstExactOracles:
             y = np.array([int(rng.integers(0, 3))])
             exact = deviation_sup_exact_1d(model, float(x[0, 0]), int(y[0]),
                                            0.2)
-            pgd = float(deviation_sup_batch(model, x, y, adv, ball)[0])
+            pgd = float(deviation_sup_batch(model, x, y,
+                                            model.forward_vjp(x), adv,
+                                            ball)[0])
             assert pgd == pytest.approx(exact, abs=1e-8)
 
     @pytest.mark.parametrize("p_norm, q", [
@@ -389,6 +392,13 @@ class TestInputGradients:
                                       np.random.default_rng(0))
         assert calls == {"tanh": passes + 1, "forward": 0,
                          "forward_vjp": passes + 1}
+
+        # smooth adversarial loss: the clean term reads the attack's clean
+        # pass
+        calls.update(tanh=0, forward=0, forward_vjp=0)
+        smooth_adv_comp_loss_batch(model, X, Y, 1.0, adv, ball)
+        assert calls == {"tanh": passes, "forward": 0,
+                         "forward_vjp": passes}
 
 
 class TestLocalRhoConsistency:

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from compsum import transform
+from compsum import bounds, suites, transform
 from compsum.bounds import (
     BOUND_CSV_HEADER,
     _golden_min_rows,
     _lemma_sup_closed_rows,
+    _sup_rows,
     build_tightness_instance,
     hbar_mu_range,
     hbar_mu_scores,
@@ -20,6 +21,7 @@ from compsum.bounds import (
     tightness_sides,
     verify_h_consistency_bound,
     verify_lemma_inf,
+    verify_lemma_inf_batch,
 )
 from compsum.risk import HypothesisSpec, finite_distribution, score_box
 
@@ -210,7 +212,8 @@ class TestLemmaForms:
         rng = np.random.default_rng(6)
         S = rng.normal(scale=2.0, size=(8, 3))
         S[:, 1] = S.max(axis=1) + rng.uniform(0.0, 1.0, size=8)
-        vals = _lemma_sup_closed_rows(S, p, tau, 0, 1)
+        vals = _lemma_sup_closed_rows(
+            S, _sup_rows(p, tau, 0, 1).take(np.zeros(8, dtype=int)))
         assert vals.shape == (8,)
         for s, v in zip(S, vals):
             assert v == pytest.approx(lemma_sup_grid(s, p, tau, 0, 1), abs=1e-6)
@@ -241,6 +244,102 @@ class TestLemmaForms:
             xr, fr = _golden_min_rows(lambda rows, v: (v - shift[r]) ** 2,
                                       lo[r:r + 1], hi[r:r + 1])
             assert (xr[0], fr[0]) == (x[r], fx[r])
+
+    def test_sup_closed_rows_mixed_branches(self):
+        # one call over rows of every branch and instance gives each row
+        # the value of its own instance alone, bit for bit
+        rng = np.random.default_rng(8)
+        cases = [(np.array([0.5, 0.3, 0.2]), tau, 0, 1)
+                 for tau in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)]
+        cases.append((np.array([0.7, 0.0, 0.3]), 1.0, 0, 1))
+        cases.append((np.array([0.7, 0.0, 0.3]), 0.5, 0, 1))
+        S = rng.normal(scale=2.0, size=(len(cases), 3))
+        q = bounds._SupRows(*map(np.concatenate, zip(*(
+            _sup_rows(*case) for case in cases))))
+        vals = _lemma_sup_closed_rows(S, q)
+        for s, case, v in zip(S, cases, vals):
+            alone = _lemma_sup_closed_rows(s[None, :], _sup_rows(*case))
+            assert alone[0] == v
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_sup_grid_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            lemma_sup_grid(np.array([0.0, 1.0]), np.array([0.6, 0.4]), tau)
+
+    def test_inf_batch_equals_one_call_per_instance(self):
+        # mixed label counts; tau exactly 1, inside (0, 2), exactly 2 and
+        # inside (2, 3); a given predicted label; a predicted label of zero
+        # probability
+        rng = np.random.default_rng(9)
+        ps, taus, preds = [], [], []
+        for k, tau in enumerate([1.0, 0.7, 2.0, 2.6, 1.0, 1.3, 2.0, 2.2,
+                                 0.0, 1.0]):
+            ps.append(rng.dirichlet(np.ones([2, 3, 5][k % 3])))
+            taus.append(tau)
+            preds.append(None)
+        preds[4] = int(np.argsort(ps[4])[0])  # n = 3: the least likely label
+        zero = np.array([0.6, 0.0, 0.1, 0.2, 0.1])
+        ps.append(zero)
+        taus.append(1.5)
+        preds.append(1)
+        ps.append(zero)
+        taus.append(1.0)
+        preds.append(1)
+        seeds = [100 + k for k in range(len(ps))]
+        batch = verify_lemma_inf_batch(ps, taus, seeds, preds)
+        assert len(batch) == len(ps)
+        for p, tau, seed, pred, res in zip(ps, taus, seeds, preds, batch):
+            alone = verify_lemma_inf(p, tau, pred_label=pred, seed=seed)
+            assert res.closed == alone.closed
+            assert res.brute == alone.brute
+            assert res.scores.tobytes() == alone.scores.tobytes()
+        assert batch[-1].scores[1] == 0.0
+        assert batch[-1].brute == pytest.approx(batch[-1].closed, abs=1e-6)
+
+    def test_inf_batch_of_nothing(self):
+        assert verify_lemma_inf_batch([], [], []) == []
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"pred_label": -1}, "pred_label"),
+        ({"pred_label": 7}, "pred_label"),
+        ({"pred_label": 1.5}, "pred_label"),
+        ({"n_starts": 0}, "n_starts"),
+        ({"n_starts": 2.5}, "n_starts"),
+        ({"spread": 0.0}, "spread"),
+        ({"spread": -1.0}, "spread"),
+        ({"spread": math.nan}, "spread"),
+        ({"seeds": [0, 1]}, "lengths"),
+        ({"pred_labels": [1, 2]}, "lengths"),
+    ])
+    def test_inf_rejects_bad_arguments(self, bad, match):
+        p = np.array([0.5, 0.3, 0.2])
+        batch = {"seeds": [0], **bad}
+        if "pred_label" in bad:
+            batch["pred_labels"] = [batch.pop("pred_label")]
+        with pytest.raises(ValueError, match=match):
+            verify_lemma_inf_batch([p], [1.0], **batch)
+        if "seeds" not in bad and "pred_labels" not in bad:
+            with pytest.raises(ValueError, match=match):
+                verify_lemma_inf(p, 1.0, **bad)
+
+    def test_lemmas_suite_searches_its_infima_in_one_batch(self, monkeypatch):
+        calls = []
+        batch = bounds.verify_lemma_inf_batch
+
+        def counted(ps, taus, seeds, *args, **kwargs):
+            calls.append(len(ps))
+            return batch(ps, taus, seeds, *args, **kwargs)
+
+        def single(*args, **kwargs):
+            raise AssertionError("the suite searched an infimum alone")
+
+        monkeypatch.setattr(bounds, "verify_lemma_inf_batch", counted)
+        monkeypatch.setattr(bounds, "verify_lemma_inf", single)
+        _, rows, violations = suites.run_lemmas_suite(n_sup=1, n_cons=1,
+                                                      n_psi=1)
+        assert calls == [24]
+        assert sum(row.startswith("inf,") for row in rows) == 24
+        assert violations == []
 
 
 class TestLearningBound:
