@@ -68,15 +68,14 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
     if not spec.is_symmetric:
         return BoundReport(tau, dist.n, math.nan, math.nan, math.nan,
                            flags=["precondition_unmet:not_symmetric"])
-    if not spec.is_complete:
-        flags.append("finite_box_closed_forms")
 
     scores = np.asarray(assignment, dtype=np.float64)
     if scores.shape != (len(dist.points), dist.n):
         raise ValueError("assignment must be one score vector per support point")
-    if spec.kind == "score_box" and not spec.is_complete:
+    if not spec.is_complete:
         if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
             raise ValueError("assignment leaves the spec's score box")
+        flags.append("finite_box_closed_forms")
 
     lhs = 0.0
     arg = 0.0
@@ -280,72 +279,83 @@ def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
                                         _sup_rows(p, tau, y_max, pred))[0])
 
 
-def _golden_max(f, lo, hi, iters=120):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a <= 1e-14 * (abs(a) + abs(b) + 1.0):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return max(fc, fd, f(mid))
+# lemma oracles: points of the supremum's mu grid; the infimum search's
+# box [-_INF_SPREAD, 0], starts per instance, descent steps, polish sweeps
+_SUP_GRID = 512
+_INF_SPREAD = 24.0
+_INF_STARTS = 6
+_INF_ITERS = 300
+_INF_POLISH_SWEEPS = 5
 
 
-def _family_gap(s, p, tau, y_max, pred, mu):
-    """``C(h) - C(h_mu)`` evaluated in difference form.
-
-    The family conserves the exp-sum, so every label outside
-    ``{y_max, pred}`` contributes identically to both sides and cancels
-    analytically; summing only the two participating labels avoids the
-    catastrophic cancellation that the naive difference suffers when floor
-    scores make individual losses enormous. ``mu`` may be an array of
-    family parameters, giving one gap per entry.
+def _family_gap_rows(K, mu):
+    """``C(h) - C(h_mu)`` in difference form at each row of the ``(R, m)``
+    family parameters ``mu``, with the constants of ``K``'s row (see
+    ``lemma_sup_grid_batch``). The family conserves the exp-sum, so every
+    label outside ``{y_max, pred}`` contributes identically to both sides
+    and cancels analytically; summing only the two participating labels
+    avoids the catastrophic cancellation that the naive difference suffers
+    when floor scores make individual losses enormous.
     """
-    lse = losses._logsumexp(s)
-    em_new = math.exp(s[pred]) - mu
-    ep_new = math.exp(s[y_max]) + mu
-    phi = losses._phi_of_gap_array
-    gap = p[y_max] * (phi(np.float64(lse - s[y_max]), tau)
-                      - phi(np.maximum(lse - np.log(em_new), 0.0), tau))
-    gap += p[pred] * (phi(np.float64(lse - s[pred]), tau)
-                      - phi(np.maximum(lse - np.log(ep_new), 0.0), tau))
-    return gap
+    lse, lo, hi, pm, ph, cm, cp, tau = K.T[:, :, None]
+    one = np.abs(tau - 1.0) < losses.TAU_BRANCH_TOL
+
+    def phi(v):  # losses._phi_of_gap_array with each row's own tau
+        v = np.maximum(v, 0.0)
+        return np.where(one, v + 0.0, np.expm1(np.minimum(
+            (1.0 - tau) * v, losses.EXP_CAP)) / np.where(one, 1.0, 1.0 - tau))
+
+    return pm * (cm - phi(lse - np.log(hi - mu))) \
+        + ph * (cp - phi(lse - np.log(mu - lo)))
 
 
-def lemma_sup_grid(scores, p, tau, y_max=None, pred=None, grid=512):
+def lemma_sup_grid(scores, p, tau, y_max=None, pred=None):
     """Grid-plus-golden-section supremum of ``C(h) - C(h_mu)`` over ``mu``.
 
-    Independent numerical oracle for ``lemma_sup_closed``; the supremum may
-    sit at the open boundary of the ``mu`` interval, so the grid stops a
-    relative 1e-12 short of it.
+    A batch of one: see ``lemma_sup_grid_batch``.
     """
-    s = losses.check_scores(scores)
-    p = risk.check_cond_dist(p, s.shape[0])
-    tau = check_tau(tau)
-    y_max = predict(p) if y_max is None else y_max
-    pred = predict(s) if pred is None else pred
+    return lemma_sup_grid_batch([scores], [p], [tau], [y_max], [pred])[0]
 
-    def f(mu):
-        return float(_family_gap(s, p, tau, y_max, pred, mu))
 
-    lo, hi = hbar_mu_range(s, y_max, pred)
-    lo, hi = lo * (1.0 - 1e-12), hi * (1.0 - 1e-12)
-    mus = np.linspace(lo, hi, grid)
-    vals = _family_gap(s, p, tau, y_max, pred, mus)
-    i = int(np.argmax(vals))
-    a = mus[max(i - 1, 0)]
-    b = mus[min(i + 1, grid - 1)]
-    return max(float(vals[i]), _golden_max(f, a, b))
+def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
+    """Supremum of ``C(h) - C(h_mu)`` over ``mu`` for each instance
+    ``(S[i], ps[i], taus[i])``: an independent numerical oracle for
+    ``lemma_sup_closed``. ``y_max`` defaults to the argmax of ``p`` and
+    ``pred`` to that of the scores (also where an entry is None).
+
+    The supremum may sit at the open boundary of the ``mu`` interval, so
+    each grid of ``_SUP_GRID`` points stops a relative 1e-12 short of it.
+    All grids are one gap evaluation, and one lockstep golden-section
+    search polishes between the grid neighbours of each best point.
+    """
+    none = [None] * len(S)
+    K = []  # per instance: lse, lo, hi, pm, ph, cm, cp, tau
+    phi = losses._phi_of_gap_array
+    for s, p, tau, y_max, pred in zip(
+            S, ps, taus, none if y_maxs is None else y_maxs,
+            none if preds is None else preds, strict=True):
+        s = losses.check_scores(s)
+        p = risk.check_cond_dist(p, s.shape[0])
+        tau = check_tau(tau)
+        y_max = predict(p) if y_max is None else y_max
+        pred = predict(s) if pred is None else pred
+        lo, hi = hbar_mu_range(s, y_max, pred)
+        lse = losses._logsumexp(s)
+        K.append((lse, lo, hi, p[y_max], p[pred],
+                  phi(np.float64(lse - s[y_max]), tau),
+                  phi(np.float64(lse - s[pred]), tau), tau))
+    K = np.array(K).reshape(-1, 8)
+    mus = np.linspace(K[:, 1] * (1.0 - 1e-12), K[:, 2] * (1.0 - 1e-12),
+                      _SUP_GRID, axis=1)
+    vals = _family_gap_rows(K, mus)
+    rows = np.arange(len(K))
+    i = vals.argmax(axis=1)
+    best = vals[rows, i]
+    _, low = _golden_min_rows(
+        lambda idx, mu: -_family_gap_rows(K[idx], mu[:, None])[:, 0],
+        mus[rows, np.maximum(i - 1, 0)],
+        mus[rows, np.minimum(i + 1, _SUP_GRID - 1)], 120, 1e-14)
+    return np.where(-low > best, -low, best).tolist()
 
 
 @dataclass
@@ -355,13 +365,14 @@ class LemmaInfResult:
     scores: np.ndarray
 
 
-def _golden_min_rows(f, lo, hi, iters=80):
+def _golden_min_rows(f, lo, hi, iters, tol):
     """Golden-section minimum of one 1-D function per row, rows in lockstep.
 
     ``f(rows, x)`` evaluates the functions of the rows indexed by ``rows``
     at the points ``x``. Each row stops once its bracket, which starts at
-    ``[lo, hi]``, has closed to a relative 1e-13 or after ``iters`` steps,
-    and stays frozen from then on. Returns each row's minimizer and value.
+    ``[lo, hi]``, has closed to a relative ``tol`` or after ``iters``
+    steps, and stays frozen from then on. Returns each row's minimizer and
+    value.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     rows = np.arange(len(lo))
@@ -373,7 +384,7 @@ def _golden_min_rows(f, lo, hi, iters=80):
     live = rows
     for _ in range(iters):
         al, bl = a[live], b[live]
-        live = live[~(bl - al <= 1e-13 * (np.abs(al) + np.abs(bl) + 1.0))]
+        live = live[~(bl - al <= tol * (np.abs(al) + np.abs(bl) + 1.0))]
         if live.size == 0:
             break
         left = fc[live] < fd[live]
@@ -392,41 +403,40 @@ def _golden_min_rows(f, lo, hi, iters=80):
     return x, np.where(at_mid, fm, np.where(at_c, fc, fd))
 
 
-def verify_lemma_inf(p, tau, pred_label=None, spread=24.0, seed=0,
-                     n_starts=6, iters=300, polish_sweeps=5):
+def verify_lemma_inf(p, tau, pred_label=None, seed=0):
     """Brute-force the infimum over scores of ``C(h) - inf_mu C(h_mu)``.
 
     A batch of one: see ``verify_lemma_inf_batch``, whose search this runs
     on the one instance ``(p, tau, seed, pred_label)``.
     """
-    return verify_lemma_inf_batch([p], [tau], [seed], [pred_label], spread,
-                                  n_starts, iters, polish_sweeps)[0]
+    return verify_lemma_inf_batch([p], [tau], [seed], [pred_label])[0]
 
 
-def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None, spread=24.0,
-                           n_starts=6, iters=300, polish_sweeps=5):
+def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     """``verify_lemma_inf`` on many instances; one ``LemmaInfResult`` each.
 
     The infimum of instance ``i`` runs over hypotheses predicting
     ``pred_labels[i]`` (default, or where the entry is None: the runner-up
     conditional label of ``ps[i]``). By shift invariance the predicted
     score is pinned at 0 and the remaining coordinates live in
-    ``[-spread, 0]``, which enforces the argmax constraint by construction.
-    Multi-start projected descent on the (separately grid-verified) closed
-    supremum form is followed by cyclic coordinate golden-section polish;
-    the starts are two fixed points and ``n_starts - 2`` uniform draws from
-    ``seeds[i]``. Instances with the same label count run in lockstep, each
-    start one row: each descent step evaluates the finite-difference probes
-    of every live row in one call of the closed form and their candidates
-    in a second, and each polish coordinate runs one golden-section search
-    over all rows. Every row keeps its own step size, stopping rule and
-    bracket, so an instance's result does not depend on the rest of the
-    batch; the first best start of an instance wins. The reported ``brute``
-    value re-evaluates the inner infimum numerically at the minimizer
-    found. ``closed`` is the two-argument transform at
-    ``alpha = p_top + p_pred``, ``beta = p_top - p_pred``. The two agree
-    for ``tau <= 2``; above that the closed form is only a lower bound of
-    the brute value (which is the direction the consistency bound uses).
+    ``[-_INF_SPREAD, 0]``, which enforces the argmax constraint by
+    construction. Multi-start projected descent on the (separately
+    grid-verified) closed supremum form is followed by cyclic coordinate
+    golden-section polish; the starts are two fixed points and
+    ``_INF_STARTS - 2`` uniform draws from ``seeds[i]``. Instances with the
+    same label count run in lockstep, each start one row: each descent step
+    evaluates the finite-difference probes of every live row in one call of
+    the closed form and their candidates in a second, and each polish
+    coordinate runs one golden-section search over all rows. Every row
+    keeps its own step size, stopping rule and bracket, so an instance's
+    result does not depend on the rest of the batch; the first best start
+    of an instance wins. The reported ``brute`` value re-evaluates the
+    inner infimum numerically at the minimizers found, one
+    ``lemma_sup_grid_batch`` call per label count. ``closed`` is the
+    two-argument transform at ``alpha = p_top + p_pred``,
+    ``beta = p_top - p_pred``. The two agree for ``tau <= 2``; above that
+    the closed form is only a lower bound of the brute value (which is the
+    direction the consistency bound uses).
     """
     ps = [risk.check_cond_dist(p) for p in ps]
     taus = [check_tau(tau) for tau in taus]
@@ -437,13 +447,6 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None, spread=24.0,
         raise ValueError("ps, taus, seeds and pred_labels must have equal "
                          f"lengths, got {len(ps)}, {len(taus)}, "
                          f"{len(seeds)} and {len(pred_labels)}")
-    if int(n_starts) != n_starts or n_starts < 1:
-        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts}")
-    spread = float(spread)
-    if not (math.isfinite(spread) and spread > 0.0):
-        raise ValueError("spread must be a finite positive real, "
-                         f"got {spread}")
-    n_starts = int(n_starts)
     tops, preds = [], []
     for p, pred in zip(ps, pred_labels):
         y_max = predict(p)
@@ -464,34 +467,33 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None, spread=24.0,
         starts = []
         for i in group:
             rng = np.random.default_rng(seeds[i])
-            starts += [np.zeros(dim), np.full(dim, -1.0)][:n_starts]
-            starts += [rng.uniform(-spread, 0.0, dim)
-                       for _ in range(n_starts - 2)]
+            starts += [np.zeros(dim), np.full(dim, -1.0)]
+            starts += [rng.uniform(-_INF_SPREAD, 0.0, dim)
+                       for _ in range(_INF_STARTS - 2)]
         # every start of every instance is one row
         q = _SupRows(*map(np.concatenate, zip(*(
             _sup_rows(ps[i], taus[i], tops[i], preds[i]) for i in group))))
-        q = q.take(np.repeat(np.arange(len(group)), n_starts))
+        q = q.take(np.repeat(np.arange(len(group)), _INF_STARTS))
         others = np.repeat([[j for j in range(n) if j != preds[i]]
-                            for i in group], n_starts, axis=0)
-        U, F = _lemma_inf_descent(np.array(starts), q, others, spread,
-                                  iters, polish_sweeps)
-        best = F.reshape(len(group), n_starts).argmin(axis=1)
-        for k, i in enumerate(group):
-            p, tau, y_max, pred = ps[i], taus[i], tops[i], preds[i]
-            s_best = np.empty(n)
-            s_best[pred] = 0.0
-            s_best[others[k * n_starts]] = U[k * n_starts + best[k]]
-            # honest re-evaluation: the numeric supremum over mu at the
-            # minimizer
-            brute = lemma_sup_grid(s_best, p, tau, y_max, pred)
-            alpha = float(p[y_max] + p[pred])
-            beta = float(p[y_max] - p[pred])
-            results[i] = LemmaInfResult(psi_tau(alpha, beta, tau, n), brute,
-                                        s_best)
+                            for i in group], _INF_STARTS, axis=0)
+        U, F = _lemma_inf_descent(np.array(starts), q, others)
+        first = np.arange(len(group)) * _INF_STARTS
+        best = first + F.reshape(len(group), _INF_STARTS).argmin(axis=1)
+        S_best = np.zeros((len(group), n))
+        S_best[np.arange(len(group))[:, None], others[first]] = U[best]
+        # honest re-evaluation: the numeric supremum over mu at each
+        # minimizer
+        brutes = lemma_sup_grid_batch(S_best, *zip(*(
+            (ps[i], taus[i], tops[i], preds[i]) for i in group)))
+        for i, s_best, brute in zip(group, S_best, brutes):
+            pm, ph = ps[i][tops[i]], ps[i][preds[i]]
+            results[i] = LemmaInfResult(
+                psi_tau(float(pm + ph), float(pm - ph), taus[i], n),
+                brute, s_best)
     return results
 
 
-def _lemma_inf_descent(U, q, others, spread, iters, polish_sweeps):
+def _lemma_inf_descent(U, q, others):
     """Lockstep descent and polish of the closed supremum from each row of
     the starts ``U``; returns the final ``U`` and its values.
 
@@ -511,12 +513,12 @@ def _lemma_inf_descent(U, q, others, spread, iters, polish_sweeps):
     fd_h = 1e-7
     cols = np.arange(dim)
     live = np.arange(R)
-    for _ in range(iters):
+    for _ in range(_INF_ITERS):
         if live.size == 0:
             break
         u = U[live]
         up = np.minimum(u + fd_h, 0.0)
-        um = np.maximum(u - fd_h, -spread)
+        um = np.maximum(u - fd_h, -_INF_SPREAD)
         # rows [0, dim) of each start move coordinate j up, [dim, 2 dim) down
         probes = np.repeat(u[:, None, :], 2 * dim, axis=1)
         probes[:, cols, cols] = up
@@ -525,7 +527,7 @@ def _lemma_inf_descent(U, q, others, spread, iters, polish_sweeps):
                         probes.reshape(-1, dim)).reshape(live.size, 2 * dim)
         g = np.zeros_like(u)
         np.divide(fpm[:, :dim] - fpm[:, dim:], up - um, out=g, where=up > um)
-        cand = np.clip(u - step[live, None] * g, -spread, 0.0)
+        cand = np.clip(u - step[live, None] * g, -_INF_SPREAD, 0.0)
         fc = objective(live, cand)
         better = fc < F[live]
         acc, rej = live[better], live[~better]
@@ -534,16 +536,16 @@ def _lemma_inf_descent(U, q, others, spread, iters, polish_sweeps):
         step[rej] *= 0.5
         live = live[better | (step[live] >= 1e-10)]
     # cyclic coordinate golden-section polish
-    for _ in range(polish_sweeps):
+    for _ in range(_INF_POLISH_SWEEPS):
         for j in range(dim):
             def along_j(idx, v, j=j):
                 V = U[idx]
                 V[:, j] = v
                 return objective(idx, V)
 
-            lo = np.maximum(U[:, j] - 2.0, -spread)
+            lo = np.maximum(U[:, j] - 2.0, -_INF_SPREAD)
             hi = np.minimum(U[:, j] + 2.0, 0.0)
-            v_best, f_best = _golden_min_rows(along_j, lo, hi)
+            v_best, f_best = _golden_min_rows(along_j, lo, hi, 80, 1e-13)
             better = f_best < F
             U[better, j], F[better] = v_best[better], f_best[better]
     return U, F
@@ -639,12 +641,8 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     m_gap = risk.minimizability_gap(dist, spec, tau, seed=seed)
     arg = m_gap + 4.0 * rademacher + concentration
 
-    tmax = t_tau_max(tau, n)
-    if arg > tmax:
-        return LearningBoundResult(1.0, realized, True, m_gap, rademacher,
-                                   rademacher_se, concentration, arg, b_tau,
-                                   m, delta, nonconverged)
-    bound = gamma_tau(arg, tau, n)
-    return LearningBoundResult(bound, realized, False, m_gap, rademacher,
+    vacuous = arg > t_tau_max(tau, n)
+    bound = 1.0 if vacuous else gamma_tau(arg, tau, n)
+    return LearningBoundResult(bound, realized, vacuous, m_gap, rademacher,
                                rademacher_se, concentration, arg, b_tau,
                                m, delta, nonconverged)

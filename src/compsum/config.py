@@ -47,7 +47,7 @@ CONFIG_KEYS = {
     "adv.rho": (float, 1.0),
     "adv.nu": (float, math.nan),  # nan selects the theory-compliant default
     "adv.gamma": (float, 0.3),
-    "adv.p_norm": (str, "inf"),
+    "adv.p_norm": (float, math.inf),
     "adv.pgd_steps": (int, 10),
     "adv.pgd_step_size": (float, math.nan),  # nan selects 2.5*gamma/steps
     "adv.restarts": (int, 1),
@@ -86,12 +86,6 @@ def load_config(path):
         return parse_config_text(fh.read(), path=path)
 
 
-def _p_norm_value(s):
-    if s in ("inf", "Inf", "INF"):
-        return math.inf
-    return float(s)
-
-
 def adv_params_from(values, n):
     nu = values["adv.nu"]
     step = values["adv.pgd_step_size"]
@@ -107,8 +101,7 @@ def adv_params_from(values, n):
 
 
 def ball_from(values):
-    return PerturbationBall(_p_norm_value(values["adv.p_norm"]),
-                            values["adv.gamma"])
+    return PerturbationBall(values["adv.p_norm"], values["adv.gamma"])
 
 
 def train_config_from(values, tau=None, adversarial=None, ball=None):

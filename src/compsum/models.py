@@ -123,14 +123,24 @@ class MLPModel(_FlatModel):
         return [self.dim, self.hidden, self.n_labels]
 
 
-def init_linear(dim, n_labels, seed=0, scale=None):
+def check_size(least=1, **sizes):
+    """Refuse any of the named ``sizes`` below ``least``, naming it."""
+    for name, value in sizes.items():
+        if not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def init_linear(dim, n_labels, seed=0):
+    check_size(dim=dim)
+    check_size(2, n_labels=n_labels)
     rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(dim) if scale is None else scale
-    return LinearModel(rng.normal(scale=scale, size=(n_labels, dim)),
-                       np.zeros(n_labels))
+    return LinearModel(rng.normal(scale=1.0 / math.sqrt(dim),
+                                  size=(n_labels, dim)), np.zeros(n_labels))
 
 
 def init_mlp(dim, hidden, n_labels, seed=0):
+    check_size(dim=dim, hidden=hidden)
+    check_size(2, n_labels=n_labels)
     rng = np.random.default_rng(seed)
     return MLPModel(
         rng.normal(scale=1.0 / math.sqrt(dim), size=(dim, hidden)),

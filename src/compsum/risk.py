@@ -276,26 +276,22 @@ def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
     return np.maximum(s, -lam)
 
 
-def pgd_starts(n, lam, rng, count=8, weights=None):
-    """Deterministic multi-start seeds: zeros, informative corners, random.
+def pgd_starts(c, lam, rng):
+    """``ORACLE_STARTS`` deterministic starts for the weights ``c``: zeros,
+    the corners that favour the largest and the smallest weight, random.
 
     The random starts are drawn uniformly from ``[-lam, lam]``, so a box
     whose width ``2 * lam`` is not a finite float is refused.
     """
     if not math.isfinite(2.0 * float(lam)):
         raise ValueError(f"score box half-width {lam:g} is too wide to search")
-    rows = [np.zeros(n)]
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        hi = np.full(n, -lam)
-        hi[int(np.argmax(w))] = lam
-        rows.append(hi)
-        lo = np.full(n, -lam)
-        lo[int(np.argmin(w))] = lam
-        rows.append(lo)
-    while len(rows) < count:
-        rows.append(rng.uniform(-lam, lam, size=n))
-    return np.stack(rows[:count])
+    n = len(c)
+    hi = np.full(n, -lam)
+    hi[int(np.argmax(c))] = lam
+    lo = np.full(n, -lam)
+    lo[int(np.argmin(c))] = lam
+    return np.stack([np.zeros(n), hi, lo] + [
+        rng.uniform(-lam, lam, size=n) for _ in range(ORACLE_STARTS - 3)])
 
 
 def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
@@ -307,7 +303,7 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
     c = np.ascontiguousarray(c, dtype=np.float64)
     tau = check_tau(tau)
     rng = np.random.default_rng(seed)
-    starts = pgd_starts(c.shape[0], lam, rng, count=ORACLE_STARTS, weights=c)
+    starts = pgd_starts(c, lam, rng)
     val, scores, conv = pgd_box_weighted_min(
         c, tau, float(lam), np.ascontiguousarray(starts), max_iter, ORACLE_GTOL
     )
@@ -336,11 +332,8 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
         return [minimize_weighted_cond_risk(c, tau, lam, seed=s,
                                             max_iter=max_iter)
                 for c, s in zip(C, seeds)]
-    starts = np.stack([
-        pgd_starts(C.shape[1], lam, np.random.default_rng(s),
-                   count=ORACLE_STARTS, weights=c)
-        for c, s in zip(C, seeds)
-    ])
+    starts = np.stack([pgd_starts(c, lam, np.random.default_rng(s))
+                       for c, s in zip(C, seeds)])
     vals, scores, conv = pgd_box_weighted_min_batch(
         C, tau, float(lam), starts, max_iter, ORACLE_GTOL)
     return [BruteResult(float(v), x, bool(ok))
@@ -365,9 +358,7 @@ def cond_risk_star(p, tau, spec, **kw):
     """Closed form when the spec is complete, brute force otherwise."""
     if spec.kind == "score_box" and spec.is_complete:
         return cond_risk_star_closed(p, tau)
-    if spec.kind == "score_box":
-        return cond_risk_star_brute(p, tau, spec, **kw).value
-    raise ValueError("pointwise best-in-class risk needs a score_box spec")
+    return cond_risk_star_brute(p, tau, spec, **kw).value
 
 
 def calibration_gap(scores, p, tau, spec, **kw):

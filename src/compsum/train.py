@@ -21,7 +21,7 @@ from .adversarial import (
     pgd_maximize,
 )
 from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
-from .models import init_linear, init_mlp
+from .models import check_size, init_linear, init_mlp
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,17 @@ class SyntheticDataset:
 
 
 def gaussian_mixture_dataset(n_classes=10, dim=20, n_train=5000, n_test=1000,
-                             center_scale=2.0, noise=2.0, seed=0,
-                             priors=None):
+                             center_scale=2.0, noise=2.0, seed=0):
     """Gaussian mixture with one spherical cluster per class.
 
     ``center_scale`` controls class separation, ``noise`` the within-class
     spread; together they set the Bayes accuracy of the benchmark.
     """
+    check_size(2, n_classes=n_classes)
+    check_size(dim=dim, n_train=n_train, n_test=n_test)
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=center_scale, size=(n_classes, dim))
-    priors = np.full(n_classes, 1.0 / n_classes) if priors is None \
-        else np.asarray(priors, dtype=np.float64)
+    priors = np.full(n_classes, 1.0 / n_classes)
 
     def draw(count):
         ys = rng.choice(n_classes, size=count, p=priors)
@@ -72,6 +72,7 @@ def margin_task_dataset(n_train=400, n_test=800, dim=20, center=0.8,
     encourages) hands the max-norm attack a budget of ``gamma`` in every
     leaked dimension.
     """
+    check_size(dim=dim, n_train=n_train, n_test=n_test)
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -111,6 +112,11 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0.0):
+            raise ValueError("lr0 must be finite and positive")
+        check_size(epochs=self.epochs, batch_size=self.batch_size)
+        if not 0.0 <= self.holdout_frac < 1.0:
+            raise ValueError("holdout_frac must lie in [0, 1)")
         if (self.adversarial is None) != (self.ball is None):
             raise ValueError("adversarial params and ball go together")
 

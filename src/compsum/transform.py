@@ -75,7 +75,7 @@ def t_tau_max(tau, n):
     return t_tau(1.0, tau, n)
 
 
-def gamma_tau(t, tau, n, max_iter=200):
+def gamma_tau(t, tau, n):
     """Inverse of the transform by bisection on the monotone ``t_tau``.
 
     Bisection runs to interval convergence (residuals end up far below
@@ -100,7 +100,7 @@ def gamma_tau(t, tau, n, max_iter=200):
         return min((tau - 1.0) * n ** (tau - 1.0) * t, 1.0)
 
     lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _t_tau_unchecked(mid, tau, n) < t:
             lo = mid

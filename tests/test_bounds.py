@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from compsum import bounds, suites, transform
+from compsum import bounds, losses, suites, transform
 from compsum.bounds import (
     BOUND_CSV_HEADER,
     _golden_min_rows,
@@ -18,6 +18,7 @@ from compsum.bounds import (
     learning_bound,
     lemma_sup_closed,
     lemma_sup_grid,
+    lemma_sup_grid_batch,
     tightness_sides,
     verify_h_consistency_bound,
     verify_lemma_inf,
@@ -231,7 +232,7 @@ class TestLemmaForms:
             calls.append(rows)
             return (x - shift[rows]) ** 2
 
-        x, fx = _golden_min_rows(f, lo, hi)
+        x, fx = _golden_min_rows(f, lo, hi, 80, 1e-13)
         np.testing.assert_allclose(x, shift, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(fx, (x - shift) ** 2, rtol=0.0, atol=0.0)
         for k, rows in enumerate(calls[1:-1]):
@@ -242,7 +243,7 @@ class TestLemmaForms:
         assert len({len(s) for s in steps}) > 1
         for r in range(len(lo)):
             xr, fr = _golden_min_rows(lambda rows, v: (v - shift[r]) ** 2,
-                                      lo[r:r + 1], hi[r:r + 1])
+                                      lo[r:r + 1], hi[r:r + 1], 80, 1e-13)
             assert (xr[0], fr[0]) == (x[r], fx[r])
 
     def test_sup_closed_rows_mixed_branches(self):
@@ -312,14 +313,16 @@ class TestLemmaForms:
         ({"pred_labels": [1, 2]}, "lengths"),
     ])
     def test_inf_rejects_bad_arguments(self, bad, match):
+        # n_starts and spread are fixed settings, no longer arguments
+        error = TypeError if match in ("n_starts", "spread") else ValueError
         p = np.array([0.5, 0.3, 0.2])
         batch = {"seeds": [0], **bad}
         if "pred_label" in bad:
             batch["pred_labels"] = [batch.pop("pred_label")]
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             verify_lemma_inf_batch([p], [1.0], **batch)
         if "seeds" not in bad and "pred_labels" not in bad:
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(error, match=match):
                 verify_lemma_inf(p, 1.0, **bad)
 
     def test_lemmas_suite_searches_its_infima_in_one_batch(self, monkeypatch):
@@ -340,6 +343,76 @@ class TestLemmaForms:
         assert calls == [24]
         assert sum(row.startswith("inf,") for row in rows) == 24
         assert violations == []
+
+    def test_sup_grid_batch_equals_one_call_per_instance(self):
+        # mixed label counts; tau exactly 1, inside (0, 2), exactly 2 and
+        # above; a zero probability; given and default top and predicted
+        # labels
+        rng = np.random.default_rng(10)
+        S, ps, taus, tops, preds = [], [], [], [], []
+        for k, tau in enumerate([1.0, 0.4, 1.7, 2.0, 2.8, 0.0, 1.0, 2.5]):
+            n = [2, 3, 5][k % 3]
+            p = rng.dirichlet(np.ones(n))
+            s = rng.normal(scale=2.0, size=n)
+            top = losses.predict(p)
+            s[(top + 1) % n] = s.max() + 0.5  # the prediction misses the top
+            S.append(s)
+            ps.append(p)
+            taus.append(tau)
+            tops.append(top if k % 2 else None)
+            preds.append((top + 1) % n if k % 4 == 1 else None)
+        S.append(np.array([0.3, 1.2, -0.4]))
+        ps.append(np.array([0.7, 0.0, 0.3]))  # the predicted label has p = 0
+        taus.append(1.0)
+        tops.append(0)
+        preds.append(1)
+        batch = lemma_sup_grid_batch(S, ps, taus, tops, preds)
+        assert len(batch) == len(S)
+        for args, value in zip(zip(S, ps, taus, tops, preds), batch):
+            assert lemma_sup_grid(*args) == value
+        # the defaults are the argmaxes of p and of the scores
+        assert lemma_sup_grid_batch(S, ps, taus) == lemma_sup_grid_batch(
+            S, ps, taus, [losses.predict(p) for p in ps],
+            [losses.predict(s) for s in S])
+        for s, p, tau, value in zip(S, ps, taus, batch):
+            assert value == pytest.approx(lemma_sup_closed(s, p, tau),
+                                          abs=1e-6)
+
+    def test_lemmas_suite_grids_its_suprema_in_one_batch(self, monkeypatch):
+        calls = []
+        batch = bounds.lemma_sup_grid_batch
+
+        def counted(S, *args, **kwargs):
+            calls.append(len(S))
+            return batch(S, *args, **kwargs)
+
+        def single(*args, **kwargs):
+            raise AssertionError("the suite gridded a supremum alone")
+
+        monkeypatch.setattr(bounds, "lemma_sup_grid_batch", counted)
+        monkeypatch.setattr(bounds, "lemma_sup_grid", single)
+        _, rows, violations = suites.run_lemmas_suite(n_inf=0, n_cons=1,
+                                                      n_psi=1)
+        assert calls == [60]
+        assert sum(row.startswith("sup,") for row in rows) == 60
+        assert violations == []
+
+    def test_inf_batch_grids_each_label_count_once(self, monkeypatch):
+        calls = []
+        batch = bounds.lemma_sup_grid_batch
+
+        def counted(S, *args, **kwargs):
+            calls.append(np.shape(S))
+            return batch(S, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "lemma_sup_grid_batch", counted)
+        rng = np.random.default_rng(11)
+        ps = [rng.dirichlet(np.ones(n)) for n in (5, 2, 3, 2, 5, 2)]
+        results = verify_lemma_inf_batch(ps, [0.5, 1.0, 1.5, 2.0, 2.5, 1.0],
+                                         range(6))
+        assert calls == [(3, 2), (1, 3), (2, 5)]
+        for res in results[:4]:
+            assert res.brute == pytest.approx(res.closed, abs=1e-6)
 
 
 class TestLearningBound:

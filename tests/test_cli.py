@@ -204,6 +204,29 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("line, field", [
+        ("train.epochs = 0", "epochs"),
+        ("train.epochs = -2", "epochs"),
+        ("train.batch_size = 0", "batch_size"),
+        ("train.lr0 = 0", "lr0"),
+        ("train.holdout_frac = 1.5", "holdout_frac"),
+        ("model.hidden = 0", "hidden"),
+        ("data.dim = 0", "dim"),
+        ("data.train = 0", "n_train"),
+        ("data.test = 0", "n_test"),
+        ("data.classes = 1", "n_classes"),
+    ])
+    def test_bad_size_exits_one_without_traceback(self, tmp_path, capsys,
+                                                  line, field):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG + line + "\n")
+        out = tmp_path / "m.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_round_trip_with_checkpoint(self, tmp_path, capsys):

@@ -289,8 +289,7 @@ def test_one_problem_kernel_call_pattern(monkeypatch):
     monkeypatch.setattr(_kernels, "weighted_cond_value", counted_value)
     monkeypatch.setattr(_kernels, "weighted_cond_value_grad", counted_grad)
     c = np.array([0.45, 0.3, 0.15, 0.1])
-    starts = risk.pgd_starts(4, 30.0, np.random.default_rng(2), count=8,
-                             weights=c)
+    starts = risk.pgd_starts(c, 30.0, np.random.default_rng(2))
     _, _, conv = risk.pgd_box_weighted_min(c, 1.6, 30.0, starts, 10000,
                                            1e-10)
     assert conv

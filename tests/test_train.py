@@ -44,6 +44,35 @@ class TestSchedule:
             TrainConfig(adversarial=AdvParams(n=2))  # ball missing
 
 
+class TestSizeChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("lr0", 0.0),
+        ("lr0", -0.1), ("lr0", math.inf), ("lr0", math.nan),
+        ("holdout_frac", 1.0), ("holdout_frac", 1.5), ("holdout_frac", -0.1),
+    ])
+    def test_train_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("make, kwargs, field", [
+        (init_linear, dict(dim=0, n_labels=3), "dim"),
+        (init_linear, dict(dim=4, n_labels=1), "n_labels"),
+        (init_mlp, dict(dim=0, hidden=6, n_labels=3), "dim"),
+        (init_mlp, dict(dim=4, hidden=0, n_labels=3), "hidden"),
+        (init_mlp, dict(dim=4, hidden=6, n_labels=1), "n_labels"),
+        (gaussian_mixture_dataset, dict(n_classes=1), "n_classes"),
+        (gaussian_mixture_dataset, dict(dim=0), "dim"),
+        (gaussian_mixture_dataset, dict(n_train=0), "n_train"),
+        (gaussian_mixture_dataset, dict(n_test=-1), "n_test"),
+        (margin_task_dataset, dict(dim=0), "dim"),
+        (margin_task_dataset, dict(n_train=0), "n_train"),
+        (margin_task_dataset, dict(n_test=0), "n_test"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_models_and_datasets_reject(self, make, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            make(**kwargs)
+
+
 class TestStandardTraining:
     def test_determinism_bit_identical(self):
         data = small_data()
