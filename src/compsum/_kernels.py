@@ -1,21 +1,20 @@
-"""Hot numeric kernels of the box oracle.
+"""The projected Newton engine: box oracle and linear-gap joint minimum.
 
-The brute-force conditional-risk oracle (and the Monte-Carlo complexity
-estimator) minimizes ``sum_y c[y] * loss(s, y, tau)`` over a box
-``[-lam, lam]^n`` from several starts by safeguarded projected Newton
-steps (Bertsekas 1982, SIAM J. Control Optim. 20:221) on the closed-form
-score Hessian, which is cheap at the label counts used here. First-order
-steps stall where the objective flattens exponentially along the score
-spread (tau near 1.2 to 1.75); Newton steps do not. An iteration is one
-Armijo search along the projected Newton arc; a start whose arc finds no
-decrease is numerically stationary and stops.
-
-The weighted value, its score gradient and its Hessian exist once each,
-row-wise: one row of scores per start. Two kernels run the same iteration,
-``_newton_step``, on them: ``pgd_box_weighted_min`` solves one problem,
-one start after another, on one-row arrays; ``pgd_box_weighted_min_batch``
-runs every start of many problems in lockstep. From the same start both
-take the same steps, bit for bit.
+Every box minimization in the package takes safeguarded projected Newton
+steps (Bertsekas 1982, SIAM J. Control Optim. 20:221) on an objective's
+exact Hessian, one row of variables per start; an iteration,
+``_newton_step``, is one Armijo search along the projected Newton arc, and
+a start whose arc finds no decrease is numerically stationary and stops.
+First-order steps stall where the objective flattens exponentially along
+the score spread (tau near 1.2 to 1.75); Newton steps do not. An objective
+gives each row's value, gradient and Hessian, and its restriction to some
+rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
+tau)``, whose value, score gradient and Hessian exist once each, row-wise.
+``pgd_box_weighted_min`` solves one oracle problem, one start after
+another on one-row arrays; ``newton_box_min`` runs rows in lockstep, for
+``pgd_box_weighted_min_batch`` (every start of many oracle problems) and
+for the joint minimum over a linear family's shared weights (``risk``).
+From the same start both oracle kernels take the same steps, bit for bit.
 """
 
 import numpy as np
@@ -92,22 +91,41 @@ def _pg_norm(X, G, lam):
     return np.sqrt(_rows_sum(d * d))
 
 
-def _newton_dirs(X, G, C, tau, lam, pgn):
+class WeightedCondRisk:
+    """Row ``r`` minimizes ``sum_y C[r, y] * loss(S[r], y, tau)``."""
+
+    def __init__(self, C, tau):
+        self.C, self.tau = C, tau
+
+    def value(self, S):
+        return weighted_cond_value(S, self.C, self.tau)
+
+    def value_grad(self, S):
+        return weighted_cond_value_grad(S, self.C, self.tau)
+
+    def hessian(self, S):
+        return weighted_cond_hessian(S, self.C, self.tau)
+
+    def rows(self, keep):
+        return WeightedCondRisk(self.C[keep], self.tau)
+
+
+def _newton_dirs(obj, X, G, lam, pgn):
     """Projected Newton directions (Bertsekas 1982) for each row.
 
     A coordinate within ``min(1e-6, pgn)`` of a bound whose gradient
     points out of the box is active: its row and column of the Hessian
     become the identity's and its gradient 0, so it does not move. The
-    reduced Hessian is singular along the all-ones direction (the loss
-    ignores a common shift) and indefinite for tau > 1 or negated ``c``, so
-    its eigenvalues enter by magnitude, floored at ``1e-12 * max(1,
-    max |eigenvalue|)``; the direction is then one of descent.
+    reduced Hessian can be singular (the oracle's loss ignores a common
+    shift of the scores) and is indefinite for tau > 1 or negated ``c``, so
+    its eigenvalues enter by magnitude, floored at ``1e-12 * max(1, max
+    |eigenvalue|)``; the direction is then one of descent.
     """
     eps = np.minimum(1e-6, pgn)[:, None]
     active = (((X <= -lam + eps) & (G > 0.0))
               | ((X >= lam - eps) & (G < 0.0)))
     free = ~active
-    H = weighted_cond_hessian(X, C, tau)
+    H = obj.hessian(X)
     H *= free[:, :, None] & free[:, None, :]
     diag = np.arange(X.shape[1])
     H[:, diag, diag] += active
@@ -121,7 +139,7 @@ def _newton_dirs(X, G, C, tau, lam, pgn):
     return D
 
 
-def _arc_search(X, D, G, F, C, tau, lam):
+def _arc_search(obj, X, D, G, F, lam):
     """Armijo search along each row's projected arc ``P(x + alpha d)``.
 
     Every row tries ``alpha = 1, 1/2, 1/4, ...`` until ``g . (P(x + alpha
@@ -139,38 +157,34 @@ def _arc_search(X, D, G, F, C, tau, lam):
         z = np.clip(X + alpha * D, -lam, lam)
         d = z - X
         gd = _rows_sum(G * d)
-        f = weighted_cond_value(z, C, tau)
+        f = obj.value(z)
         ok = (gd < 0.0) & (f <= F + 1e-4 * gd + 1e-15 * np.abs(F))
         done = pend[ok]
         accepted[done] = True
         xn[done] = z[ok]
         fn[done] = f[ok]
         keep = ~ok & (_rows_sum(d * d) != 0.0)
-        pend, X, D, G, F, C = (pend[keep], X[keep], D[keep], G[keep],
-                               F[keep], C[keep])
+        pend, X, D, G, F = pend[keep], X[keep], D[keep], G[keep], F[keep]
+        obj = obj.rows(keep)
         alpha *= 0.5
     return accepted, xn, fn
 
 
-def _newton_step(X, G, F, C, tau, lam, pgn):
+def _newton_step(obj, X, G, F, lam, pgn):
     """One safeguarded projected Newton iteration for every row: the Armijo
     search along the projected Newton arc. Returns (moved, new points, their
     values); a row whose arc fails did not move and is numerically
     stationary."""
-    D = _newton_dirs(X, G, C, tau, lam, pgn)
-    return _arc_search(X, D, G, F, C, tau, lam)
+    D = _newton_dirs(obj, X, G, lam, pgn)
+    return _arc_search(obj, X, D, G, F, lam)
 
 
 def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     """Minimize sum_y c[y] * loss(s, y, tau) over the box [-lam, lam]^n.
 
-    Multi-start safeguarded projected Newton descent; one iteration is
-    ``_newton_step`` on a single row, with the gradient from
-    ``weighted_cond_value_grad``. A start stops when its unit-step
-    projected-gradient norm is at most ``gtol``, when the value has not
-    moved over a 64-iteration window, or when its Newton arc finds no
-    decrease (numerically stationary); only a start still running at
-    ``max_iter`` has not converged.
+    Multi-start safeguarded projected Newton descent with the stop tests of
+    ``newton_box_min``, one start after another; one iteration is
+    ``_newton_step`` on a single row of ``WeightedCondRisk``.
 
     ``starts`` is a (k, n) array of initial points (clipped into the box);
     starts run sequentially and the minimum is reduced in start order, so
@@ -183,13 +197,14 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     all_conv = True
 
     x = np.empty(n)
-    # one-row views; every start's value is taken on this same buffer,
+    # one-row view; every start's value is taken on this same buffer,
     # which is how the benchmark's tracer counts starts
-    X, C = x[None, :], c[None, :]
+    X = x[None, :]
+    obj = WeightedCondRisk(c[None, :], tau)
 
     for si in range(k):
         np.clip(starts[si], -lam, lam, out=x)
-        F = weighted_cond_value(X, C, tau)
+        F = obj.value(X)
         f_checkpoint = F[0]
         # every break is a converged stop; only the cap reaches ``else``
         for it in range(1, max_iter + 1):
@@ -200,11 +215,11 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
                 if f_checkpoint - F[0] <= 1e-15 * (1.0 + abs(F[0])):
                     break
                 f_checkpoint = F[0]
-            _, G = weighted_cond_value_grad(X, C, tau)
+            _, G = obj.value_grad(X)
             pgn = _pg_norm(X, G, lam)
             if pgn[0] <= gtol:
                 break
-            moved, xn, fn = _newton_step(X, G, F, C, tau, lam, pgn)
+            moved, xn, fn = _newton_step(obj, X, G, F, lam, pgn)
             if not moved[0]:
                 # the Newton arc finds no decrease: numerically stationary
                 break
@@ -219,28 +234,26 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     return best_f, best_x, all_conv
 
 
-def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
-    """Lockstep form of ``pgd_box_weighted_min`` for B problems on one box.
+def newton_box_min(obj, starts, lam, max_iter, gtol):
+    """Minimize each row of ``obj`` over ``[-lam, lam]`` from the matching
+    row of ``starts`` (clipped into the box), all rows in lockstep.
 
-    ``C`` is (B, n) and ``starts`` is (B, k, n). Every start of every
-    problem is one row. All rows take their iterations together through
-    the same ``_newton_step``, each row with its own line search, so every
-    row takes bit for bit the steps that ``pgd_box_weighted_min`` takes
-    from the same start, with the same stop tests. Rows leave the arrays as
-    they stop. Per problem the best start is the first minimum in start
-    order, and it converged when every start did.
-    Returns (values (B,), scores (B, n), converged (B,)).
+    A row stops when its unit-step projected-gradient norm is at most
+    ``gtol``, when its Newton arc finds no decrease (numerically
+    stationary), or when its value has not moved over a 64-iteration window
+    (the gradient test can stay above tolerance at float resolution on very
+    flat objectives); only a row still running at ``max_iter`` has not
+    converged. Rows leave the arrays as they stop. Returns per row (values,
+    points, converged).
     """
-    B, k, n = starts.shape
-    R = B * k
+    R = starts.shape[0]
     f_out = np.empty(R)
-    x_out = np.empty((R, n))
+    x_out = np.empty(starts.shape)
     conv_out = np.zeros(R, dtype=bool)
 
     rows = np.arange(R)
-    c = np.repeat(C, k, axis=0)
-    x = np.clip(starts.reshape(R, n), -lam, lam)
-    fx = weighted_cond_value(x, c, tau)
+    x = np.clip(starts, -lam, lam)
+    fx = obj.value(x)
     f_checkpoint = fx.copy()
     it = 0
     while rows.size and it < max_iter:
@@ -251,13 +264,13 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
         if it % 64 == 0:
             stop = f_checkpoint - fx <= 1e-15 * (1.0 + np.abs(fx))
             f_checkpoint = fx.copy()
-        _, g = weighted_cond_value_grad(x, c, tau)
+        _, g = obj.value_grad(x)
         pgn = _pg_norm(x, g, lam)
         stop |= pgn <= gtol
 
         live = np.flatnonzero(~stop)
-        moved, xn, fn = _newton_step(x[live], g[live], fx[live], c[live], tau,
-                                     lam, pgn[live])
+        moved, xn, fn = _newton_step(obj.rows(live), x[live], g[live],
+                                     fx[live], lam, pgn[live])
         stop[live[~moved]] = True
         a = live[moved]
         x[a] = xn[moved]
@@ -269,10 +282,27 @@ def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
             x_out[done] = x[stop]
             conv_out[done] = True
             keep = ~stop
-            rows, c, x = rows[keep], c[keep], x[keep]
+            rows, x, obj = rows[keep], x[keep], obj.rows(keep)
             fx, f_checkpoint = fx[keep], f_checkpoint[keep]
     f_out[rows] = fx
     x_out[rows] = x
+    return f_out, x_out, conv_out
+
+
+def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
+    """Lockstep form of ``pgd_box_weighted_min`` for B problems on one box.
+
+    ``C`` is (B, n) and ``starts`` is (B, k, n); every start of every
+    problem is one row of ``newton_box_min``, so every row takes bit for
+    bit the steps that ``pgd_box_weighted_min`` takes from the same start.
+    Per problem the best start is the first minimum in start order, and it
+    converged when every start did.
+    Returns (values (B,), scores (B, n), converged (B,)).
+    """
+    B, k, n = starts.shape
+    f_out, x_out, conv_out = newton_box_min(
+        WeightedCondRisk(np.repeat(C, k, axis=0), tau),
+        starts.reshape(B * k, n), lam, max_iter, gtol)
 
     f_out = f_out.reshape(B, k)
     x_out = x_out.reshape(B, k, n)

@@ -198,6 +198,9 @@ def _split_holdout(X, y, frac, rng):
     m = X.shape[0]
     idx = rng.permutation(m)
     cut = max(int(m * frac), 1) if frac > 0 else 0
+    if cut >= m:
+        raise ValueError(f"holdout_frac must leave a training point: "
+                         f"{frac:g} of a training set of {m} leaves none")
     val, tr = idx[:cut], idx[cut:]
     return X[tr], y[tr], X[val], y[val]
 

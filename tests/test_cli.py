@@ -213,6 +213,7 @@ class TestTrainCommand:
         ("model.hidden = 0", "hidden"),
         ("data.dim = 0", "dim"),
         ("data.train = 0", "n_train"),
+        ("data.train = 1", "holdout_frac"),
         ("data.test = 0", "n_test"),
         ("data.classes = 1", "n_classes"),
     ])

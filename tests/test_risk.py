@@ -493,15 +493,18 @@ class TestMinimizabilityGap:
             minimizability_gap(dist, linear_family(2, 2, weight_bound=50.0),
                                1.0, max_iter=1)
 
+    @pytest.mark.filterwarnings("error")
     def test_linear_conflict_is_positive(self):
         # two points with identical features but opposite labels force a
-        # shared score vector
+        # shared score vector, whose best is the uniform one: the gap is
+        # log 2 - H(0.9, 0.1)
         dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
                                    xs=[[1.0], [1.0]])
         gap = minimizability_gap(dist, linear_family(2, 1, weight_bound=10.0),
                                  1.0)
-        assert gap > 0.1
+        assert abs(gap - 0.368064207168497) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_linear_with_separable_features_vanishes(self):
         # distinguishable features let the joint optimum match the
         # pointwise optima
@@ -509,9 +512,12 @@ class TestMinimizabilityGap:
                                    xs=[[1.0, 0.0], [0.0, 1.0]])
         gap = minimizability_gap(dist, linear_family(2, 2, weight_bound=50.0),
                                  1.0, seed=3)
-        assert abs(gap) <= 1e-6
+        assert abs(gap) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_nonnegative(self):
+        # two points, six scores and nine affine parameters: the true gap is
+        # 0, and both minima are found
         rng = np.random.default_rng(7)
         for i in range(5):
             dist = finite_distribution(
@@ -519,7 +525,27 @@ class TestMinimizabilityGap:
                 xs=rng.normal(size=(2, 2)))
             gap = minimizability_gap(dist, linear_family(3, 2, weight_bound=5.0),
                                      1.5, seed=i)
-            assert gap >= -1e-9
+            assert 0.0 <= gap <= 1e-12
+
+    @pytest.mark.parametrize("kernel", ["newton_box_min",
+                                        "pgd_box_weighted_min"])
+    def test_unconverged_solve_warns(self, monkeypatch, kernel):
+        # an unconverged joint (newton_box_min) or per-point
+        # (pgd_box_weighted_min) solve makes the gap a warned estimate
+        original = getattr(risk, kernel)
+
+        def unconverged(*args):
+            out = original(*args)
+            return out[:2] + (np.zeros_like(out[2]),)
+
+        monkeypatch.setattr(risk, kernel, unconverged)
+        dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
+                                   xs=[[1.0], [1.0]])
+        with pytest.warns(RuntimeWarning, match="did not converge") as rec:
+            gap = minimizability_gap(
+                dist, linear_family(2, 1, weight_bound=10.0), 1.0)
+        assert len(rec) == 1
+        assert abs(gap - 0.368064207168497) <= 1e-12
 
 
 class TestDeterministicGapBound:

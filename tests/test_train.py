@@ -72,6 +72,20 @@ class TestSizeChecks:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             make(**kwargs)
 
+    @pytest.mark.filterwarnings("error")
+    def test_split_leaving_no_training_point_rejected(self):
+        # the holdout keeps at least one point whenever holdout_frac > 0,
+        # which leaves a one-point training set nothing to train on
+        data = gaussian_mixture_dataset(n_train=1, seed=0)
+        model = make_model("linear", data.X_train.shape[1], data.n_classes,
+                           seed=0)
+        with pytest.raises(ValueError,
+                           match="^holdout_frac must .* training set of 1 "):
+            train_standard(data, model, TrainConfig(epochs=1))
+        _, hist = train_standard(data, model,
+                                 TrainConfig(epochs=1, holdout_frac=0.0))
+        assert math.isfinite(hist[0]["train_loss"])
+
 
 class TestStandardTraining:
     def test_determinism_bit_identical(self):
