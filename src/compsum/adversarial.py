@@ -27,11 +27,22 @@ from .models import LinearModel
 SUPPORTED_P_NORMS = (1.0, 2.0, math.inf)
 
 
+def _check_finite_positive(**values):
+    """Refuse any of the named ``values`` that is not finite and positive,
+    naming it."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value}")
+
+
 @dataclass(frozen=True)
 class PerturbationBall:
     """Input-space ball ``{x': ||x - x'||_p <= gamma}``.
 
     ``gamma = 0`` is accepted as the degenerate ball (clean evaluation).
+    A NaN or infinite radius is refused: no attacked point would ever
+    beat the clean one, and the robust accuracy would read as the clean.
     """
 
     p_norm: float
@@ -40,8 +51,9 @@ class PerturbationBall:
     def __post_init__(self):
         if float(self.p_norm) not in SUPPORTED_P_NORMS:
             raise ValueError(f"p_norm must be one of {SUPPORTED_P_NORMS}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(
+                f"gamma must be finite and nonnegative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -64,15 +76,17 @@ class AdvParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        _check_finite_positive(rho=self.rho)
         nu_min = math.sqrt(self.n - 1) / self.rho
         if self.nu is None:
             object.__setattr__(self, "nu", max(1.0, nu_min))
-        elif self.nu < nu_min - 1e-12:
-            raise ValueError(f"nu={self.nu} below the required {nu_min}")
+        elif not (math.isfinite(self.nu) and self.nu >= nu_min - 1e-12):
+            raise ValueError(f"nu={self.nu} must be finite and at least "
+                             f"the required {nu_min}")
         if self.pgd_steps < 1 or self.restarts < 1:
             raise ValueError("pgd_steps and restarts must be >= 1")
+        if self.pgd_step_size is not None:
+            _check_finite_positive(pgd_step_size=self.pgd_step_size)
 
     def step_size(self, ball):
         if self.pgd_step_size is not None:
@@ -103,47 +117,63 @@ def rho_margin_subgrad(u, rho):
 # ---------------------------------------------------------------------------
 
 def _l1_project_rows(delta, radius):
-    """Row-wise Euclidean projection onto the l1 ball of given radius."""
-    out = delta.copy()
-    norms = np.abs(out).sum(axis=1)
-    for i in np.flatnonzero(norms > radius):
-        v = np.abs(out[i])
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u)
-        ks = np.arange(1, v.size + 1)
-        cond = u - (css - radius) / ks > 0
-        k = ks[cond][-1]
-        theta = (css[k - 1] - radius) / k
-        out[i] = np.sign(out[i]) * np.maximum(v - theta, 0.0)
-    return out
+    """Row-wise Euclidean projection onto the l1 ball of the given radius,
+    in place; returns ``delta``.
+
+    All rows outside the ball are sorted at once (Duchi et al., 2008):
+    with ``u`` a row's magnitudes in descending order and ``css`` their
+    running sums, ``k`` is the last index with ``u_k > (css_k - r) / k``
+    and the magnitudes shrink by ``theta = (css_k - r) / k``.
+    """
+    mag = np.abs(delta)
+    out = np.flatnonzero(mag.sum(axis=1) > radius)
+    if out.size == 0:
+        return delta
+    v = mag[out]
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, v.shape[1] + 1)
+    cond = u - (css - radius) / ks > 0
+    # true at k = 1 whenever radius > 0; forced so that radius 0 (or a
+    # radius lost in rounding) projects to the centre instead of failing
+    cond[:, 0] = True
+    k = ks[-1] - np.argmax(cond[:, ::-1], axis=1)
+    theta = (css[np.arange(out.size), k - 1] - radius) / k
+    delta[out] = np.sign(delta[out]) * np.maximum(v - theta[:, None], 0.0)
+    return delta
+
+
+def _project_delta(delta, ball):
+    """Project each row of ``delta`` into the ball around 0, in place;
+    returns ``delta``."""
+    if ball.p_norm == math.inf:
+        return np.clip(delta, -ball.gamma, ball.gamma, out=delta)
+    if ball.p_norm == 2.0:
+        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        delta *= np.minimum(1.0, ball.gamma / np.maximum(norms, 1e-300))
+        return delta
+    return _l1_project_rows(delta, ball.gamma)
 
 
 def project_to_ball(Xp, X, ball):
     """Project perturbed rows back into the per-row ball around X."""
-    delta = Xp - X
-    if ball.p_norm == math.inf:
-        delta = np.clip(delta, -ball.gamma, ball.gamma)
-    elif ball.p_norm == 2.0:
-        norms = np.linalg.norm(delta, axis=1, keepdims=True)
-        scale = np.minimum(1.0, ball.gamma / np.maximum(norms, 1e-300))
-        delta = delta * scale
-    else:
-        delta = _l1_project_rows(delta, ball.gamma)
-    return X + delta
+    return X + _project_delta(Xp - X, ball)
 
 
 def _steepest_ascent(g, p_norm):
-    """Unit step of steepest ascent for the given ball geometry."""
+    """Unit step of steepest ascent for the given ball geometry, written
+    over the gradient ``g``; returns ``g``."""
     if p_norm == math.inf:
-        return np.sign(g)
+        return np.sign(g, out=g)
     if p_norm == 2.0:
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return g / np.maximum(norms, 1e-300)
-    step = np.zeros_like(g)
-    idx = np.argmax(np.abs(g), axis=1)
+        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        return g
     rows = np.arange(g.shape[0])
-    step[rows, idx] = np.sign(g[rows, idx])
-    return step
+    idx = np.argmax(np.abs(g), axis=1)
+    top = np.sign(g[rows, idx])
+    g.fill(0.0)
+    g[rows, idx] = top
+    return g
 
 
 def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
@@ -160,6 +190,10 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
     beyond the clean one. The best value seen at any iterate is retained
     per row, so enlarging the budget never lowers the estimate. Returns
     (best values, best points).
+
+    Each step is computed in the fresh input-gradient buffer that
+    ``back.inputs`` returns and becomes the next iterate, so ``X``, the
+    caller's clean pass and earlier iterates are never written.
     """
     rng = np.random.default_rng(adv.seed) if rng is None else rng
     scores, back = clean
@@ -180,9 +214,13 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
             best_v[upd] = v[upd]
             best_X[upd] = Xp[upd]
         for _ in range(adv.pgd_steps):
-            g = back.inputs(ds)
-            Xp = project_to_ball(Xp + step * _steepest_ascent(g, ball.p_norm),
-                                 X, ball)
+            # project_to_ball(Xp + step * ascent, X, ball), one buffer
+            d = _steepest_ascent(back.inputs(ds), ball.p_norm)
+            d *= step
+            d += Xp
+            d -= X
+            Xp = _project_delta(d, ball)
+            Xp += X
             scores, back = model.forward_vjp(Xp)
             v, ds = objective(scores)
             upd = v > best_v

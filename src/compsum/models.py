@@ -10,6 +10,14 @@ both are explicit. ``forward_vjp(X)`` returns the scores at ``X`` with a
 ``Pullback`` that maps a score cotangent to both, reusing what that one
 forward pass computed (the MLP's hidden activation) instead of computing
 it again. All arrays are float64; batches are row-major ``(batch, dim)``.
+
+Attacks make one pass per iterate, so the passes update their arrays in
+place: each intermediate is one fresh buffer that the next operation
+overwrites (``out=``, ``+=``, ``*=``), never a chain of freed temporaries.
+Freeing several large temporaries at once lets glibc return the top of the
+heap to the kernel, and the next pass then faults those pages in again.
+The in-place forms do the same floating-point operations in the same
+order, so every value is bit-identical to the expression form.
 """
 
 import math
@@ -67,7 +75,9 @@ class LinearModel(_FlatModel):
         return self.W.shape[1]
 
     def forward(self, X):
-        return X @ self.W.T + self.b
+        s = X @ self.W.T
+        s += self.b
+        return s
 
     def forward_vjp(self, X):
         W = self.W
@@ -101,22 +111,36 @@ class MLPModel(_FlatModel):
     def hidden(self):
         return self.W1.shape[1]
 
+    def _hidden(self, X):
+        """The hidden activation ``tanh(X W1 + b1)`` in one buffer."""
+        Z = X @ self.W1
+        Z += self.b1
+        return np.tanh(Z, out=Z)
+
+    def _scores(self, Z):
+        s = Z @ self.W2
+        s += self.b2
+        return s
+
     def forward(self, X):
-        return np.tanh(X @ self.W1 + self.b1) @ self.W2 + self.b2
+        return self._scores(self._hidden(X))
 
     def forward_vjp(self, X):
         W1, W2 = self.W1, self.W2
-        Z = np.tanh(X @ W1 + self.b1)
+        Z = self._hidden(X)
 
         def hidden_grad(ds):
-            return (ds @ W2.T) * (1.0 - Z * Z)
+            dZ = ds @ W2.T
+            slope = Z * Z
+            dZ *= np.subtract(1.0, slope, out=slope)
+            return dZ
 
         def params(ds):
             dZ = hidden_grad(ds)
             return np.concatenate([(X.T @ dZ).ravel(), dZ.sum(axis=0),
                                    (Z.T @ ds).ravel(), ds.sum(axis=0)])
 
-        return Z @ W2 + self.b2, Pullback(
+        return self._scores(Z), Pullback(
             inputs=lambda ds: hidden_grad(ds) @ W1.T, params=params)
 
     def header_dims(self):

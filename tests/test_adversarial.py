@@ -9,8 +9,10 @@ import pytest
 from compsum.adversarial import (
     AdvParams,
     PerturbationBall,
+    _l1_project_rows,
     _margin_objective,
     _ramp_objective,
+    _steepest_ascent,
     adv_comp_rho_loss,
     adv_comp_rho_loss_exact_1d,
     adv_zero_one,
@@ -70,8 +72,22 @@ class TestParams:
             PerturbationBall(p, 0.1)
         with pytest.raises(ValueError):
             PerturbationBall(3.0, 0.1)
-        with pytest.raises(ValueError):
-            PerturbationBall(2.0, -0.1)
+        # a NaN or infinite radius would let no attacked point beat the
+        # clean one, so the robust accuracy would read as the clean
+        for gamma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^gamma must be finite"):
+                PerturbationBall(2.0, gamma)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 0.0), ("rho", math.inf), ("rho", math.nan),
+        ("nu", math.nan), ("nu", math.inf),
+        ("pgd_step_size", -0.1), ("pgd_step_size", 0.0),
+        ("pgd_step_size", math.nan), ("pgd_step_size", math.inf),
+    ])
+    def test_attack_params_refuse_non_finite_or_nonpositive(self, field,
+                                                            value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            AdvParams(n=2, **{field: value})
 
     def test_nu_constraint(self):
         a = AdvParams(n=5, rho=0.5)
@@ -154,6 +170,42 @@ class TestProjections:
         inside = np.array([[0.2, -0.1]])
         assert np.allclose(project_to_ball(inside, X,
                                            PerturbationBall(1.0, 1.0)), inside)
+
+    def test_l1_rows_match_a_per_row_reference(self):
+        def reference(delta, radius):
+            out = delta.copy()
+            for i in np.flatnonzero(np.abs(out).sum(axis=1) > radius):
+                v = np.abs(out[i])
+                u = np.sort(v)[::-1]
+                css = np.cumsum(u)
+                ks = np.arange(1, v.size + 1)
+                k = ks[u - (css - radius) / ks > 0][-1]
+                theta = (css[k - 1] - radius) / k
+                out[i] = np.sign(out[i]) * np.maximum(v - theta, 0.0)
+            return out
+
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            rows, dim = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            radius = float(rng.uniform(0.05, 3.0))
+            # half-integer entries left without noise make ties; a zero
+            # column and zero rows mix with rows scaled into the ball
+            D = rng.integers(-4, 5, size=(rows, dim)) * 0.5
+            D += (rng.random((rows, dim)) < 0.5) * rng.normal(size=(rows, dim))
+            D[:, rng.integers(0, dim)] = 0.0
+            D[rng.random(rows) < 0.3] *= radius / (1.0 + 4.0 * dim)
+            D[rng.random(rows) < 0.2] = 0.0
+            expected = reference(D, radius)
+            got = _l1_project_rows(D.copy(), radius)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        # rows inside the ball come back as they were
+        inside = np.array([[0.2, -0.1], [0.0, 0.0], [0.5, 0.5]])
+        assert np.array_equal(_l1_project_rows(inside.copy(), 1.0), inside)
+        # radius 0 maps every row to the centre
+        assert np.array_equal(
+            _l1_project_rows(np.array([[1.0, -2.0, 2.0]]), 0.0),
+            np.zeros((1, 3)))
 
 
 class TestDegenerateBall:
@@ -399,6 +451,57 @@ class TestInputGradients:
         smooth_adv_comp_loss_batch(model, X, Y, 1.0, adv, ball)
         assert calls == {"tanh": passes, "forward": 0,
                          "forward_vjp": passes}
+
+
+class TestInPlaceSteps:
+    """The attack steps in the input-gradient buffer; it must take the
+    reference step and write nothing the caller holds."""
+
+    def _problem(self, p_norm):
+        rng = np.random.default_rng(11)
+        model = init_mlp(5, 7, 3, seed=1)
+        X = rng.normal(size=(9, 5))
+        return model, X, PerturbationBall(p_norm, 0.4)
+
+    @pytest.mark.parametrize("p_norm", [1.0, 2.0, math.inf])
+    def test_step_equals_the_reference_step(self, p_norm):
+        model, X, ball = self._problem(p_norm)
+        ds = np.random.default_rng(2).normal(size=(X.shape[0], 3))
+        calls = []
+
+        def rising(scores):
+            # every iterate beats the last, so the best point is the last
+            calls.append(None)
+            return np.full(scores.shape[0], float(len(calls))), ds
+
+        adv = AdvParams(n=3, pgd_steps=2, seed=0)
+        step = adv.step_size(ball)
+        Xp = X
+        for _ in range(2):
+            g = model.forward_vjp(Xp.copy())[1].inputs(ds.copy())
+            Xp = project_to_ball(
+                Xp.copy() + step * _steepest_ascent(g, p_norm), X.copy(),
+                ball)
+        _, best = pgd_maximize(model, rising, X, model.forward_vjp(X),
+                               ball, adv)
+        assert len(calls) == 3
+        assert np.array_equal(best, Xp)
+
+    @pytest.mark.parametrize("p_norm", [1.0, 2.0, math.inf])
+    def test_attack_leaves_inputs_and_clean_pass_unchanged(self, p_norm):
+        model, X, ball = self._problem(p_norm)
+        Y = np.arange(X.shape[0]) % 3
+        clean = model.forward_vjp(X)
+        ds = np.ones((X.shape[0], 3))
+        X_before, scores_before = X.copy(), clean[0].copy()
+        grads_before = (clean[1].inputs(ds), clean[1].params(ds))
+        adv = AdvParams(n=3, pgd_steps=4, restarts=2, seed=0)
+        pgd_maximize(model, deviation_objective(clean[0], Y), X, clean, ball,
+                     adv)
+        assert np.array_equal(X, X_before)
+        assert np.array_equal(clean[0], scores_before)
+        assert np.array_equal(clean[1].inputs(ds), grads_before[0])
+        assert np.array_equal(clean[1].params(ds), grads_before[1])
 
 
 class TestLocalRhoConsistency:

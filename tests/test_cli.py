@@ -23,6 +23,20 @@ train.tau = 1.0
 train.batch_size = 64
 """
 
+# one adversarial epoch on a small margin task
+MARGIN_ADV_CFG = """
+seed = 1
+data.kind = margin_task
+data.dim = 5
+data.train = 80
+data.test = 60
+train.mode = adversarial
+train.epochs = 1
+train.batch_size = 32
+adv.pgd_steps = 2
+eval.attack_steps = 3
+"""
+
 
 class TestConfigParsing:
     def test_defaults_and_overrides(self):
@@ -228,6 +242,37 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("adv.gamma = nan", "gamma"),
+        ("adv.gamma = inf", "gamma"),
+        ("adv.rho = inf", "rho"),
+        ("adv.nu = inf", "nu"),
+        ("adv.pgd_step_size = -0.1", "pgd_step_size"),
+        ("adv.pgd_step_size = inf", "pgd_step_size"),
+    ])
+    def test_bad_attack_value_exits_one(self, tmp_path, capsys, line, field):
+        # a NaN radius used to train and report robust_acc == clean_acc
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MARGIN_ADV_CFG + line + "\n")
+        out = tmp_path / "m.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_nan_step_size_selects_the_default(self, tmp_path):
+        outs = []
+        for extra in ("", "adv.pgd_step_size = nan\n"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(MARGIN_ADV_CFG + extra)
+            out = tmp_path / f"m{len(outs)}.csv"
+            assert main(["train", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEvaluateCommand:
     def test_round_trip_with_checkpoint(self, tmp_path, capsys):
@@ -241,6 +286,20 @@ class TestEvaluateCommand:
         printed = capsys.readouterr().out.splitlines()
         assert printed[-2] == "clean_acc"
         assert 0.0 <= float(printed[-1]) <= 1.0
+
+    def test_robust_with_bad_radius_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MARGIN_ADV_CFG)
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "m.csv")]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MARGIN_ADV_CFG + "adv.gamma = nan\n")
+        assert main(["evaluate", "--config", str(bad), "--robust",
+                     "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gamma must be finite")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("body", [b"compsum-model\n",
                                       b"compsum-model\n\0\0\0\0\0\0\0\0",

@@ -349,6 +349,44 @@ class TestModelsAndCheckpoints:
             X = rng.normal(size=(7, 3))
             assert np.array_equal(model.forward_vjp(X)[0], model.forward(X))
 
+    @pytest.mark.parametrize("rows,dim,hidden,n", [(1, 1, 1, 2), (7, 3, 5, 4),
+                                                   (800, 20, 64, 2),
+                                                   (333, 11, 17, 10)])
+    def test_mlp_passes_equal_expression_forms(self, rows, dim, hidden, n):
+        # the in-place passes do the expression forms' operations in the
+        # same order, so every value is equal bit for bit
+        rng = np.random.default_rng(rows)
+        model = init_mlp(dim, hidden, n, seed=rows)
+        model.set_flat(rng.normal(size=model.flat.size))
+        W1, b1, W2, b2 = model.W1, model.b1, model.W2, model.b2
+        X = rng.normal(size=(rows, dim))
+        ds = rng.normal(size=(rows, n))
+        Z = np.tanh(X @ W1 + b1)
+        dZ = (ds @ W2.T) * (1.0 - Z * Z)
+        scores, back = model.forward_vjp(X)
+        assert np.array_equal(model.forward(X), Z @ W2 + b2)
+        assert np.array_equal(scores, Z @ W2 + b2)
+        assert np.array_equal(back.inputs(ds), dZ @ W1.T)
+        assert np.array_equal(back.params(ds), np.concatenate(
+            [(X.T @ dZ).ravel(), dZ.sum(axis=0), (Z.T @ ds).ravel(),
+             ds.sum(axis=0)]))
+
+    def test_pullback_survives_repeats_and_later_passes(self):
+        rng = np.random.default_rng(9)
+        for model in (init_linear(6, 3, seed=4), init_mlp(6, 9, 3, seed=4)):
+            X = rng.normal(size=(12, 6))
+            X_before = X.copy()
+            ds = rng.normal(size=(12, 3))
+            _, back = model.forward_vjp(X)
+            first = (back.inputs(ds), back.params(ds))
+            second = (back.inputs(ds), back.params(ds))
+            model.forward_vjp(rng.normal(size=(12, 6)))[1].inputs(ds)
+            model.forward(rng.normal(size=(12, 6)))
+            third = (back.inputs(ds), back.params(ds))
+            for got in (second, third):
+                assert all(np.array_equal(a, b) for a, b in zip(first, got))
+            assert np.array_equal(X, X_before)
+
     def test_checkpoint_round_trip(self, tmp_path):
         for model in (init_linear(4, 3, seed=1), init_mlp(4, 8, 3, seed=1)):
             path = tmp_path / "m.ckpt"
