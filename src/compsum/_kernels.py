@@ -1,4 +1,4 @@
-"""The projected Newton engine: box oracle and linear-gap joint minimum.
+"""The projected Newton engine: box oracle, linear gap and lemma infimum.
 
 Every box minimization in the package takes safeguarded projected Newton
 steps (Bertsekas 1982, SIAM J. Control Optim. 20:221) on an objective's
@@ -12,8 +12,9 @@ rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
 tau)``, whose value, score gradient and Hessian exist once each, row-wise.
 ``pgd_box_weighted_min`` solves one oracle problem, one start after
 another on one-row arrays; ``newton_box_min`` runs rows in lockstep, for
-``pgd_box_weighted_min_batch`` (every start of many oracle problems) and
-for the joint minimum over a linear family's shared weights (``risk``).
+``pgd_box_weighted_min_batch`` (every start of many oracle problems), for
+the joint minimum over a linear family's shared weights (``risk``) and for
+the lemma infimum over the closed supremum form (``bounds``).
 From the same start both oracle kernels take the same steps, bit for bit.
 """
 

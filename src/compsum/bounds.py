@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import losses, risk
+from ._kernels import newton_box_min
 from .losses import check_tau, predict
 from .risk import (
     FiniteDistribution,
@@ -233,32 +234,30 @@ def _sup_rows(p, tau, y_max, pred):
                       (pm, ph, tau, y_max, pred, lm, lh, lp)))
 
 
-def _lemma_sup_closed_rows(S, q):
+def _lemma_sup_closed_rows(S, q, parts=False):
     """Validation-free core of ``lemma_sup_closed`` on each row of the
     ``(R, n)`` scores ``S`` with the per-row parameters ``q`` (a
     ``_SupRows`` of length ``R``); each row takes the branch of its own
-    ``tau``. Returns the ``R`` values."""
+    ``tau``. Returns the ``R`` values or, with ``parts``, (values, ``h_m``,
+    ``lse``, ``l = logaddexp(h_m, h_p)``, the tau = 1 mask and the terms
+    ``T = a exp((1 - tau)(lse - L))`` for ``L = l, h_m, h_p``); for tau !=
+    1 the value is ``(T_l - T_m - T_p) / (tau - 1)``."""
     rows = np.arange(S.shape[0])
     hm, hp = S[rows, q.y_max], S[rows, q.pred]
     lse = losses._logsumexp_rows(S)
     l_ab = np.logaddexp(hm, hp)
     one = np.abs(q.tau - 1.0) < losses.TAU_BRANCH_TOL
-    value = np.zeros(S.shape[0])
-    if not one.all():
-        one_m_tau = 1.0 - q.tau
-        t2 = q.pm * np.exp(one_m_tau * (lse - hm))
-        t3 = q.ph * np.exp(one_m_tau * (lse - hp))
-        x = one_m_tau * (lse - l_ab)
-        t1 = np.exp((2.0 - q.tau) * q.lp + x)
-        above = q.tau >= 2.0
-        if above.any():
-            t1 = np.where(above, q.pm * np.exp(x), t1)
-        value = (t1 - t2 - t3) / np.where(one, 1.0, q.tau - 1.0)
-    if one.any():
-        # a zero probability has a zero constant, so its term is 0
-        value = np.where(one, q.pm * (l_ab - hm + q.lm)
-                         + q.ph * (l_ab - hp + q.lh), value)
-    return value
+    one_m_tau = 1.0 - q.tau
+    t2 = q.pm * np.exp(one_m_tau * (lse - hm))
+    t3 = q.ph * np.exp(one_m_tau * (lse - hp))
+    x = one_m_tau * (lse - l_ab)
+    t1 = np.where(q.tau >= 2.0, q.pm * np.exp(x),
+                  np.exp((2.0 - q.tau) * q.lp + x))
+    # a zero probability has a zero constant, so its term is 0
+    value = np.where(one, q.pm * (l_ab - hm + q.lm)
+                     + q.ph * (l_ab - hp + q.lh),
+                     (t1 - t2 - t3) / np.where(one, 1.0, q.tau - 1.0))
+    return (value, hm, lse, l_ab, one, t1, t2, t3) if parts else value
 
 
 def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
@@ -280,12 +279,72 @@ def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
 
 
 # lemma oracles: points of the supremum's mu grid; the infimum search's
-# box [-_INF_SPREAD, 0], starts per instance, descent steps, polish sweeps
+# box [-_INF_SPREAD, 0] and starts per instance
 _SUP_GRID = 512
 _INF_SPREAD = 24.0
 _INF_STARTS = 6
-_INF_ITERS = 300
-_INF_POLISH_SWEEPS = 5
+
+
+class _LemmaSupRisk:
+    """Row ``r`` of the infimum search: ``_lemma_sup_closed_rows`` with the
+    parameters ``q[r]`` over the scores of the labels ``others[r]``, each
+    ``_INF_SPREAD / 2`` below its variable, so the engine's box ``[-h, h]``
+    is the scores' ``[-_INF_SPREAD, 0]``; the predicted score is 0.
+
+    For tau != 1 each term of the closed form is ``T = a exp(k (lse - L))``
+    with ``k = 1 - tau`` and ``L`` one of ``h_m``, ``h_p = 0`` and ``l =
+    logaddexp(h_m, h_p)``. With ``u = sigma - grad L`` the term adds ``b u``
+    to the gradient and ``b (k u u^T + diag(sigma) - sigma sigma^T - hess
+    L)`` to the Hessian, where ``b = -T`` for ``l`` and ``T`` otherwise.
+    Only ``l`` has a Hessian, ``rho (1 - rho) e_m e_m^T`` with ``rho =
+    exp(h_m - l)``. At tau = 1 the form is ``pm (l - h_m) + ph (l - h_p)``
+    plus constants: the same sums at ``k = 0`` with ``T = pm + ph, pm, ph``.
+    """
+
+    def __init__(self, q, others):
+        self.q, self.others = q, others
+
+    def rows(self, keep):
+        return _LemmaSupRisk(self.q.take(keep), self.others[keep])
+
+    def _scores(self, X):
+        S = np.zeros((X.shape[0], X.shape[1] + 1))
+        S[np.arange(X.shape[0])[:, None], self.others] = X - _INF_SPREAD / 2
+        return S
+
+    def value(self, X):
+        return _lemma_sup_closed_rows(self._scores(X), self.q)
+
+    def _terms(self, X):
+        """The values, ``k`` and, over the variables, ``sigma``, ``e_m`` and
+        the coefficients of the gradient ``B sigma - c e_m`` and the Hessian
+        ``(k - 1) B sigma sigma^T + B diag(sigma) - k c (sigma e_m^T + e_m
+        sigma^T) + d e_m e_m^T``."""
+        q = self.q
+        value, hm, lse, l_ab, one, t1, t2, t3 = _lemma_sup_closed_rows(
+            self._scores(X), q, parts=True)
+        k = np.where(one, 0.0, 1.0 - q.tau)
+        b1, t2, t3 = (np.where(one, a, t) for a, t in (
+            (-q.pm - q.ph, -t1), (q.pm, t2), (q.ph, t3)))
+        rho = np.exp(hm - l_ab)
+        d = k * (b1 * rho * rho + t2) - b1 * rho * (1.0 - rho)
+        sig = np.exp(X - _INF_SPREAD / 2 - lse[:, None])
+        return (value, k, sig, self.others == q.y_max[:, None], b1 + t2 + t3,
+                b1 * rho + t2, d)
+
+    def value_grad(self, X):
+        value, _, sig, e, B, c, _ = self._terms(X)
+        return value, B[:, None] * sig - c[:, None] * e
+
+    def hessian(self, X):
+        _, k, sig, e, B, c, d = self._terms(X)
+        se = sig[:, :, None] * e[:, None, :]
+        H = ((k - 1.0) * B)[:, None, None] * sig[:, :, None] * sig[:, None, :]
+        H -= (k * c)[:, None, None] * (se + se.transpose(0, 2, 1))
+        H += d[:, None, None] * (e[:, :, None] & e[:, None, :])
+        diag = np.arange(X.shape[1])
+        H[:, diag, diag] += B[:, None] * sig
+        return H
 
 
 def _family_gap_rows(K, mu):
@@ -354,7 +413,7 @@ def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
     _, low = _golden_min_rows(
         lambda idx, mu: -_family_gap_rows(K[idx], mu[:, None])[:, 0],
         mus[rows, np.maximum(i - 1, 0)],
-        mus[rows, np.minimum(i + 1, _SUP_GRID - 1)], 120, 1e-14)
+        mus[rows, np.minimum(i + 1, _SUP_GRID - 1)])
     return np.where(-low > best, -low, best).tolist()
 
 
@@ -363,16 +422,16 @@ class LemmaInfResult:
     closed: float
     brute: float
     scores: np.ndarray
+    converged: bool  # every start of the search converged
 
 
-def _golden_min_rows(f, lo, hi, iters, tol):
+def _golden_min_rows(f, lo, hi):
     """Golden-section minimum of one 1-D function per row, rows in lockstep.
 
     ``f(rows, x)`` evaluates the functions of the rows indexed by ``rows``
     at the points ``x``. Each row stops once its bracket, which starts at
-    ``[lo, hi]``, has closed to a relative ``tol`` or after ``iters``
-    steps, and stays frozen from then on. Returns each row's minimizer and
-    value.
+    ``[lo, hi]``, has closed to a relative 1e-14 or after 120 steps, and
+    stays frozen from then on. Returns each row's minimizer and value.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     rows = np.arange(len(lo))
@@ -382,9 +441,9 @@ def _golden_min_rows(f, lo, hi, iters, tol):
     d = a + invphi * (b - a)
     fc, fd = np.split(f(np.tile(rows, 2), np.concatenate([c, d])), 2)
     live = rows
-    for _ in range(iters):
+    for _ in range(120):
         al, bl = a[live], b[live]
-        live = live[~(bl - al <= tol * (np.abs(al) + np.abs(bl) + 1.0))]
+        live = live[~(bl - al <= 1e-14 * (np.abs(al) + np.abs(bl) + 1.0))]
         if live.size == 0:
             break
         left = fc[live] < fd[live]
@@ -420,18 +479,15 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     conditional label of ``ps[i]``). By shift invariance the predicted
     score is pinned at 0 and the remaining coordinates live in
     ``[-_INF_SPREAD, 0]``, which enforces the argmax constraint by
-    construction. Multi-start projected descent on the (separately
-    grid-verified) closed supremum form is followed by cyclic coordinate
-    golden-section polish; the starts are two fixed points and
-    ``_INF_STARTS - 2`` uniform draws from ``seeds[i]``. Instances with the
-    same label count run in lockstep, each start one row: each descent step
-    evaluates the finite-difference probes of every live row in one call of
-    the closed form and their candidates in a second, and each polish
-    coordinate runs one golden-section search over all rows. Every row
-    keeps its own step size, stopping rule and bracket, so an instance's
-    result does not depend on the rest of the batch; the first best start
-    of an instance wins. The reported ``brute`` value re-evaluates the
-    inner infimum numerically at the minimizers found, one
+    construction. The closed supremum form (separately grid-verified) is
+    minimized from two fixed starts and ``_INF_STARTS - 2`` uniform draws
+    from ``seeds[i]`` by ``newton_box_min`` on ``_LemmaSupRisk``, with the
+    box oracle's iteration cap and tolerance. Instances with the same label
+    count run in lockstep, each start one row; every row keeps its own
+    stopping rule, so an instance's result does not depend on the rest of
+    the batch. The first best start of an instance wins, and ``converged``
+    says whether every start of it converged. The reported ``brute`` value
+    re-evaluates the inner infimum numerically at the minimizers found, one
     ``lemma_sup_grid_batch`` call per label count. ``closed`` is the
     two-argument transform at ``alpha = p_top + p_pred``,
     ``beta = p_top - p_pred``. The two agree for ``tau <= 2``; above that
@@ -476,79 +532,24 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
         q = q.take(np.repeat(np.arange(len(group)), _INF_STARTS))
         others = np.repeat([[j for j in range(n) if j != preds[i]]
                             for i in group], _INF_STARTS, axis=0)
-        U, F = _lemma_inf_descent(np.array(starts), q, others)
-        first = np.arange(len(group)) * _INF_STARTS
-        best = first + F.reshape(len(group), _INF_STARTS).argmin(axis=1)
-        S_best = np.zeros((len(group), n))
-        S_best[np.arange(len(group))[:, None], others[first]] = U[best]
+        obj = _LemmaSupRisk(q, others)
+        h = _INF_SPREAD / 2
+        F, U, conv = newton_box_min(obj, np.array(starts) + h, h, 10000,
+                                    risk.ORACLE_GTOL)
+        best = np.arange(len(group)) * _INF_STARTS + F.reshape(
+            len(group), _INF_STARTS).argmin(axis=1)
+        S_best = obj.rows(best)._scores(U[best])
+        conv = conv.reshape(len(group), _INF_STARTS).all(axis=1)
         # honest re-evaluation: the numeric supremum over mu at each
         # minimizer
         brutes = lemma_sup_grid_batch(S_best, *zip(*(
             (ps[i], taus[i], tops[i], preds[i]) for i in group)))
-        for i, s_best, brute in zip(group, S_best, brutes):
+        for i, s_best, brute, ok in zip(group, S_best, brutes, conv):
             pm, ph = ps[i][tops[i]], ps[i][preds[i]]
             results[i] = LemmaInfResult(
                 psi_tau(float(pm + ph), float(pm - ph), taus[i], n),
-                brute, s_best)
+                brute, s_best, bool(ok))
     return results
-
-
-def _lemma_inf_descent(U, q, others):
-    """Lockstep descent and polish of the closed supremum from each row of
-    the starts ``U``; returns the final ``U`` and its values.
-
-    Row ``r`` minimizes over the scores whose labels ``others[r]`` take
-    the coordinates of ``U[r]`` and whose remaining (predicted) label is
-    pinned at 0, with the parameters ``q[r]``.
-    """
-    R, dim = U.shape
-
-    def objective(idx, V):
-        S = np.zeros((len(idx), dim + 1))
-        S[np.arange(len(idx))[:, None], others[idx]] = V
-        return _lemma_sup_closed_rows(S, q.take(idx))
-
-    F = objective(np.arange(R), U)
-    step = np.full(R, 0.25)
-    fd_h = 1e-7
-    cols = np.arange(dim)
-    live = np.arange(R)
-    for _ in range(_INF_ITERS):
-        if live.size == 0:
-            break
-        u = U[live]
-        up = np.minimum(u + fd_h, 0.0)
-        um = np.maximum(u - fd_h, -_INF_SPREAD)
-        # rows [0, dim) of each start move coordinate j up, [dim, 2 dim) down
-        probes = np.repeat(u[:, None, :], 2 * dim, axis=1)
-        probes[:, cols, cols] = up
-        probes[:, dim + cols, cols] = um
-        fpm = objective(np.repeat(live, 2 * dim),
-                        probes.reshape(-1, dim)).reshape(live.size, 2 * dim)
-        g = np.zeros_like(u)
-        np.divide(fpm[:, :dim] - fpm[:, dim:], up - um, out=g, where=up > um)
-        cand = np.clip(u - step[live, None] * g, -_INF_SPREAD, 0.0)
-        fc = objective(live, cand)
-        better = fc < F[live]
-        acc, rej = live[better], live[~better]
-        U[acc], F[acc] = cand[better], fc[better]
-        step[acc] = np.minimum(step[acc] * 1.5, 50.0)
-        step[rej] *= 0.5
-        live = live[better | (step[live] >= 1e-10)]
-    # cyclic coordinate golden-section polish
-    for _ in range(_INF_POLISH_SWEEPS):
-        for j in range(dim):
-            def along_j(idx, v, j=j):
-                V = U[idx]
-                V[:, j] = v
-                return objective(idx, V)
-
-            lo = np.maximum(U[:, j] - 2.0, -_INF_SPREAD)
-            hi = np.minimum(U[:, j] + 2.0, 0.0)
-            v_best, f_best = _golden_min_rows(along_j, lo, hi, 80, 1e-13)
-            better = f_best < F
-            U[better, j], F[better] = v_best[better], f_best[better]
-    return U, F
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,16 @@ def _build_dataset(values):
     raise ConfigError(f"unknown data.kind {kind!r}")
 
 
+def _taus(text):
+    """The comma-separated values of ``--taus``; at least one."""
+    taus = cfgmod._parse_float_list(text)
+    if not taus:
+        raise ValueError(f"--taus needs at least one value, got {text!r}")
+    return taus
+
+
 def cmd_transform_table(args):
-    taus = [float(t) for t in args.taus.split(",") if t.strip()]
+    taus = _taus(args.taus)
     n = args.n
     grid = args.grid
     header = "tau,beta,T,T_tilde,t,Gamma,Gamma_tilde"
@@ -107,9 +115,8 @@ def cmd_verify(args):
 
 
 def cmd_gaps(args):
-    header, rows = suites.gap_table(
-        args.lam, args.n, args.r_star,
-        [float(t) for t in args.taus.split(",") if t.strip()])
+    header, rows = suites.gap_table(args.lam, args.n, args.r_star,
+                                    _taus(args.taus))
     write_csv(args.out, header, rows)
     return 0
 

@@ -185,6 +185,9 @@ def run_lemmas_suite(seed=11, n_sup=60, n_inf=24, n_cons=1000, n_psi=40,
             violations.append(
                 f"inf brute {res.brute} fell below the closed lower bound "
                 f"{res.closed} at tau={tau}")
+        if not res.converged:
+            violations.append(f"inf search unconverged at tau={tau}, "
+                              f"n={len(p)}")
 
     worst = 0.0
     for _ in range(n_cons):

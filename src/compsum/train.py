@@ -117,6 +117,8 @@ class TrainConfig:
         check_size(epochs=self.epochs, batch_size=self.batch_size)
         if not 0.0 <= self.holdout_frac < 1.0:
             raise ValueError("holdout_frac must lie in [0, 1)")
+        if not 0.0 <= self.weight_avg_decay < 1.0:
+            raise ValueError("weight_avg_decay must lie in [0, 1)")
         if (self.adversarial is None) != (self.ball is None):
             raise ValueError("adversarial params and ball go together")
 

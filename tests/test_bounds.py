@@ -2,6 +2,7 @@
 learning bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from compsum.bounds import (
     verify_lemma_inf,
     verify_lemma_inf_batch,
 )
+from compsum.cli import main
 from compsum.risk import HypothesisSpec, finite_distribution, score_box
 
 
@@ -232,7 +234,7 @@ class TestLemmaForms:
             calls.append(rows)
             return (x - shift[rows]) ** 2
 
-        x, fx = _golden_min_rows(f, lo, hi, 80, 1e-13)
+        x, fx = _golden_min_rows(f, lo, hi)
         np.testing.assert_allclose(x, shift, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(fx, (x - shift) ** 2, rtol=0.0, atol=0.0)
         for k, rows in enumerate(calls[1:-1]):
@@ -243,7 +245,7 @@ class TestLemmaForms:
         assert len({len(s) for s in steps}) > 1
         for r in range(len(lo)):
             xr, fr = _golden_min_rows(lambda rows, v: (v - shift[r]) ** 2,
-                                      lo[r:r + 1], hi[r:r + 1], 80, 1e-13)
+                                      lo[r:r + 1], hi[r:r + 1])
             assert (xr[0], fr[0]) == (x[r], fx[r])
 
     def test_sup_closed_rows_mixed_branches(self):
@@ -294,6 +296,7 @@ class TestLemmaForms:
             assert res.closed == alone.closed
             assert res.brute == alone.brute
             assert res.scores.tobytes() == alone.scores.tobytes()
+            assert res.converged and alone.converged
         assert batch[-1].scores[1] == 0.0
         assert batch[-1].brute == pytest.approx(batch[-1].closed, abs=1e-6)
 
@@ -413,6 +416,68 @@ class TestLemmaForms:
         assert calls == [(3, 2), (1, 3), (2, 5)]
         for res in results[:4]:
             assert res.brute == pytest.approx(res.closed, abs=1e-6)
+
+
+    @pytest.mark.parametrize("p, tau, pred", [
+        *((n, tau, None) for n in (2, 3, 5)
+          for tau in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)),
+        ([0.6, 0.0, 0.1, 0.2, 0.1], 1.5, 1),
+        ([0.6, 0.0, 0.1, 0.2, 0.1], 1.0, 1),
+    ])
+    def test_inf_objective_derivatives(self, p, tau, pred):
+        # value against the closed form; gradient and Hessian against
+        # central differences of the value and the gradient
+        rng = np.random.default_rng(12)
+        p = rng.dirichlet(np.ones(p)) if isinstance(p, int) else np.array(p)
+        top = losses.predict(p)
+        pred = (top + 1) % len(p) if pred is None else pred
+        others = np.array([[j for j in range(len(p)) if j != pred]] * 6)
+        q = _sup_rows(p, tau, top, pred).take(np.zeros(6, dtype=int))
+        obj = bounds._LemmaSupRisk(q, others)
+        h = bounds._INF_SPREAD / 2
+        X = rng.uniform(-h, h, size=(6, len(p) - 1))
+        S = np.zeros((6, len(p)))
+        S[:, others[0]] = X - h
+        f, G = obj.value_grad(X)
+        H = obj.hessian(X)
+        np.testing.assert_array_equal(f, _lemma_sup_closed_rows(S, q))
+        np.testing.assert_array_equal(obj.value(X), f)
+        eps = 1e-6
+        for j in range(len(p) - 1):
+            E = np.zeros_like(X)
+            E[:, j] = eps
+            g_num = (obj.value(X + E) - obj.value(X - E)) / (2 * eps)
+            H_num = (obj.value_grad(X + E)[1]
+                     - obj.value_grad(X - E)[1]) / (2 * eps)
+            for r in range(6):
+                assert abs(g_num[r] - G[r, j]) <= \
+                    1e-6 * np.abs(G[r]).max() + 1e-9
+                assert np.abs(H_num[r] - H[r, :, j]).max() <= \
+                    1e-6 * np.abs(H[r]).max() + 1e-9
+
+    def test_unconverged_inf_is_a_violation(self, monkeypatch, tmp_path,
+                                            capsys):
+        engine = bounds.newton_box_min
+
+        def unconverged(*args):
+            f, x, conv = engine(*args)
+            return f, x, np.zeros_like(conv)
+
+        monkeypatch.setattr(bounds, "newton_box_min", unconverged)
+        _, rows, violations = suites.run_lemmas_suite(n_sup=1, n_inf=3,
+                                                      n_cons=1, n_psi=1)
+        expected = [row.split(",")[1:3] for row in rows
+                    if row.startswith("inf,")]
+        found = [m.groups() for m in map(re.compile(
+            r"^inf search unconverged at tau=(.*), n=(\d+)$").match,
+            violations) if m]
+        assert len(found) == len(expected) == 3
+        for (tau, n), (row_tau, row_n) in zip(found, expected):
+            assert float(tau) == float(row_tau) and n == row_n
+        out = tmp_path / "l.csv"
+        assert main(["verify", "--suite", "lemmas", "--out", str(out)]) == 2
+        assert "VIOLATION: inf search unconverged at tau=" in \
+            capsys.readouterr().err
 
 
 class TestLearningBound:

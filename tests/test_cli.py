@@ -103,6 +103,21 @@ class TestTransformTable:
         assert not out.exists()
 
 
+class TestTausOption:
+    @pytest.mark.parametrize("command, taus", [
+        ("transform-table", ""), ("transform-table", " , "),
+        ("gaps", ""), ("gaps", " "),
+    ])
+    def test_no_tau_exits_one_without_output(self, tmp_path, capsys,
+                                             command, taus):
+        # both used to exit 0 with a header-only CSV
+        out = tmp_path / "t.csv"
+        assert main([command, "--taus", taus, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --taus needs at least one value, got {taus!r}\n"
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_tightness_suite_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -241,6 +256,18 @@ class TestTrainCommand:
         assert err.startswith(f"error: {field} must ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1"])
+    def test_bad_weight_avg_decay_exits_one(self, tmp_path, capsys, value):
+        # a NaN decay used to train and write a non-finite checkpoint
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MARGIN_ADV_CFG + f"train.weight_avg_decay = {value}\n")
+        out = tmp_path / "m.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: weight_avg_decay must lie in [0, 1)\n"
+        assert not out.exists()
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("line, field", [
         ("adv.gamma = nan", "gamma"),

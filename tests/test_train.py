@@ -49,10 +49,17 @@ class TestSizeChecks:
         ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("lr0", 0.0),
         ("lr0", -0.1), ("lr0", math.inf), ("lr0", math.nan),
         ("holdout_frac", 1.0), ("holdout_frac", 1.5), ("holdout_frac", -0.1),
+        ("weight_avg_decay", math.nan), ("weight_avg_decay", math.inf),
+        ("weight_avg_decay", -math.inf), ("weight_avg_decay", -1.0),
+        ("weight_avg_decay", 1.0), ("weight_avg_decay", 1e308),
     ])
     def test_train_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("decay", [0.0, 0.98])
+    def test_weight_avg_decay_in_unit_interval_accepted(self, decay):
+        assert TrainConfig(weight_avg_decay=decay).weight_avg_decay == decay
 
     @pytest.mark.parametrize("make, kwargs, field", [
         (init_linear, dict(dim=0, n_labels=3), "dim"),
