@@ -10,12 +10,13 @@ the score spread (tau near 1.2 to 1.75); Newton steps do not. An objective
 gives each row's value, gradient and Hessian, and its restriction to some
 rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
 tau)``, whose value, score gradient and Hessian exist once each, row-wise.
-``pgd_box_weighted_min`` solves one oracle problem, one start after
-another on one-row arrays; ``newton_box_min`` runs rows in lockstep, for
-``pgd_box_weighted_min_batch`` (every start of many oracle problems), for
-the joint minimum over a linear family's shared weights (``risk``) and for
-the lemma infimum over the closed supremum form (``bounds``).
-From the same start both oracle kernels take the same steps, bit for bit.
+Every box problem runs on the lockstep ``newton_box_min``: each oracle
+problem's starts as rows of ``pgd_box_weighted_min_batch``, the joint
+minimum over a linear family's shared weights (``risk``) and the lemma
+infimum over the closed supremum form (``bounds``). The sequential
+reference ``pgd_box_weighted_min`` runs one start after another on one-row
+arrays and takes the same steps bit for bit; no package code calls it, the
+tests compare against it and the benchmark's tracer wraps it.
 """
 
 import numpy as np
@@ -183,9 +184,9 @@ def _newton_step(obj, X, G, F, lam, pgn):
 def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     """Minimize sum_y c[y] * loss(s, y, tau) over the box [-lam, lam]^n.
 
-    Multi-start safeguarded projected Newton descent with the stop tests of
-    ``newton_box_min``, one start after another; one iteration is
-    ``_newton_step`` on a single row of ``WeightedCondRisk``.
+    The sequential reference: multi-start safeguarded projected Newton
+    descent with the stop tests of ``newton_box_min``, one start after
+    another; one iteration is ``_newton_step`` on one ``WeightedCondRisk`` row.
 
     ``starts`` is a (k, n) array of initial points (clipped into the box);
     starts run sequentially and the minimum is reduced in start order, so

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import suites, transform
+from . import risk, suites, transform
 from .config import ConfigError
 from .models import load_model, save_model, write_atomic
 from .train import (
@@ -115,6 +115,16 @@ def cmd_verify(args):
 
 
 def cmd_gaps(args):
+    if not math.isfinite(args.r_star):
+        raise ValueError(f"--r-star must be finite, got {args.r_star:g}")
+    # no sum-exponential risk lies below the box's pointwise optimum; the
+    # table itself refuses a box with lam <= 0
+    if args.lam > 0:
+        floor = risk.sum_exp_box_optimum(args.n, args.lam)
+        if args.r_star < floor - 1e-15:
+            raise ValueError(f"--r-star {args.r_star:g} lies below the "
+                             f"box's pointwise optimum exp(-2 lam) (n - 1) "
+                             f"= {floor:.6g}")
     header, rows = suites.gap_table(args.lam, args.n, args.r_star,
                                     _taus(args.taus))
     write_csv(args.out, header, rows)
@@ -184,6 +194,14 @@ def cmd_evaluate(args):
         raise ConfigError("evaluate needs --checkpoint or eval.checkpoint")
     model = load_model(ckpt)
     data = _build_dataset(values)
+    if model.n_labels != data.n_classes:
+        raise ConfigError(f"checkpoint scores {model.n_labels} labels, but "
+                          f"the config's data has {data.n_classes} "
+                          f"(data.classes)")
+    if model.dim != data.X_test.shape[1]:
+        raise ConfigError(f"checkpoint takes {model.dim} inputs, but the "
+                          f"config's data has {data.X_test.shape[1]} "
+                          f"(data.dim)")
     ball = None
     attack = None
     if values["train.mode"] == "adversarial" or args.robust:

@@ -221,5 +221,7 @@ def load_model(path):
     if flat.size != model.flat.size:
         raise ValueError(f"checkpoint holds {flat.size} floats, "
                          f"expected {model.flat.size}")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"checkpoint {path} holds non-finite parameters")
     model.set_flat(flat)
     return model

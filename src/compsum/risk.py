@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+# the benchmark's tracer wraps ``pgd_box_weighted_min`` where this module
+# looks it up; no code here calls it
 from ._kernels import (WeightedCondRisk, newton_box_min,
                        pgd_box_weighted_min, pgd_box_weighted_min_batch)
 from .losses import TAU_BRANCH_TOL, check_tau
@@ -298,40 +300,30 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
     """Minimize ``sum_y c[y] * loss(s, y, tau)`` over the box ``[-lam, lam]^n``.
 
     ``c`` may carry negative entries (used with negated coefficients to
-    compute suprema). Deterministic given ``seed``.
+    compute suprema). Deterministic given ``seed``. A batch of one: the
+    ``pgd_starts`` of ``seed`` run as the rows of one lockstep projected
+    Newton call, and the first best start wins.
     """
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    tau = check_tau(tau)
-    rng = np.random.default_rng(seed)
-    starts = pgd_starts(c, lam, rng)
-    val, scores, conv = pgd_box_weighted_min(
-        c, tau, float(lam), np.ascontiguousarray(starts), max_iter, ORACLE_GTOL
-    )
-    return BruteResult(float(val), np.asarray(scores), bool(conv))
+    return minimize_weighted_cond_risk_batch(
+        np.asarray(c, dtype=np.float64)[None], tau, lam, [seed],
+        max_iter=max_iter)[0]
 
 
 def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
     Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
-    single-problem oracle, so each result is that call's result bit for
-    bit (both kernels take the same steps on the same row-wise functions).
-    Several problems run through the lockstep kernel, all their starts at
-    once. A single problem goes to the one-problem kernel through
-    ``minimize_weighted_cond_risk``, so that the benchmark's tracer, which
-    wraps that kernel, sees it. Speed is not the reason: the lockstep
-    kernel solves a single problem faster, since its starts share
-    iterations. Returns one ``BruteResult`` per row.
+    single-problem oracle, all starts of all rows in one lockstep call;
+    each row takes the steps it takes alone, so each result is that call's
+    result bit for bit. Returns one ``BruteResult`` per row.
     """
     C = np.asarray(C, dtype=np.float64)
     tau = check_tau(tau)
     seeds = list(seeds)
     if C.ndim != 2 or C.shape[0] != len(seeds):
         raise ValueError("C must be a (B, n) array with one seed per row")
-    if len(seeds) <= 1:
-        return [minimize_weighted_cond_risk(c, tau, lam, seed=s,
-                                            max_iter=max_iter)
-                for c, s in zip(C, seeds)]
+    if not seeds:
+        return []
     starts = np.stack([pgd_starts(c, lam, np.random.default_rng(s))
                        for c, s in zip(C, seeds)])
     vals, scores, conv = pgd_box_weighted_min_batch(
@@ -344,8 +336,10 @@ def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     """Independent oracle: minimize the conditional risk over a score box.
 
     Multi-start safeguarded projected Newton descent (an Armijo search on
-    the projected Newton arc); ``converged`` is False when any start was
-    still running at ``max_iter`` (a warning, not an error).
+    the projected Newton arc), the ``ORACLE_STARTS`` starts of ``seed`` in
+    lockstep through ``minimize_weighted_cond_risk``; ``converged`` is
+    False when any start was still running at ``max_iter`` (a warning, not
+    an error).
     """
     p = check_cond_dist(p)
     if spec.kind != "score_box":
@@ -465,6 +459,12 @@ def minimizability_gap(dist, spec, tau, *, seed=0):
     return max(gap, 0.0)
 
 
+def sum_exp_box_optimum(n, lam):
+    """Pointwise optimum ``exp(-2 lam) * (n - 1)`` of the sum-exponential
+    loss over the score box ``[-lam, lam]^n``."""
+    return math.exp(-2.0 * lam) * (n - 1)
+
+
 def gap_upper_bound_deterministic(spec, tau, r_star_tau0):
     """Deterministic-label gap bound: transform difference at the two risks.
 
@@ -477,7 +477,7 @@ def gap_upper_bound_deterministic(spec, tau, r_star_tau0):
     if spec.kind != "score_box" or math.isinf(spec.lam):
         raise ValueError("needs a score_box spec with finite lam")
     r_star_tau0 = float(r_star_tau0)
-    c0 = math.exp(-2.0 * spec.lam) * (spec.n - 1)
+    c0 = sum_exp_box_optimum(spec.n, spec.lam)
     if r_star_tau0 < c0 - 1e-15:
         raise ValueError(
             f"r_star_tau0={r_star_tau0} below the pointwise optimum {c0}"

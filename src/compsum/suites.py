@@ -104,7 +104,7 @@ def run_gaps_suite(count=100, seed=7, taus=(0.0, 1.0, 1.5, 2.0), tol=1e-10):
         lam = float(rng.uniform(0.5, 5.0))
         n = int(rng.choice([2, 3, 5, 10]))
         spec = score_box(n, lam)
-        c0 = math.exp(-2.0 * lam) * (n - 1)
+        c0 = risk.sum_exp_box_optimum(n, lam)
         r_star = c0 + float(rng.exponential(1.0))
         vals = [risk.gap_upper_bound_deterministic(spec, t, r_star)
                 for t in taus]
@@ -121,7 +121,7 @@ def run_gaps_suite(count=100, seed=7, taus=(0.0, 1.0, 1.5, 2.0), tol=1e-10):
 def gap_table(lam, n, r_star, taus):
     """Rows of the gap-bound table for one configuration."""
     spec = score_box(n, lam)
-    c0 = math.exp(-2.0 * lam) * (n - 1)
+    c0 = risk.sum_exp_box_optimum(n, lam)
     header = "tau,c_star_tau0,r_star_tau0,m_tilde"
     rows = [",".join(fmt_number(v) for v in
                      (t, c0, r_star,

@@ -7,6 +7,7 @@ import pytest
 
 from compsum.cli import main
 from compsum.config import ConfigError, parse_config_text
+from compsum.models import init_linear, init_mlp, save_model
 from compsum.transform import gamma_tilde, t_tau
 
 BASE_CFG = """
@@ -171,6 +172,21 @@ class TestGapsCommand:
         vals = [float(line.split(",")[-1])
                 for line in out.read_text().splitlines()[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("args, message", [
+        (["--r-star=nan"], "error: --r-star must be finite"),
+        (["--r-star=inf"], "error: --r-star must be finite"),
+        (["--r-star=-1"], "error: --r-star -1 lies below"),
+        # a box that is refused is named before the risk is compared to it
+        (["--lam=-1000", "--r-star=-1"], "error: lam must be positive"),
+    ], ids=["nan", "inf", "-1", "lam"])
+    def test_bad_r_star_exits_one(self, tmp_path, capsys, args, message):
+        out = tmp_path / "gaps.csv"
+        assert main(["gaps", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -341,6 +357,37 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad checkpoint header")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model, key", [
+        (init_linear(5, 4, seed=0), "data.classes"),  # BASE_CFG: 3 labels
+        (init_mlp(7, 8, 3, seed=0), "data.dim"),      # BASE_CFG: dim 5
+    ], ids=["classes", "dim"])
+    def test_checkpoint_config_mismatch_exits_one(self, tmp_path, capsys,
+                                                  model, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG)
+        save_model(model, tmp_path / "m.ckpt")
+        assert main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: checkpoint ")
+        assert f"({key})" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_checkpoint_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BASE_CFG)
+        model = init_linear(5, 3, seed=0)
+        model.flat[4] = math.nan
+        save_model(model, tmp_path / "m.ckpt")
+        assert main(["evaluate", "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: checkpoint ")
+        assert "non-finite parameters" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -202,13 +202,15 @@ class TestBatchOracle:
             assert np.array_equal(got.scores, want.scores)
             assert abs(got.value - cond_risk_star_closed(c, 1.6)) <= 1e-9
 
-    def test_one_problem_takes_the_one_problem_kernel(self):
+    def test_batch_of_one_equals_the_reference(self):
         c = np.array([0.2, 0.5, 0.3])
         (got,) = minimize_weighted_cond_risk_batch([c], 1.3, 5.0, [4])
-        want = minimize_weighted_cond_risk(c, 1.3, 5.0, seed=4)
-        assert got.value == want.value
-        assert np.array_equal(got.scores, want.scores)
-        assert got.converged == want.converged
+        starts = risk.pgd_starts(c, 5.0, np.random.default_rng(4))
+        value, scores, conv = _kernels.pgd_box_weighted_min(
+            c, 1.3, 5.0, starts, 10000, risk.ORACLE_GTOL)
+        assert got.value == value
+        assert np.array_equal(got.scores, scores)
+        assert got.converged == conv
 
     def test_empty_batch_and_shape_errors(self):
         assert minimize_weighted_cond_risk_batch(np.zeros((0, 2)), 1.0, 1.0,
@@ -252,16 +254,55 @@ def criterion2_draw(gen_seed, index):
 
 
 def count_grad_evals(monkeypatch):
-    """Count the one-problem kernel's gradient evaluations from here on."""
+    """Count the oracle's gradient evaluations from here on, one per row
+    (start) of each lockstep iteration."""
     calls = [0]
     original = _kernels.weighted_cond_value_grad
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counted(S, C, tau):
+        calls[0] += S.shape[0]
+        return original(S, C, tau)
 
     monkeypatch.setattr(_kernels, "weighted_cond_value_grad", counted)
     return calls
+
+
+# the 30 ``oracle`` benchmark instances: criterion-2 draws 1-20 seeded with
+# their draw number, and the former backend-bench cases 0-9 (generator seed
+# 0) seeded with their case number
+ORACLE_INSTANCES = ([(20240811, k - 1, k) for k in range(1, 21)]
+                    + [(0, k, k) for k in range(10)])
+
+
+@pytest.mark.parametrize("gen_seed, index, seed", ORACLE_INSTANCES)
+def test_oracle_equals_the_sequential_reference(gen_seed, index, seed):
+    p, tau = criterion2_draw(gen_seed, index)
+    res = cond_risk_star_brute(p, tau, score_box(len(p), 30.0), seed=seed)
+    starts = risk.pgd_starts(p, 30.0, np.random.default_rng(seed))
+    value, scores, conv = _kernels.pgd_box_weighted_min(
+        p, tau, 30.0, starts, 10000, risk.ORACLE_GTOL)
+    assert res.value == value
+    assert np.array_equal(res.scores, scores)
+    assert res.converged == conv
+
+
+def test_one_problem_is_one_lockstep_call(monkeypatch):
+    def sequential(*args):
+        raise AssertionError("the one-problem kernel ran")
+
+    rows = []
+    engine = _kernels.newton_box_min
+
+    def counted(obj, starts, lam, max_iter, gtol):
+        rows.append(starts.shape[0])
+        return engine(obj, starts, lam, max_iter, gtol)
+
+    monkeypatch.setattr(risk, "pgd_box_weighted_min", sequential)
+    monkeypatch.setattr(_kernels, "newton_box_min", counted)
+    res = minimize_weighted_cond_risk(np.array([0.45, 0.3, 0.15, 0.1]), 1.6,
+                                      30.0, seed=2)
+    assert res.converged
+    assert rows == [risk.ORACLE_STARTS] == [8]
 
 
 def test_one_problem_kernel_call_pattern(monkeypatch):
@@ -528,10 +569,10 @@ class TestMinimizabilityGap:
             assert 0.0 <= gap <= 1e-12
 
     @pytest.mark.parametrize("kernel", ["newton_box_min",
-                                        "pgd_box_weighted_min"])
+                                        "pgd_box_weighted_min_batch"])
     def test_unconverged_solve_warns(self, monkeypatch, kernel):
         # an unconverged joint (newton_box_min) or per-point
-        # (pgd_box_weighted_min) solve makes the gap a warned estimate
+        # (pgd_box_weighted_min_batch) solve makes the gap a warned estimate
         original = getattr(risk, kernel)
 
         def unconverged(*args):

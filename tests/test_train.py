@@ -429,6 +429,15 @@ class TestModelsAndCheckpoints:
             assert np.array_equal(
                 np.concatenate([a.ravel() for a in arrays]), model.flat)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_checkpoint_rejected(self, tmp_path, bad):
+        for model in (init_linear(4, 3, seed=1), init_mlp(4, 8, 3, seed=1)):
+            model.flat[-1] = bad
+            path = tmp_path / "m.ckpt"
+            save_model(model, path)
+            with pytest.raises(ValueError, match="non-finite parameters"):
+                load_model(path)
+
     def test_truncated_checkpoint_rejected(self, tmp_path):
         model = init_linear(4, 3, seed=1)
         path = tmp_path / "m.ckpt"
