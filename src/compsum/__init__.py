@@ -34,7 +34,6 @@ from .losses import (
 from .risk import (
     FiniteDistribution,
     HypothesisSpec,
-    SupportPoint,
     calibration_gap,
     cond_risk,
     cond_risk_star_brute,
@@ -70,7 +69,7 @@ __all__ = [
     "phi_tau", "phi_tau_deriv", "comp_sum_loss", "comp_sum_grad",
     "loss_upper_bound", "predict",
     "t_tau", "gamma_tau", "t_tilde", "gamma_tilde", "psi_tau",
-    "FiniteDistribution", "SupportPoint", "HypothesisSpec",
+    "FiniteDistribution", "HypothesisSpec",
     "finite_distribution", "score_box", "linear_family",
     "cond_risk", "cond_risk_star_closed", "cond_risk_star_brute",
     "calibration_gap", "minimizability_gap",

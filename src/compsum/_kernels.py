@@ -10,13 +10,14 @@ the score spread (tau near 1.2 to 1.75); Newton steps do not. An objective
 gives each row's value, gradient and Hessian, and its restriction to some
 rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
 tau)``, whose value, score gradient and Hessian exist once each, row-wise.
-Every box problem runs on the lockstep ``newton_box_min``: each oracle
-problem's starts as rows of ``pgd_box_weighted_min_batch``, the joint
-minimum over a linear family's shared weights (``risk``) and the lemma
-infimum over the closed supremum form (``bounds``). The sequential
-reference ``pgd_box_weighted_min`` runs one start after another on one-row
-arrays and takes the same steps bit for bit; no package code calls it, the
-tests compare against it and the benchmark's tracer wraps it.
+Every box problem runs on the lockstep ``newton_box_min``: the box
+oracle's problems with all their starts as rows
+(``risk.minimize_weighted_cond_risk_batch``), the joint minimum over a
+linear family's shared weights (``risk``) and the lemma infimum over the
+closed supremum form (``bounds``). The sequential reference
+``pgd_box_weighted_min`` runs one start after another on one-row arrays
+and takes the same steps bit for bit; no package code calls it, the tests
+compare against it and the benchmark's tracer wraps it.
 """
 
 import numpy as np
@@ -290,28 +291,3 @@ def newton_box_min(obj, starts, lam, max_iter, gtol):
     x_out[rows] = x
     return f_out, x_out, conv_out
 
-
-def pgd_box_weighted_min_batch(C, tau, lam, starts, max_iter, gtol):
-    """Lockstep form of ``pgd_box_weighted_min`` for B problems on one box.
-
-    ``C`` is (B, n) and ``starts`` is (B, k, n); every start of every
-    problem is one row of ``newton_box_min``, so every row takes bit for
-    bit the steps that ``pgd_box_weighted_min`` takes from the same start.
-    Per problem the best start is the first minimum in start order, and it
-    converged when every start did.
-    Returns (values (B,), scores (B, n), converged (B,)).
-    """
-    B, k, n = starts.shape
-    f_out, x_out, conv_out = newton_box_min(
-        WeightedCondRisk(np.repeat(C, k, axis=0), tau),
-        starts.reshape(B * k, n), lam, max_iter, gtol)
-
-    f_out = f_out.reshape(B, k)
-    x_out = x_out.reshape(B, k, n)
-    best_f = np.full(B, np.inf)
-    best_x = np.full((B, n), np.nan)
-    for si in range(k):
-        lower = f_out[:, si] < best_f
-        best_f[lower] = f_out[lower, si]
-        best_x[lower] = x_out[lower, si]
-    return best_f, best_x, conv_out.reshape(B, k).all(axis=1)

@@ -499,7 +499,7 @@ def cstar_adv_rho_closed(p, tau):
 def _best_threshold_adv01(dist, gamma):
     """Exact best-in-class expected adversarial zero-one risk over
     one-dimensional two-class threshold classifiers."""
-    xs = np.array([float(pt.x[0]) for pt in dist.points])
+    xs = dist.xs[:, 0]
     ws = dist.weights
     conds = dist.conds
     edges = np.concatenate([xs - gamma, xs + gamma])
@@ -533,7 +533,6 @@ class AdvBoundReport:
     slack: float
     rhs_smooth: float
     gap01: float = math.nan
-    gap_surrogate: float = math.nan
     flags: list = field(default_factory=list)
 
 
@@ -548,11 +547,15 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     supports (``sup-ramp gap >= phi_tau(1) * zero-one gap`` with
     ``phi_tau(1) <= 1``). ``rhs_smooth`` replaces the hypothesis's
     sup-ramp risk by its smooth adversarial loss, which can only increase
-    the bound. Refuses hypothesis sets of another label count or feature
-    dimension, and sets that fail the local margin consistency check.
+    the bound. Refuses a distribution without one feature per support
+    point, hypothesis sets of another label count or feature dimension, and
+    sets that fail the local margin consistency check.
     """
     tau = check_tau(tau)
-    w, b = _linear_wb(model)
+    _linear_wb(model)  # refuses all but a one-dimensional linear model
+    if dist.xs is None or dist.xs.shape[1] != 1:
+        raise ValueError("the adversarial bound needs one feature per "
+                         "support point")
     if spec.n != dist.n or (spec.kind == "linear" and spec.feature_dim != 1):
         raise ValueError(f"hypothesis set {spec} does not describe "
                          f"one-dimensional {dist.n}-label instances")
@@ -567,14 +570,14 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     r_rho = 0.0
     r_smooth = 0.0
     e_cstar_rho = 0.0
-    for pt in dist.points:
-        x = float(pt.x[0])
-        e_cstar01 += pt.weight * (1.0 - pt.cond.max())
-        e_cstar_rho += pt.weight * cstar_adv_rho_closed(pt.cond, tau)
+    for w, cond, x in zip(dist.weights.tolist(), dist.conds,
+                          dist.xs[:, 0].tolist()):
+        e_cstar01 += w * (1.0 - cond.max())
+        e_cstar_rho += w * cstar_adv_rho_closed(cond, tau)
         for y in range(dist.n):
-            if pt.cond[y] == 0.0:
+            if cond[y] == 0.0:
                 continue
-            wy = pt.weight * pt.cond[y]
+            wy = w * cond[y]
             r_adv01 += wy * adv_zero_one_exact_1d(model, x, y, gamma)
             r_rho += wy * adv_comp_rho_loss_exact_1d(model, x, y, tau,
                                                      adv.rho, gamma)

@@ -46,7 +46,6 @@ class BoundReport:
     gap01: float = 0.0
     gap_surrogate: float = 0.0
     flags: list = field(default_factory=list)
-    per_point: list = field(default_factory=list)
 
     def csv_row(self):
         cols = [self.tau, self.n, self.lhs, self.rhs, self.slack,
@@ -71,7 +70,7 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
                            flags=["precondition_unmet:not_symmetric"])
 
     scores = np.asarray(assignment, dtype=np.float64)
-    if scores.shape != (len(dist.points), dist.n):
+    if scores.shape != dist.conds.shape:
         raise ValueError("assignment must be one score vector per support point")
     if not spec.is_complete:
         if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
@@ -80,14 +79,9 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
 
     lhs = 0.0
     arg = 0.0
-    per_point = []
-    for k, pt in enumerate(dist.points):
-        pred = predict(scores[k])
-        zo_gap = pt.cond.max() - pt.cond[pred]
-        sur_gap = cond_risk(scores[k], pt.cond, tau) - cond_risk_star_closed(pt.cond, tau)
-        lhs += pt.weight * zo_gap
-        arg += pt.weight * sur_gap
-        per_point.append((zo_gap, sur_gap))
+    for w, cond, s in zip(dist.weights.tolist(), dist.conds, scores):
+        lhs += w * (cond.max() - cond[predict(s)])
+        arg += w * (cond_risk(s, cond, tau) - cond_risk_star_closed(cond, tau))
 
     tmax = t_tau_max(tau, dist.n)
     if arg > tmax:
@@ -95,8 +89,7 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
         flags.append("vacuous:surrogate_excess_above_transform_range")
     else:
         rhs = gamma_tau(arg, tau, dist.n)
-    return BoundReport(tau, dist.n, lhs, rhs, rhs - lhs,
-                       flags=flags, per_point=per_point)
+    return BoundReport(tau, dist.n, lhs, rhs, rhs - lhs, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +141,10 @@ def build_tightness_instance(beta, tau, n):
 def tightness_sides(inst):
     """(zero-one side, surrogate side) of the instance; equal to
     ``(beta, t_tau(beta))`` for ``tau`` in [0, 1]."""
-    pt = inst.dist.points[0]
-    pred = predict(inst.assignment[0])
-    zero_one = pt.cond.max() - pt.cond[pred]
-    surrogate = cond_risk(inst.assignment[0], pt.cond, inst.tau) - \
-        cond_risk_star_closed(pt.cond, inst.tau)
+    cond, s = inst.dist.conds[0], inst.assignment[0]
+    zero_one = cond.max() - cond[predict(s)]
+    surrogate = cond_risk(s, cond, inst.tau) - \
+        cond_risk_star_closed(cond, inst.tau)
     return zero_one, surrogate
 
 
@@ -593,14 +585,14 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
         raise ValueError("delta must lie in (0, 1)")
     m = int(m)
     n = dist.n
-    K = len(dist.points)
+    K = len(dist.weights)
     rng = np.random.default_rng(seed)
 
     weights = dist.weights
     point_idx = rng.choice(K, size=m, p=weights)
     labels = np.empty(m, dtype=np.int64)
     for i in range(m):
-        labels[i] = rng.choice(n, p=dist.points[point_idx[i]].cond)
+        labels[i] = rng.choice(n, p=dist.conds[point_idx[i]])
 
     # empirical surrogate minimizer decomposes over distinct support points
     counts = np.zeros((K, n))
@@ -615,9 +607,8 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
         assignment[k] = res.scores
 
     realized = 0.0
-    for k, pt in enumerate(dist.points):
-        pred = predict(assignment[k])
-        realized += pt.weight * (pt.cond.max() - pt.cond[pred])
+    for w, cond, s in zip(weights.tolist(), dist.conds, assignment):
+        realized += w * (cond.max() - cond[predict(s)])
 
     # Monte-Carlo complexity estimate: mean over sign draws of the supremum
     # of the sign-weighted empirical loss, supremum decomposed per point;

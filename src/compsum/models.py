@@ -201,27 +201,43 @@ def save_model(model, path):
                  + model.flat.astype("<f8").tobytes())
 
 
+# per checkpoint kind: the header's dims and the parameter shapes they give
+_KINDS = {"linear": (("dim", "labels"), lambda dim, n: [(n, dim), (n,)]),
+          "mlp": (("dim", "hidden", "labels"),
+                  lambda dim, h, n: [(dim, h), (h,), (h, n), (n,)])}
+
+
 def load_model(path):
+    """Read a checkpoint. The header is checked, and the float count it
+    describes compared with the body's size, before any array is built."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip().split()
-        if len(header) < 2 or header[0] != _MAGIC:
-            raise ValueError(f"bad checkpoint header in {path}")
-        kind = header[1]
-        dims = [int(v) for v in header[2:]]
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    if kind == "linear":
-        dim, n = dims
-        model = LinearModel(np.zeros((n, dim)), np.zeros(n))
-    elif kind == "mlp":
-        dim, hidden, n = dims
-        model = MLPModel(np.zeros((dim, hidden)), np.zeros(hidden),
-                         np.zeros((hidden, n)), np.zeros(n))
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if flat.size != model.flat.size:
-        raise ValueError(f"checkpoint holds {flat.size} floats, "
-                         f"expected {model.flat.size}")
+        line = fh.readline().decode("ascii", errors="replace").strip()
+        body = fh.read()
+
+    def bad(why):
+        return ValueError(f"bad checkpoint header {line!r} in {path}: {why}")
+
+    header = line.split()
+    if len(header) < 2 or header[0] != _MAGIC:
+        raise bad(f"expected '{_MAGIC} <kind> <dims...>'")
+    kind, dims = header[1], header[2:]
+    if kind not in _KINDS:
+        raise bad(f"unknown model kind {kind!r}")
+    names, shapes_of = _KINDS[kind]
+    if len(dims) != len(names):
+        raise bad(f"a {kind} model takes {len(names)} dims "
+                  f"({', '.join(names)}), got {len(dims)}")
+    if not all(d.isdigit() and int(d) > 0 for d in dims):
+        raise bad("dims must be positive integers")
+    shapes = shapes_of(*map(int, dims))
+    size = sum(math.prod(shape) for shape in shapes)
+    if len(body) != 8 * size:
+        raise bad(f"it describes {size} floats ({8 * size} bytes), but the "
+                  f"body holds {len(body)} bytes")
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         raise ValueError(f"checkpoint {path} holds non-finite parameters")
+    model = (LinearModel if kind == "linear" else MLPModel)(
+        *map(np.zeros, shapes))
     model.set_flat(flat)
     return model

@@ -5,6 +5,8 @@ complete hypothesis set; the brute-force oracle minimizes over an explicit
 score box by multi-start safeguarded projected Newton descent (one Armijo
 search along the projected Newton arc per iteration) and is the
 independent cross-check for every closed form in this module.
+Expectations run over a ``FiniteDistribution``, three arrays (weights,
+conditionals, features) checked once when built.
 
 The minimizability gap (best-in-class expected risk minus the expected
 pointwise infimum) is always upper bounded by the approximation error,
@@ -22,8 +24,7 @@ import numpy as np
 from . import losses
 # the benchmark's tracer wraps ``pgd_box_weighted_min`` where this module
 # looks it up; no code here calls it
-from ._kernels import (WeightedCondRisk, newton_box_min,
-                       pgd_box_weighted_min, pgd_box_weighted_min_batch)
+from ._kernels import WeightedCondRisk, newton_box_min, pgd_box_weighted_min
 from .losses import TAU_BRANCH_TOL, check_tau
 
 # Box half-width standing in for an unbounded (complete) score set in the
@@ -47,6 +48,8 @@ def check_cond_dist(p, n=None):
         raise ValueError("conditional distribution must be 1-D with >= 2 entries")
     if n is not None and p.shape[0] != n:
         raise ValueError(f"expected {n} labels, got {p.shape[0]}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"probabilities must be finite, got {p}")
     if np.any(p < -1e-15):
         raise ValueError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-12:
@@ -54,62 +57,52 @@ def check_cond_dist(p, n=None):
     return np.maximum(p, 0.0)
 
 
-@dataclass(frozen=True)
-class SupportPoint:
-    """One atom of a finite-support distribution.
-
-    ``x`` carries input features and is only required by hypothesis sets
-    whose scores depend on the input (the linear family).
+class FiniteDistribution:
+    """A finite-support distribution as arrays, one row per atom: ``weights``
+    (K,), conditional label distributions ``conds`` (K, n) and features
+    ``xs`` (K, d) or None; the linear family and the adversarial bound read
+    ``xs``. Built from copies, checked once: finite nonnegative weights that
+    sum to 1 within 1e-12, and each row of ``conds`` by ``check_cond_dist``.
     """
 
-    weight: float
-    cond: np.ndarray
-    x: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    points: tuple
-    n: int
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("distribution needs at least one support point")
-        total = 0.0
-        for pt in self.points:
-            if pt.weight < 0:
-                raise ValueError("weights must be nonnegative")
-            check_cond_dist(pt.cond, self.n)
-            total += pt.weight
+    def __init__(self, weights, conds, xs=None):
+        self.weights = np.array(weights, dtype=np.float64)
+        self.conds = np.array(conds, dtype=np.float64)
+        self.xs = None if xs is None else np.array(xs, dtype=np.float64)
+        arrays = [a for a in (self.weights, self.conds, self.xs)
+                  if a is not None]
+        K = self.weights.size
+        if (self.weights.ndim != 1 or K == 0
+                or any(a.ndim != 2 or a.shape[0] != K for a in arrays[1:])):
+            raise ValueError(f"need K >= 1 weights (K,), conds (K, n) and xs "
+                             f"(K, d) or None, got shapes "
+                             f"{[a.shape for a in arrays]}")
+        if self.xs is not None and not np.isfinite(self.xs).all():
+            raise ValueError("features must be finite")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise ValueError(f"weights must be finite and nonnegative, got "
+                             f"{self.weights}")
+        total = sum(self.weights.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
+        for cond in self.conds:
+            check_cond_dist(cond)
 
     @property
-    def weights(self):
-        return np.array([pt.weight for pt in self.points])
-
-    @property
-    def conds(self):
-        return np.stack([pt.cond for pt in self.points])
+    def n(self):
+        return self.conds.shape[1]
 
 
-def finite_distribution(weights, conds, xs=None):
-    """Build a validated FiniteDistribution from arrays."""
-    weights = np.asarray(weights, dtype=np.float64)
-    conds = np.asarray(conds, dtype=np.float64)
-    pts = []
-    for k in range(len(weights)):
-        x = None if xs is None else np.asarray(xs[k], dtype=np.float64)
-        pts.append(SupportPoint(float(weights[k]), conds[k].copy(), x))
-    return FiniteDistribution(tuple(pts), conds.shape[1])
+# the name that callers, the README tour and the benchmark build with
+finite_distribution = FiniteDistribution
 
 
 def save_distribution(dist, path):
     """Write the tabular form: header ``weight,p1,...,pn``, one row per atom."""
     with open(path, "w") as fh:
         fh.write("weight," + ",".join(f"p{i + 1}" for i in range(dist.n)) + "\n")
-        for pt in dist.points:
-            row = [pt.weight] + list(pt.cond)
+        for w, cond in zip(dist.weights.tolist(), dist.conds):
+            row = [w] + list(cond)
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -130,7 +123,7 @@ def load_distribution(path):
                 raise ValueError(f"line {line_no}: expected {n + 1} fields")
             weights.append(vals[0])
             conds.append(vals[1:])
-    return finite_distribution(np.array(weights), np.array(conds))
+    return finite_distribution(weights, conds)
 
 
 @dataclass(frozen=True)
@@ -312,10 +305,12 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
 def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
-    Row ``b`` is solved from the starts that ``seed=seeds[b]`` gives the
-    single-problem oracle, all starts of all rows in one lockstep call;
-    each row takes the steps it takes alone, so each result is that call's
-    result bit for bit. Returns one ``BruteResult`` per row.
+    Row ``b`` is solved from the ``pgd_starts`` of ``seeds[b]``, every
+    start of every row one row of a single ``newton_box_min`` call; each
+    start takes bit for bit the steps that the sequential reference
+    ``pgd_box_weighted_min`` takes from it. Per row the best start is the
+    first minimum in start order (a NaN value never wins), and the row has
+    converged when every start has. Returns one ``BruteResult`` per row.
     """
     C = np.asarray(C, dtype=np.float64)
     tau = check_tau(tau)
@@ -324,12 +319,23 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
         raise ValueError("C must be a (B, n) array with one seed per row")
     if not seeds:
         return []
-    starts = np.stack([pgd_starts(c, lam, np.random.default_rng(s))
-                       for c, s in zip(C, seeds)])
-    vals, scores, conv = pgd_box_weighted_min_batch(
-        C, tau, float(lam), starts, max_iter, ORACLE_GTOL)
-    return [BruteResult(float(v), x, bool(ok))
-            for v, x, ok in zip(vals, scores, conv)]
+    starts = np.concatenate([pgd_starts(c, lam, np.random.default_rng(s))
+                             for c, s in zip(C, seeds)])
+    B, n = C.shape
+    f, x, conv = newton_box_min(
+        WeightedCondRisk(np.repeat(C, ORACLE_STARTS, axis=0), tau), starts,
+        float(lam), max_iter, ORACLE_GTOL)
+    f = f.reshape(B, ORACLE_STARTS)
+    x = x.reshape(B, ORACLE_STARTS, n)
+    best_f = np.full(B, np.inf)
+    best_x = np.full((B, n), np.nan)
+    for si in range(ORACLE_STARTS):
+        lower = f[:, si] < best_f
+        best_f[lower] = f[lower, si]
+        best_x[lower] = x[lower, si]
+    conv = conv.reshape(B, ORACLE_STARTS).all(axis=1)
+    return [BruteResult(float(v), s, bool(ok))
+            for v, s, ok in zip(best_f, best_x, conv)]
 
 
 def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
@@ -366,11 +372,12 @@ def calibration_gap(scores, p, tau, spec, **kw):
 
 def _linear_point_boxes(dist, spec):
     """Per-point reachable score boxes of a bounded linear family."""
+    if dist.xs is None or dist.xs.shape[1] != spec.feature_dim:
+        raise ValueError(f"linear spec needs {spec.feature_dim} features per "
+                         f"support point")
     lams = []
-    for pt in dist.points:
-        if pt.x is None:
-            raise ValueError("linear spec needs per-point features")
-        lam = spec.weight_bound * (float(np.abs(pt.x).sum()) + 1.0)
+    for x in dist.xs:
+        lam = spec.weight_bound * (float(np.abs(x).sum()) + 1.0)
         # the oracle draws starts uniformly from [-lam, lam]
         if not math.isfinite(2.0 * lam):
             raise ValueError(
@@ -390,9 +397,10 @@ class _LinearRisk:
 
     def __init__(self, dist, tau):
         eye = np.eye(dist.n)
-        self.terms = [(np.hstack([np.kron(eye, pt.x[None, :]), eye]),
-                       WeightedCondRisk(pt.weight * pt.cond, tau))
-                      for pt in dist.points]
+        self.terms = [(np.hstack([np.kron(eye, x[None, :]), eye]),
+                       WeightedCondRisk(w * cond, tau))
+                      for w, cond, x in zip(dist.weights.tolist(), dist.conds,
+                                            dist.xs)]
 
     def value(self, T):
         return sum(pt.value(T @ J.T) for J, pt in self.terms)
@@ -446,12 +454,12 @@ def minimizability_gap(dist, spec, tau, *, seed=0):
     tau = check_tau(tau)
     if spec.kind == "score_box":
         return 0.0
-    fits = [minimize_weighted_cond_risk(pt.cond, tau, lam, seed=seed + 31 * k)
-            for k, (pt, lam) in enumerate(zip(dist.points,
-                                              _linear_point_boxes(dist, spec)))]
+    lams = _linear_point_boxes(dist, spec)
+    fits = [minimize_weighted_cond_risk(cond, tau, lam, seed=seed + 31 * k)
+            for k, (cond, lam) in enumerate(zip(dist.conds, lams))]
     joint, converged = _linear_joint_minimum(dist, spec, tau, seed)
-    gap = joint - sum(pt.weight * res.value
-                      for pt, res in zip(dist.points, fits))
+    gap = joint - sum(w * res.value
+                      for w, res in zip(dist.weights.tolist(), fits))
     if not (converged and all(res.converged for res in fits)) or gap < -1e-9:
         warnings.warn(f"minimizability gap {gap:.3e}: a minimum did not "
                       f"converge or the joint one lies below the pointwise "

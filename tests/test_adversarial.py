@@ -623,6 +623,15 @@ class TestAdvBound:
                              AdvParams(n=2, rho=1.0),
                              PerturbationBall(math.inf, 0.1))
 
+    @pytest.mark.parametrize("xs", [None, [[0.0, 1.0]]],
+                             ids=["no-xs", "two-features"])
+    def test_refuses_distribution_without_one_feature(self, xs):
+        dist = finite_distribution([1.0], [[0.5, 0.5]], xs=xs)
+        with pytest.raises(ValueError, match="one feature per support point"):
+            verify_adv_bound(dist, linear_family(2, 1, weight_bound=2.0),
+                             linear2(1.0, -1.0), 1.0, AdvParams(n=2, rho=1.0),
+                             PerturbationBall(math.inf, 0.1))
+
     def test_multiplier_constant_at_log_two(self):
         assert phi_tau(1.0, 1.0) == math.log(2.0)
 

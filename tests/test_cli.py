@@ -346,7 +346,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("body", [b"compsum-model\n",
                                       b"compsum-model\n\0\0\0\0\0\0\0\0",
-                                      b"\n"])
+                                      b"\n", b"compsum-model mlp 2 x 3\n"])
     def test_bad_checkpoint_header_is_an_error(self, tmp_path, capsys, body):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BASE_CFG)

@@ -1,6 +1,7 @@
 """Risk-module tests: closed forms against the brute-force oracle, gaps,
 serialization."""
 
+import dataclasses
 import inspect
 import math
 
@@ -54,6 +55,18 @@ class TestCondRisk:
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
             cond_risk([0.0, 0.0], [0.6, 0.6], 1.0)
+
+
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan],
+                               [math.nan, math.nan]])
+@pytest.mark.parametrize("call", [
+    risk.check_cond_dist,
+    lambda p: cond_risk([0.0, 0.0], p, 1.0),
+    lambda p: cond_risk_star_closed(p, 1.0),
+], ids=["check_cond_dist", "cond_risk", "cond_risk_star_closed"])
+def test_nan_probability_raises(call, p):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(p)
 
 
 class TestClosedForm:
@@ -298,7 +311,7 @@ def test_one_problem_is_one_lockstep_call(monkeypatch):
         return engine(obj, starts, lam, max_iter, gtol)
 
     monkeypatch.setattr(risk, "pgd_box_weighted_min", sequential)
-    monkeypatch.setattr(_kernels, "newton_box_min", counted)
+    monkeypatch.setattr(risk, "newton_box_min", counted)
     res = minimize_weighted_cond_risk(np.array([0.45, 0.3, 0.15, 0.1]), 1.6,
                                       30.0, seed=2)
     assert res.converged
@@ -503,7 +516,7 @@ class TestMinimizabilityGap:
             raise AssertionError("the score-box gap ran the box oracle")
 
         monkeypatch.setattr(risk, "pgd_box_weighted_min", no_oracle)
-        monkeypatch.setattr(risk, "pgd_box_weighted_min_batch", no_oracle)
+        monkeypatch.setattr(risk, "newton_box_min", no_oracle)
         dist = finite_distribution([0.3, 0.7], [[0.9, 0.1], [0.2, 0.8]])
         for spec in (score_box(2, 1.5), score_box(2)):
             gap = minimizability_gap(dist, spec, 1.7, seed=4)
@@ -516,7 +529,7 @@ class TestMinimizabilityGap:
             raise AssertionError("the box oracle ran on an unbounded box")
 
         monkeypatch.setattr(risk, "pgd_box_weighted_min", no_oracle)
-        monkeypatch.setattr(risk, "pgd_box_weighted_min_batch", no_oracle)
+        monkeypatch.setattr(risk, "newton_box_min", no_oracle)
         dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
                                    xs=[[1.0], [-1.0]])
         for bound in (math.inf, 1e308):
@@ -569,15 +582,21 @@ class TestMinimizabilityGap:
             assert 0.0 <= gap <= 1e-12
 
     @pytest.mark.parametrize("kernel", ["newton_box_min",
-                                        "pgd_box_weighted_min_batch"])
+                                        "minimize_weighted_cond_risk_batch"])
     def test_unconverged_solve_warns(self, monkeypatch, kernel):
-        # an unconverged joint (newton_box_min) or per-point
-        # (pgd_box_weighted_min_batch) solve makes the gap a warned estimate
+        # an unconverged joint (the newton_box_min call on the linear risk)
+        # or per-point (minimize_weighted_cond_risk_batch) solve makes the
+        # gap a warned estimate
         original = getattr(risk, kernel)
 
-        def unconverged(*args):
-            out = original(*args)
-            return out[:2] + (np.zeros_like(out[2]),)
+        def unconverged(obj, *args, **kw):
+            out = original(obj, *args, **kw)
+            if kernel == "minimize_weighted_cond_risk_batch":
+                return [dataclasses.replace(res, converged=False)
+                        for res in out]
+            if isinstance(obj, risk._LinearRisk):
+                return out[:2] + (np.zeros_like(out[2]),)
+            return out
 
         monkeypatch.setattr(risk, kernel, unconverged)
         dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
@@ -630,11 +649,49 @@ class TestJensenChain:
                                        rng.dirichlet(np.ones(n), size=K))
             spec = score_box(n, 6.0)
             tau = float(rng.uniform(0.0, 2.0))
-            r_tau = sum(pt.weight * cond_risk_star_brute(
-                pt.cond, tau, spec, seed=i).value for pt in dist.points)
-            r_zero = sum(pt.weight * cond_risk_star_brute(
-                pt.cond, 0.0, spec, seed=i).value for pt in dist.points)
+            pairs = list(zip(dist.weights, dist.conds))
+            r_tau = sum(w * cond_risk_star_brute(cond, tau, spec, seed=i).value
+                        for w, cond in pairs)
+            r_zero = sum(w * cond_risk_star_brute(cond, 0, spec, seed=i).value
+                         for w, cond in pairs)
             assert r_tau <= losses.phi_tau(r_zero, tau) + 1e-9
+
+
+class TestFiniteDistribution:
+    def test_holds_checked_arrays(self):
+        weights, conds = [0.25, 0.75], [[0.2, 0.8], [1.0, 0.0]]
+        dist = finite_distribution(weights, conds, xs=[[1.0], [-2.0]])
+        assert dist.n == 2
+        assert np.array_equal(dist.weights, weights)
+        assert np.array_equal(dist.conds, conds)
+        assert np.array_equal(dist.xs, [[1.0], [-2.0]])
+        assert finite_distribution(weights, conds).xs is None
+
+    @pytest.mark.parametrize("weights, conds, xs, match", [
+        ([math.nan, 1.0], [[0.5, 0.5]] * 2, None, "finite and nonnegative"),
+        ([math.inf, 0.0], [[0.5, 0.5]] * 2, None, "finite and nonnegative"),
+        ([-0.5, 1.5], [[0.5, 0.5]] * 2, None, "finite and nonnegative"),
+        ([0.5, 0.4], [[0.5, 0.5]] * 2, None, "sum to"),
+        ([], [], None, "got shapes"),
+        ([1.0], [0.5, 0.5], None, "got shapes"),
+        ([0.5, 0.5], [[0.5, 0.5]] * 3, None, "got shapes"),
+        ([0.5, 0.5], [[0.5, 0.5]], None, "got shapes"),
+        ([0.5, 0.5], [[0.5, 0.5]] * 2, [[0.0]], "got shapes"),
+        ([0.5, 0.5], [[0.5, 0.5]] * 2, [[0.0], [math.nan]], "finite"),
+        ([1.0], [[0.5, math.nan]], None, "must be finite"),
+    ], ids=["nan-weight", "inf-weight", "negative-weight", "sum", "no-atoms",
+            "1d-conds", "extra-row", "missing-row", "short-xs", "nan-xs",
+            "nan-cond"])
+    def test_invalid_input_raises(self, weights, conds, xs, match):
+        with pytest.raises(ValueError, match=match):
+            finite_distribution(weights, conds, xs)
+
+    @pytest.mark.parametrize("xs", [None, [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["no-xs", "two-features"])
+    def test_linear_gap_needs_its_features(self, xs):
+        dist = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], xs)
+        with pytest.raises(ValueError, match="1 features per support point"):
+            minimizability_gap(dist, linear_family(2, 1, 2.0), 1.0)
 
 
 class TestSerialization:

@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from compsum import models
 from compsum import train as train_mod
 from compsum.adversarial import AdvParams, PerturbationBall, deviation_objective
 from compsum.models import init_linear, init_mlp, load_model, save_model
@@ -437,6 +439,28 @@ class TestModelsAndCheckpoints:
             save_model(model, path)
             with pytest.raises(ValueError, match="non-finite parameters"):
                 load_model(path)
+
+    @pytest.mark.parametrize("data", [
+        b"compsum-model mlp 4000 4000 10\n",
+        b"compsum-model linear 3\n",
+        b"compsum-model linear -3 2\n",
+        b"compsum-model mlp 2 x 3\n",
+        b"compsum-model linear 1 2\n" + bytes(31),
+    ], ids=["huge", "missing-dim", "negative-dim", "non-integer-dim",
+            "partial-float"])
+    def test_bad_header_refused_before_any_array(self, tmp_path, monkeypatch,
+                                                 data):
+        def no_model(*args):
+            raise AssertionError("a model was built for a bad checkpoint")
+
+        monkeypatch.setattr(models, "LinearModel", no_model)
+        monkeypatch.setattr(models, "MLPModel", no_model)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data)
+        header = data.split(b"\n")[0].decode()
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad checkpoint header {header!r} in {path}: ")):
+            load_model(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         model = init_linear(4, 3, seed=1)
