@@ -176,20 +176,24 @@ def _steepest_ascent(g, p_norm):
     return g
 
 
-def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
+def pgd_maximize(model, objective, X, clean, ball, adv, rng=None,
+                 start=None):
     """Maximize ``objective`` at the model's scores over per-row balls by
     projected ascent.
 
     ``objective(scores)`` returns the per-row values and their gradient
     with respect to the scores. Each iterate costs one ``model.forward_vjp``
     (one hidden-layer pass) and one objective call; a step taken from it
-    pulls the score gradient back through that same pass. Restart 0 starts
-    at the clean points, whose pass ``clean = model.forward_vjp(X)`` the
-    caller hands in; further restarts start uniformly inside the
-    (projected) ball, so ``restarts * (pgd_steps + 1) - 1`` forward passes
-    beyond the clean one. The best value seen at any iterate is retained
-    per row, so enlarging the budget never lowers the estimate. Returns
-    (best values, best points).
+    pulls the score gradient back through that same pass. The clean
+    points' pass ``clean = model.forward_vjp(X)`` comes from the caller,
+    and the clean points count toward the best values. Restart 0 starts at
+    ``start`` (points inside the ball) when given, else at the clean
+    points: an objective whose gradient vanishes at ``X``, such as the
+    deviation, needs a start off it. Further restarts start uniformly
+    inside the (projected) ball. That makes ``restarts * (pgd_steps + 1) -
+    1`` forward passes beyond the clean one, plus one for ``start``. The
+    best value seen at any iterate is retained per row, so enlarging the
+    budget never lowers the estimate. Returns (best values, best points).
 
     Each step is computed in the fresh input-gradient buffer that
     ``back.inputs`` returns and becomes the next iterate, so ``X``, the
@@ -205,8 +209,8 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None):
     step = adv.step_size(ball)
     for r in range(adv.restarts):
         Xp = X
-        if r > 0:
-            Xp = project_to_ball(
+        if r > 0 or start is not None:
+            Xp = start if r == 0 else project_to_ball(
                 X + rng.uniform(-ball.gamma, ball.gamma, size=X.shape), X, ball)
             scores, back = model.forward_vjp(Xp)
             v, ds = objective(scores)

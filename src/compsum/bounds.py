@@ -577,12 +577,25 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     comparison. Arguments beyond the transform's range yield the vacuous
     bound 1. ``oracle_nonconverged`` counts the oracle solves of both
     batches (minimizers and suprema) that ended unconverged.
+
+    The labels of all ``m`` points come from one uniform draw each, the
+    signs of a draw from one ``integers`` call, and both oracle batches
+    from one ``minimize_weighted_cond_risk_batch`` call each, so the
+    bound runs no Python loop per point. ``m``, ``n_sign_draws`` and
+    ``opt_iters`` must be positive integers and ``seed`` a nonnegative
+    one; a ``ValueError`` names the field that is not.
     """
     tau = check_tau(tau)
     if spec.kind != "score_box" or not math.isfinite(spec.lam):
         raise ValueError("learning bound needs a score_box spec with finite lam")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    for name, value, low in (("m", m, 1), ("n_sign_draws", n_sign_draws, 1),
+                             ("opt_iters", opt_iters, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, np.integer)) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got "
+                             f"{value!r}")
     m = int(m)
     n = dist.n
     K = len(dist.weights)
@@ -590,13 +603,17 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
 
     weights = dist.weights
     point_idx = rng.choice(K, size=m, p=weights)
-    labels = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        labels[i] = rng.choice(n, p=dist.conds[point_idx[i]])
+    # rng.choice(n, p=conds[k]) for every point at once, on the same
+    # stream: one uniform per point, searched from the right in the
+    # normalised cumulative sum of its conditional
+    cdf = np.cumsum(dist.conds, axis=1)
+    cdf /= cdf[:, -1:]
+    labels = (cdf[point_idx] <= rng.random(m)[:, None]).sum(axis=1)
+    # (point, label) cell of each draw, flat over the (K, n) table
+    cells = point_idx * n + labels
 
     # empirical surrogate minimizer decomposes over distinct support points
-    counts = np.zeros((K, n))
-    np.add.at(counts, (point_idx, labels), 1.0)
+    counts = np.bincount(cells, minlength=K * n).reshape(K, n).astype(float)
     seen = np.flatnonzero(counts.sum(axis=1))
     fits = minimize_weighted_cond_risk_batch(
         counts[seen] / counts[seen].sum(axis=1, keepdims=True), tau, spec.lam,
@@ -613,17 +630,16 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     # Monte-Carlo complexity estimate: mean over sign draws of the supremum
     # of the sign-weighted empirical loss, supremum decomposed per point;
     # all suprema of the bound go to the oracle in one batch
-    coeffs = np.zeros((n_sign_draws, K, n))
+    coeffs = np.empty((n_sign_draws, K, n))
     for d in range(n_sign_draws):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        np.add.at(coeffs[d], (point_idx, labels), sigma)
+        coeffs[d] = np.bincount(cells, sigma, K * n).reshape(K, n)
     draw, pts = np.nonzero(np.any(coeffs, axis=2))
     fits = minimize_weighted_cond_risk_batch(
         -coeffs[draw, pts] / m, tau, spec.lam,
         (seed + 5000 + 17 * draw + pts).tolist(), max_iter=opt_iters)
     nonconverged += sum(not res.converged for res in fits)
-    sups = np.zeros(n_sign_draws)
-    np.add.at(sups, draw, [-res.value for res in fits])
+    sups = np.bincount(draw, [-res.value for res in fits], n_sign_draws)
     rademacher = float(sups.mean())
     rademacher_se = float(sups.std(ddof=1) / math.sqrt(n_sign_draws)) \
         if n_sign_draws > 1 else 0.0

@@ -98,32 +98,46 @@ finite_distribution = FiniteDistribution
 
 
 def save_distribution(dist, path):
-    """Write the tabular form: header ``weight,p1,...,pn``, one row per atom."""
+    """Write the tabular form: header ``weight,p1,...,pn``, followed by
+    ``x1,...,xd`` when the distribution has features, one row per atom."""
+    table = np.column_stack([dist.weights, dist.conds]
+                            + ([] if dist.xs is None else [dist.xs]))
     with open(path, "w") as fh:
-        fh.write("weight," + ",".join(f"p{i + 1}" for i in range(dist.n)) + "\n")
-        for w, cond in zip(dist.weights.tolist(), dist.conds):
-            row = [w] + list(cond)
+        fh.write(",".join(_distribution_columns(
+            dist.n, table.shape[1] - 1 - dist.n)) + "\n")
+        for row in table.tolist():
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _distribution_columns(n, d):
+    return (["weight"] + [f"p{i + 1}" for i in range(n)]
+            + [f"x{j + 1}" for j in range(d)])
+
+
 def load_distribution(path):
+    """Read the tabular form that ``save_distribution`` writes; a file
+    without ``x`` columns loads with ``xs`` None."""
     with open(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
-        if not cols or cols[0] != "weight" or len(cols) < 3:
-            raise ValueError(f"bad distribution header: {header!r}")
-        n = len(cols) - 1
-        weights, conds = [], []
+        n = sum(c.startswith("p") for c in cols)
+        d = len(cols) - 1 - n
+        if n < 2 or cols != _distribution_columns(n, d):
+            raise ValueError(f"bad distribution header: {header!r}; expected "
+                             f"weight,p1,...,pn with n >= 2, then "
+                             f"x1,...,xd if any")
+        rows = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             vals = [float(v) for v in line.split(",")]
-            if len(vals) != n + 1:
-                raise ValueError(f"line {line_no}: expected {n + 1} fields")
-            weights.append(vals[0])
-            conds.append(vals[1:])
-    return finite_distribution(weights, conds)
+            if len(vals) != len(cols):
+                raise ValueError(f"line {line_no}: expected {len(cols)} fields")
+            rows.append(vals)
+    table = np.array(rows).reshape(-1, len(cols))
+    return finite_distribution(table[:, 0], table[:, 1:n + 1],
+                               table[:, n + 1:] if d else None)
 
 
 @dataclass(frozen=True)
@@ -271,22 +285,28 @@ def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
     return np.maximum(s, -lam)
 
 
-def pgd_starts(c, lam, rng):
-    """``ORACLE_STARTS`` deterministic starts for the weights ``c``: zeros,
-    the corners that favour the largest and the smallest weight, random.
-
-    The random starts are drawn uniformly from ``[-lam, lam]``, so a box
-    whose width ``2 * lam`` is not a finite float is refused.
+def pgd_starts(C, lam, seeds):
+    """The ``ORACLE_STARTS`` deterministic starts of each row of the weights
+    ``C`` (B, n), as one (B * ORACLE_STARTS, n) array, row ``b``'s block
+    first to last: zeros, the corners that favour the largest and the
+    smallest weight (the first of tied ones), and five drawn uniformly from
+    ``[-lam, lam]`` by ``np.random.default_rng(seeds[b])``, bit for bit the
+    draws of five ``uniform(-lam, lam, n)`` calls on that generator.
+    ``minimize_weighted_cond_risk_batch`` checks the arguments.
     """
-    if not math.isfinite(2.0 * float(lam)):
-        raise ValueError(f"score box half-width {lam:g} is too wide to search")
-    n = len(c)
-    hi = np.full(n, -lam)
-    hi[int(np.argmax(c))] = lam
-    lo = np.full(n, -lam)
-    lo[int(np.argmin(c))] = lam
-    return np.stack([np.zeros(n), hi, lo] + [
-        rng.uniform(-lam, lam, size=n) for _ in range(ORACLE_STARTS - 3)])
+    B, n = C.shape
+    starts = np.empty((B, ORACLE_STARTS, n))
+    starts[:, 0] = 0.0
+    starts[:, 1:3] = -lam
+    rows = np.arange(B)
+    starts[rows, 1, C.argmax(axis=1)] = lam
+    starts[rows, 2, C.argmin(axis=1)] = lam
+    for b, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=starts[b, 3:])
+    # uniform's own arithmetic: low + (high - low) * U
+    starts[:, 3:] *= 2.0 * lam
+    starts[:, 3:] -= lam
+    return starts.reshape(B * ORACLE_STARTS, n)
 
 
 def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
@@ -311,20 +331,37 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     ``pgd_box_weighted_min`` takes from it. Per row the best start is the
     first minimum in start order (a NaN value never wins), and the row has
     converged when every start has. Returns one ``BruteResult`` per row.
+
+    A ``ValueError`` names the argument at fault: ``C`` not a finite (B, n)
+    array with n >= 1, ``lam`` negative or so wide that ``2 * lam`` is not
+    a finite float, or ``seeds`` not one nonnegative integer per row.
     """
     C = np.asarray(C, dtype=np.float64)
     tau = check_tau(tau)
     seeds = list(seeds)
-    if C.ndim != 2 or C.shape[0] != len(seeds):
-        raise ValueError("C must be a (B, n) array with one seed per row")
+    if C.ndim != 2 or C.shape[0] != len(seeds) or C.shape[1] < 1:
+        raise ValueError(f"C must be a (B, n) array with n >= 1 and one seed "
+                         f"per row, got shape {C.shape} and {len(seeds)} "
+                         f"seeds")
+    if not np.isfinite(C).all():
+        raise ValueError("C must be finite")
+    lam = float(lam)
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be a nonnegative box half-width, got {lam}")
+    # the random starts are drawn uniformly from [-lam, lam]
+    if not math.isfinite(2.0 * lam):
+        raise ValueError(f"lam: score box half-width {lam:g} is too wide to "
+                         f"search")
+    bad = [s for s in seeds if isinstance(s, bool)
+           or not (isinstance(s, (int, np.integer)) and s >= 0)]
+    if bad:
+        raise ValueError(f"seeds must be nonnegative integers, got {bad[0]!r}")
     if not seeds:
         return []
-    starts = np.concatenate([pgd_starts(c, lam, np.random.default_rng(s))
-                             for c, s in zip(C, seeds)])
     B, n = C.shape
     f, x, conv = newton_box_min(
-        WeightedCondRisk(np.repeat(C, ORACLE_STARTS, axis=0), tau), starts,
-        float(lam), max_iter, ORACLE_GTOL)
+        WeightedCondRisk(np.repeat(C, ORACLE_STARTS, axis=0), tau),
+        pgd_starts(C, lam, seeds), lam, max_iter, ORACLE_GTOL)
     f = f.reshape(B, ORACLE_STARTS)
     x = x.reshape(B, ORACLE_STARTS, n)
     best_f = np.full(B, np.inf)

@@ -19,6 +19,7 @@ from .adversarial import (
     adv_zero_one_batch,
     deviation_objective,
     pgd_maximize,
+    project_to_ball,
 )
 from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
 from .models import check_size, init_linear, init_mlp
@@ -160,13 +161,20 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
     """Smooth adversarial loss and its parameter gradients on one batch.
 
     The attack maximizes the deviation term; the attacked points are then
-    held fixed while differentiating both terms.
+    held fixed while differentiating both terms. The deviation and its
+    gradient are 0 at the clean points, so the attack starts from them
+    jittered by ``1e-3`` standard normal noise drawn from ``rng``
+    (projected into the ball), as the TRADES attack does (Zhang et al.,
+    2019); a zero-radius ball draws nothing.
     """
     adv, ball = cfg.adversarial, cfg.ball
+    rng = np.random.default_rng(adv.seed) if rng is None else rng
     clean = model.forward_vjp(X)
     scores, back = clean
     deviation = deviation_objective(scores, Y)
-    _, X_adv = pgd_maximize(model, deviation, X, clean, ball, adv, rng)
+    start = None if ball.gamma == 0.0 else project_to_ball(
+        X + 1e-3 * rng.standard_normal(X.shape), X, ball)
+    _, X_adv = pgd_maximize(model, deviation, X, clean, ball, adv, rng, start)
 
     scaled = scores / adv.rho
     clean_loss = comp_sum_loss_batch(scaled, Y, cfg.tau)

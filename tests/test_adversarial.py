@@ -436,14 +436,14 @@ class TestInputGradients:
         assert calls == {"tanh": passes + 1, "forward": 1,
                          "forward_vjp": passes}
 
-        # smooth training step: likewise, with a pullback at the attacked
-        # points
+        # smooth training step: likewise, plus one pass at the jittered
+        # start off the clean points and a pullback at the attacked points
         calls.update(tanh=0, forward=0, forward_vjp=0)
         cfg = train_mod.TrainConfig(adversarial=adv, ball=ball)
         train_mod._smooth_batch_grads(model, X, Y, cfg,
                                       np.random.default_rng(0))
-        assert calls == {"tanh": passes + 1, "forward": 0,
-                         "forward_vjp": passes + 1}
+        assert calls == {"tanh": passes + 2, "forward": 0,
+                         "forward_vjp": passes + 2}
 
         # smooth adversarial loss: the clean term reads the attack's clean
         # pass

@@ -10,6 +10,7 @@ import pytest
 from compsum import bounds, losses, suites, transform
 from compsum.bounds import (
     BOUND_CSV_HEADER,
+    LearningBoundResult,
     _golden_min_rows,
     _lemma_sup_closed_rows,
     _sup_rows,
@@ -548,6 +549,55 @@ class TestLearningBound:
         with pytest.raises(ValueError):
             learning_bound(self._easy_dist(), score_box(2), 1.0,
                            m=50, delta=0.05, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 0), ("m", -3), ("m", 2.7), ("m", True), ("m", "50"),
+        ("n_sign_draws", 0), ("n_sign_draws", 1.5),
+        ("n_sign_draws", False), ("opt_iters", 0), ("opt_iters", 10.0),
+        ("seed", -1), ("seed", 1.5), ("seed", None),
+    ])
+    def test_input_contract(self, field, value):
+        kw = dict(m=50, delta=0.05, seed=0, n_sign_draws=5, opt_iters=100)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            learning_bound(self._easy_dist(), score_box(2, 1.5), 1.0, **kw)
+
+    # (weights, conds, lam, tau, m, delta, seed, n_sign_draws) and the
+    # result of the per-point draws: one rng.choice per label and np.add.at
+    # sums of the label counts, the signs and the suprema
+    GOLDEN = [
+        ((0.5, 0.5), ((0.95, 0.05), (0.1, 0.9)), 1.5, 2.0, 50, 0.05, 0, 200,
+         LearningBoundResult(
+             1.0, 0.0, True, 0.0, 0.0760264937198697, 0.005316101111584504,
+             0.36591145776370215, 0.6700174326431809, 0.9525741268224333,
+             50, 0.05, 0)),
+        ((0.5, 0.5), ((0.95, 0.05), (0.1, 0.9)), 1.5, 2.0, 200, 0.05, 1, 200,
+         LearningBoundResult(
+             0.6250608018530874, 0.0, False, 0.0, 0.03239366801117316,
+             0.002698995387415569, 0.18295572888185108, 0.3125304009265437,
+             0.9525741268224333, 200, 0.05, 0)),
+        ((0.5, 0.5), ((0.95, 0.05), (0.1, 0.9)), 1.5, 2.0, 800, 0.05, 2, 200,
+         LearningBoundResult(
+             0.33320153973631006, 0.0, False, 0.0, 0.018780726356807373,
+             0.0012516074095052744, 0.09147786444092554, 0.16660076986815503,
+             0.9525741268224333, 800, 0.05, 0)),
+        ((0.1, 0.2, 0.3, 0.4), ((0.7, 0.2, 0.1), (0.2, 0.5, 0.3),
+                                (0.0, 0.4, 0.6), (0.25, 0.35, 0.4)),
+         2.0, 1.7, 12, 0.1, 0, 30,
+         LearningBoundResult(
+             1.0, 0.11999999999999998, True, 0.0, 0.47814537067423923,
+             0.049845980144986, 0.9718880175468333, 2.88446950024379,
+             1.375435894397868, 12, 0.1, 0)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(GOLDEN)))
+    def test_equals_the_per_point_draws(self, case):
+        weights, conds, lam, tau, m, delta, seed, draws, want = \
+            self.GOLDEN[case]
+        got = learning_bound(finite_distribution(weights, conds),
+                             score_box(len(conds[0]), lam), tau, m=m,
+                             delta=delta, seed=seed, n_sign_draws=draws)
+        assert got == want
 
 
 class TestTrainLoopSelection:

@@ -218,7 +218,7 @@ class TestBatchOracle:
     def test_batch_of_one_equals_the_reference(self):
         c = np.array([0.2, 0.5, 0.3])
         (got,) = minimize_weighted_cond_risk_batch([c], 1.3, 5.0, [4])
-        starts = risk.pgd_starts(c, 5.0, np.random.default_rng(4))
+        starts = risk.pgd_starts(c[None], 5.0, [4])
         value, scores, conv = _kernels.pgd_box_weighted_min(
             c, 1.3, 5.0, starts, 10000, risk.ORACLE_GTOL)
         assert got.value == value
@@ -230,6 +230,53 @@ class TestBatchOracle:
                                                  []) == []
         with pytest.raises(ValueError):
             minimize_weighted_cond_risk_batch([[0.5, 0.5]], 1.0, 1.0, [0, 1])
+
+    @pytest.mark.parametrize("C, lam, seeds, field", [
+        ([[0.5, np.nan]], 1.0, [0], "C"),
+        ([[0.5, 0.5], [np.inf, 0.5]], 1.0, [0, 1], "C"),
+        (np.zeros((1, 0)), 1.0, [0], "C"),
+        ([0.5, 0.5], 1.0, [0], "C"),
+        ([[0.5, 0.5]], -1.0, [0], "lam"),
+        ([[0.5, 0.5]], np.nan, [0], "lam"),
+        ([[0.5, 0.5]], 1e308, [0], "lam"),
+        ([[0.5, 0.5]], 1.0, [1.5], "seeds"),
+        ([[0.5, 0.5]], 1.0, [-1], "seeds"),
+        ([[0.5, 0.5]], 1.0, [True], "seeds"),
+        ([[0.5, 0.5]], 1.0, ["0"], "seeds"),
+    ])
+    def test_bad_input_names_the_argument(self, C, lam, seeds, field):
+        with pytest.raises(ValueError, match=f"^{field}[ :]"):
+            minimize_weighted_cond_risk_batch(C, 1.0, lam, seeds)
+
+
+def reference_starts(c, lam, rng):
+    """One problem's starts built row by row, as the oracle built them
+    before its starts came from one array per batch: zeros, the corners
+    of the largest and the smallest weight, five ``uniform`` calls."""
+    n = len(c)
+    hi = np.full(n, -lam)
+    hi[int(np.argmax(c))] = lam
+    lo = np.full(n, -lam)
+    lo[int(np.argmin(c))] = lam
+    return np.stack([np.zeros(n), hi, lo] + [
+        rng.uniform(-lam, lam, size=n) for _ in range(risk.ORACLE_STARTS - 3)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.5, 7.25, 30.0, 1e300])
+def test_batch_starts_equal_the_per_problem_reference(n, lam):
+    rng = np.random.default_rng(n)
+    C = rng.dirichlet(np.ones(n), size=6)
+    C[1] = 1.0 / n  # every weight tied
+    C[2, :2] = C[2].max()  # tied maxima, the first wins
+    C[3] *= -1.0
+    seeds = [0, 1, 7, 2**40 + 3, 12345, n]
+    starts = risk.pgd_starts(C, lam, seeds)
+    want = np.concatenate([reference_starts(c, lam, np.random.default_rng(s))
+                           for c, s in zip(C, seeds)])
+    assert starts.shape == (6 * risk.ORACLE_STARTS, n)
+    assert np.array_equal(starts, want)
+    assert np.array_equal(np.signbit(starts), np.signbit(want))
 
 
 def stationarity_residual(p, tau):
@@ -291,7 +338,7 @@ ORACLE_INSTANCES = ([(20240811, k - 1, k) for k in range(1, 21)]
 def test_oracle_equals_the_sequential_reference(gen_seed, index, seed):
     p, tau = criterion2_draw(gen_seed, index)
     res = cond_risk_star_brute(p, tau, score_box(len(p), 30.0), seed=seed)
-    starts = risk.pgd_starts(p, 30.0, np.random.default_rng(seed))
+    starts = risk.pgd_starts(p[None], 30.0, [seed])
     value, scores, conv = _kernels.pgd_box_weighted_min(
         p, tau, 30.0, starts, 10000, risk.ORACLE_GTOL)
     assert res.value == value
@@ -343,7 +390,7 @@ def test_one_problem_kernel_call_pattern(monkeypatch):
     monkeypatch.setattr(_kernels, "weighted_cond_value", counted_value)
     monkeypatch.setattr(_kernels, "weighted_cond_value_grad", counted_grad)
     c = np.array([0.45, 0.3, 0.15, 0.1])
-    starts = risk.pgd_starts(c, 30.0, np.random.default_rng(2))
+    starts = risk.pgd_starts(c[None], 30.0, [2])
     _, _, conv = risk.pgd_box_weighted_min(c, 1.6, 30.0, starts, 10000,
                                            1e-10)
     assert conv
@@ -707,10 +754,32 @@ class TestSerialization:
         assert np.allclose(loaded.weights, dist.weights)
         assert np.allclose(loaded.conds, dist.conds)
 
+    def test_round_trip_keeps_features(self, tmp_path):
+        dist = finite_distribution([0.1, 0.2, 0.7],
+                                   [[0.9, 0.1], [1 / 3, 2 / 3], [0.0, 1.0]],
+                                   xs=[[1.0, -0.3], [math.pi, 0.0],
+                                       [-1e-17, 2.5]])
+        path = tmp_path / "dist.csv"
+        save_distribution(dist, path)
+        assert path.read_text().splitlines()[0] == "weight,p1,p2,x1,x2"
+        loaded = load_distribution(path)
+        for name in ("weights", "conds", "xs"):
+            assert np.array_equal(getattr(loaded, name), getattr(dist, name))
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError):
+            load_distribution(path)
+
+    @pytest.mark.parametrize("header", [
+        "weight,x1,p1,p2", "weight,p1,x1,p2", "weight,x1,x2", "weight,p1",
+        "weight,p2,p1", "weight,p1,p2,x2"])
+    def test_columns_out_of_order_refused(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + ",".join(
+            ["1"] + ["0.5"] * (header.count(",") or 1)) + "\n")
+        with pytest.raises(ValueError, match="bad distribution header"):
             load_distribution(path)
 
     def test_bad_row_reports_line(self, tmp_path):

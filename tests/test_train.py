@@ -11,6 +11,7 @@ import pytest
 from compsum import models
 from compsum import train as train_mod
 from compsum.adversarial import AdvParams, PerturbationBall, deviation_objective
+from compsum.losses import comp_sum_loss_batch
 from compsum.models import init_linear, init_mlp, load_model, save_model
 from compsum.train import (
     TrainConfig,
@@ -293,6 +294,37 @@ class TestAdversarialTraining:
         for h in hist:
             assert h["checkpoint_flag"] == int(h["holdout_metric"] > best)
             best = max(best, h["holdout_metric"])
+
+    def test_deviation_attack_leaves_the_clean_points(self, monkeypatch):
+        # the deviation and its gradient are 0 at the clean points, so an
+        # attack started there never moves; the training step starts it
+        # from jittered points and finds a positive deviation at one restart
+        data = margin_task_dataset(n_train=64, n_test=8, seed=3)
+        X, Y = data.X_train, data.y_train
+        adv = AdvParams(n=2, rho=1.0, nu=1.0, pgd_steps=5, restarts=1, seed=3)
+        ball = PerturbationBall(math.inf, 0.2)
+        model = make_model("mlp", X.shape[1], 2, 16, seed=3)
+        clean = model.forward_vjp(X)
+        values, X_adv = train_mod.pgd_maximize(
+            model, deviation_objective(clean[0], Y), X, clean, ball, adv)
+        assert np.all(values == 0.0) and np.array_equal(X_adv, X)
+
+        attack = train_mod.pgd_maximize
+        attacked = []
+
+        def recorded(*args):
+            attacked.append(attack(*args))
+            return attacked[-1]
+
+        monkeypatch.setattr(train_mod, "pgd_maximize", recorded)
+        cfg = TrainConfig(tau=1.0, adversarial=adv, ball=ball)
+        loss, _ = train_mod._smooth_batch_grads(model, X, Y, cfg,
+                                                np.random.default_rng(0))
+        (values, X_adv), = attacked
+        assert np.all(values > 0.0)
+        assert np.abs(X_adv - X).max() <= 0.2 + 1e-12
+        clean_loss = comp_sum_loss_batch(clean[0], Y, 1.0).mean()
+        assert loss == pytest.approx(clean_loss + values.mean(), abs=1e-12)
 
     def test_smooth_batch_grads_match_central_differences(self, monkeypatch):
         # at restarts = 2 the attack leaves the clean points, so the
