@@ -9,7 +9,9 @@ First-order steps stall where the objective flattens exponentially along
 the score spread (tau near 1.2 to 1.75); Newton steps do not. An objective
 gives each row's value, gradient and Hessian, and its restriction to some
 rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
-tau)``, whose value, score gradient and Hessian exist once each, row-wise.
+tau)``, whose value, score gradient and Hessian exist once each, row-wise,
+on the log-sum-exp and the fixed-order row sums of ``losses``; the
+conditional risk ``risk.cond_risk`` is a one-row call of the value.
 Every box problem runs on the lockstep ``newton_box_min``: the box
 oracle's problems with all their starts as rows
 (``risk.minimize_weighted_cond_risk_batch``), the joint minimum over a
@@ -22,28 +24,7 @@ compare against it and the benchmark's tracer wraps it.
 
 import numpy as np
 
-from .losses import EXP_CAP, _phi_of_gap_array
-
-
-def _rows_sum(a):
-    """Row sums added column by column, left to right.
-
-    The fixed order keeps a row's sum independent of how many rows share
-    the array, so one-row and many-row calls agree bit for bit. One
-    accumulate call is cheaper for a few rows, a loop over the columns for
-    many.
-    """
-    if a.shape[0] <= 64:
-        return np.add.accumulate(a, axis=1)[:, -1]
-    out = np.zeros(a.shape[0])
-    for j in range(a.shape[1]):
-        out += a[:, j]
-    return out
-
-
-def _rows_lse(S):
-    m = S.max(axis=1)
-    return m + np.log(_rows_sum(np.exp(S - m[:, None])))
+from .losses import EXP_CAP, _phi_of_gap_array, _rows_lse, _rows_sum
 
 
 def weighted_cond_value(S, C, tau):

@@ -297,6 +297,17 @@ def _margin_objective(Y):
     return objective
 
 
+def _one_example(model, x, y):
+    """One example as a one-row batch ``(X, Y)``: ``x`` a scalar or a
+    vector of length ``model.dim``, ``y`` a label of the model."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim > 1 or x.size != model.dim:
+        raise ValueError(f"x must be a scalar or a vector of length "
+                         f"{model.dim}, got shape {x.shape}")
+    return (x.reshape(1, model.dim),
+            np.array([losses.check_label(y, model.n_labels)]))
+
+
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
     return pgd_maximize(model, _ramp_objective(Y, check_tau(tau), adv.rho),
@@ -309,26 +320,52 @@ def adv_comp_rho_loss(model, x, y, tau, adv, ball):
     Value lies in ``[0, phi_tau(n - 1)]``; at ``gamma = 0`` it is exactly
     the pointwise ramp-margin loss.
     """
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    Y = np.array([losses.check_label(y, model.n_labels)])
+    X, Y = _one_example(model, x, y)
     return float(adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
-def deviation_sup_batch(model, X, Y, clean, adv, ball, rng=None):
-    """PGD estimate of the worst score-difference deviation over the ball,
-    from the clean pass ``clean = model.forward_vjp(X)``."""
-    return pgd_maximize(model, deviation_objective(clean[0], Y), X, clean,
-                        ball, adv, rng)[0]
+def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None,
+                               grad=False):
+    """Smooth adversarial comp-sum loss of each row: the clean loss at
+    scores scaled by ``1 / rho`` plus ``nu`` times the worst
+    score-difference deviation over the ball (PGD estimate).
 
+    The deviation and its gradient are 0 at the clean points, so the
+    attack's restart 0 starts from them jittered by ``1e-3`` standard
+    normal noise drawn from ``rng`` (``default_rng(adv.seed)`` when None)
+    and projected into the ball, as the TRADES attack does (Zhang et al.,
+    ICML 2019); a zero-radius ball draws nothing. One clean pass serves
+    both terms and the attack.
 
-def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None):
-    """Clean loss at scores scaled by ``1 / rho`` plus the weighted worst
-    score-difference deviation (PGD estimate); one clean pass serves both."""
+    Returns the per-row losses. With ``grad``, returns instead the batch's
+    mean loss, each term averaged on its own, and the parameter gradient
+    of that mean with the attacked points held fixed: the gradient pulls
+    back through the clean pass and through one more pass at the attacked
+    points.
+    """
     tau = check_tau(tau)
+    rng = np.random.default_rng(adv.seed) if rng is None else rng
     clean = model.forward_vjp(X)
-    loss = losses.comp_sum_loss_batch(clean[0] / adv.rho, Y, tau)
-    return loss + adv.nu * deviation_sup_batch(model, X, Y, clean, adv, ball,
-                                               rng)
+    scores, back = clean
+    deviation = deviation_objective(scores, Y)
+    start = None if ball.gamma == 0.0 else project_to_ball(
+        X + 1e-3 * rng.standard_normal(X.shape), X, ball)
+    dev, X_adv = pgd_maximize(model, deviation, X, clean, ball, adv, rng,
+                              start)
+    scaled = scores / adv.rho
+    clean_loss = losses.comp_sum_loss_batch(scaled, Y, tau)
+    if not grad:
+        return clean_loss + adv.nu * dev
+    ds_clean = losses.comp_sum_grad_batch(scaled, Y, tau) / (
+        adv.rho * X.shape[0])
+    scores_adv, back_adv = model.forward_vjp(X_adv)
+    dev, ds_dev = deviation(scores_adv)
+    scale = adv.nu / X.shape[0]
+    # the deviation's gradient at the clean points is minus its gradient
+    # at the attacked ones
+    return (float(clean_loss.mean() + adv.nu * dev.mean()),
+            back.params(ds_clean - scale * ds_dev)
+            + back_adv.params(scale * ds_dev))
 
 
 def smooth_adv_comp_loss(model, x, y, tau, adv, ball):
@@ -338,8 +375,7 @@ def smooth_adv_comp_loss(model, x, y, tau, adv, ball):
     the clean loss at the scaled scores. Dominates the ramp-margin
     adversarial loss whenever both inner suprema are exact.
     """
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    Y = np.array([losses.check_label(y, model.n_labels)])
+    X, Y = _one_example(model, x, y)
     return float(smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
@@ -357,8 +393,7 @@ def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
 
 def adv_zero_one(model, x, y, ball, attack):
     """Worst-case zero-one loss of one example; exact at ``gamma = 0``."""
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    Y = np.array([losses.check_label(y, model.n_labels)])
+    X, Y = _one_example(model, x, y)
     return int(adv_zero_one_batch(model, X, Y, model.forward_vjp(X), ball,
                                   attack)[0])
 
@@ -484,8 +519,8 @@ def smooth_adv_comp_loss_exact_1d(model, x, y, tau, adv, gamma):
 
 def clean_rho_loss(model, x, y, tau, rho):
     """Pointwise ramp-margin comp-sum loss (no perturbation)."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    objective = _ramp_objective(np.array([y]), check_tau(tau), rho)
+    X, Y = _one_example(model, x, y)
+    objective = _ramp_objective(Y, check_tau(tau), rho)
     return float(objective(model.forward(X))[0][0])
 
 
@@ -560,9 +595,10 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     if dist.xs is None or dist.xs.shape[1] != 1:
         raise ValueError("the adversarial bound needs one feature per "
                          "support point")
-    if spec.n != dist.n or (spec.kind == "linear" and spec.feature_dim != 1):
-        raise ValueError(f"hypothesis set {spec} does not describe "
-                         f"one-dimensional {dist.n}-label instances")
+    risk.check_spec_labels(spec, dist.n)
+    if spec.kind == "linear" and spec.feature_dim != 1:
+        raise ValueError(f"spec: {spec} does not describe one-dimensional "
+                         f"instances")
     check = check_local_rho_consistency(spec, adv.rho)
     if not check.passed:
         raise ValueError(

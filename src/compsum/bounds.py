@@ -64,6 +64,7 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
     if spec.kind != "score_box":
         raise ValueError("bound verification needs a score_box spec "
                          "(closed best-in-class forms assume it)")
+    risk.check_spec_labels(spec, dist.n)
     flags = []
     if not spec.is_symmetric:
         return BoundReport(tau, dist.n, math.nan, math.nan, math.nan,
@@ -72,6 +73,8 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
     scores = np.asarray(assignment, dtype=np.float64)
     if scores.shape != dist.conds.shape:
         raise ValueError("assignment must be one score vector per support point")
+    if not np.isfinite(scores).all():
+        raise ValueError("assignment must be finite")
     if not spec.is_complete:
         if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
             raise ValueError("assignment leaves the spec's score box")
@@ -236,7 +239,7 @@ def _lemma_sup_closed_rows(S, q, parts=False):
     1 the value is ``(T_l - T_m - T_p) / (tau - 1)``."""
     rows = np.arange(S.shape[0])
     hm, hp = S[rows, q.y_max], S[rows, q.pred]
-    lse = losses._logsumexp_rows(S)
+    lse = losses._rows_lse(S)
     l_ab = np.logaddexp(hm, hp)
     one = np.abs(q.tau - 1.0) < losses.TAU_BRANCH_TOL
     one_m_tau = 1.0 - q.tau
@@ -391,7 +394,7 @@ def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
         y_max = predict(p) if y_max is None else y_max
         pred = predict(s) if pred is None else pred
         lo, hi = hbar_mu_range(s, y_max, pred)
-        lse = losses._logsumexp(s)
+        lse = losses._rows_lse(s[None])[0]
         K.append((lse, lo, hi, p[y_max], p[pred],
                   phi(np.float64(lse - s[y_max]), tau),
                   phi(np.float64(lse - s[pred]), tau), tau))
@@ -588,6 +591,7 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     tau = check_tau(tau)
     if spec.kind != "score_box" or not math.isfinite(spec.lam):
         raise ValueError("learning bound needs a score_box spec with finite lam")
+    risk.check_spec_labels(spec, dist.n)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     for name, value, low in (("m", m, 1), ("n_sign_draws", n_sign_draws, 1),

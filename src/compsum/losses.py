@@ -104,19 +104,27 @@ def phi_tau_deriv(u, tau):
     return out if out.ndim else float(out)
 
 
-def _logsumexp(a):
-    """Max-shifted ``log(sum(exp(a)))`` of a 1-D array; a non-finite
-    maximum is returned as it is."""
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + math.log(np.exp(a - m).sum())
+def _rows_sum(a):
+    """Row sums added column by column, left to right.
+
+    The fixed order keeps a row's sum independent of how many rows share
+    the array, so one-row and many-row calls agree bit for bit. One
+    accumulate call is cheaper for a few rows, a loop over the columns for
+    many.
+    """
+    if a.shape[0] <= 64:
+        return np.add.accumulate(a, axis=1)[:, -1]
+    out = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        out += a[:, j]
+    return out
 
 
-def _logsumexp_rows(S):
-    """Max-shifted ``log(sum(exp(row)))`` of each row of a 2-D array."""
+def _rows_lse(S):
+    """Max-shifted ``log(sum(exp(row)))`` of each row of a 2-D array, the
+    sum taken by ``_rows_sum``: the package's one log-sum-exp."""
     m = S.max(axis=1)
-    return m + np.log(np.exp(S - m[:, None]).sum(axis=1))
+    return m + np.log(_rows_sum(np.exp(S - m[:, None])))
 
 
 def _phi_of_gap_array(v, tau):
@@ -129,21 +137,13 @@ def _phi_of_gap_array(v, tau):
 def comp_sum_loss(scores, y, tau):
     """Loss of label ``y`` under score vector ``scores``.
 
-    Computed as the outer transform of ``exp(logsumexp(h) - h_y) - 1`` with
-    max-subtraction stabilization, which keeps the value finite for any
-    finite scores.
+    The outer transform of ``exp(logsumexp(h) - h_y) - 1``, with the
+    log-sum-exp max-shifted so the value stays finite for any finite
+    scores; a one-row call of ``comp_sum_loss_batch``.
     """
     s = check_scores(scores)
     y = check_label(y, s.shape[0])
-    return float(comp_sum_loss_all_labels(s, tau)[y])
-
-
-def comp_sum_loss_all_labels(scores, tau):
-    """Vector of losses for every label at once (shared logsumexp)."""
-    s = check_scores(scores)
-    tau = check_tau(tau)
-    v = np.maximum(_logsumexp(s) - s, 0.0)
-    return _phi_of_gap_array(v, tau)
+    return float(comp_sum_loss_batch(s[None], [y], tau)[0])
 
 
 def comp_sum_grad(scores, y, tau):
@@ -162,7 +162,7 @@ def comp_sum_loss_batch(scores, Y, tau):
     s = np.asarray(scores, dtype=np.float64)
     Y = np.asarray(Y)
     tau = check_tau(tau)
-    lse = _logsumexp_rows(s)
+    lse = _rows_lse(s)
     v = np.maximum(lse - s[np.arange(s.shape[0]), Y], 0.0)
     return _phi_of_gap_array(v, tau)
 
@@ -173,7 +173,7 @@ def comp_sum_grad_batch(scores, Y, tau):
     Y = np.asarray(Y)
     tau = check_tau(tau)
     rows = np.arange(s.shape[0])
-    lse = _logsumexp_rows(s)
+    lse = _rows_lse(s)
     sm = np.exp(s - lse[:, None])
     wy = np.exp(np.minimum((tau - 1.0) * (s[rows, Y] - lse), EXP_CAP))
     g = wy[:, None] * sm

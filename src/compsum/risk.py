@@ -24,7 +24,12 @@ import numpy as np
 from . import losses
 # the benchmark's tracer wraps ``pgd_box_weighted_min`` where this module
 # looks it up; no code here calls it
-from ._kernels import WeightedCondRisk, newton_box_min, pgd_box_weighted_min
+from ._kernels import (
+    WeightedCondRisk,
+    newton_box_min,
+    pgd_box_weighted_min,
+    weighted_cond_value,
+)
 from .losses import TAU_BRANCH_TOL, check_tau
 
 # Box half-width standing in for an unbounded (complete) score set in the
@@ -35,10 +40,6 @@ UNBOUNDED_BOX_LAM = 30.0
 # norm at which a start has converged.
 ORACLE_STARTS = 8
 ORACLE_GTOL = 1e-10
-
-# Smoothing floor for zero probabilities when tau > 2 makes the closed-form
-# exponent negative.
-ZERO_PROB_EPS = 1e-12
 
 
 def check_cond_dist(p, n=None):
@@ -187,6 +188,14 @@ class HypothesisSpec:
         return UNBOUNDED_BOX_LAM if math.isinf(self.lam) else self.lam
 
 
+def check_spec_labels(spec, n):
+    """Refuse, naming ``spec``, a hypothesis set whose label count is not
+    the ``n`` of the conditionals it is applied to."""
+    if spec.n != n:
+        raise ValueError(f"spec: a hypothesis set over {spec.n} labels does "
+                         f"not describe {n}-label conditionals")
+
+
 def score_box(n, lam=math.inf):
     return HypothesisSpec("score_box", n, lam=lam)
 
@@ -204,10 +213,13 @@ class BruteResult:
 
 
 def cond_risk(scores, p, tau):
-    """Conditional risk: probability-weighted loss over all labels."""
+    """Conditional risk ``sum_y p_y * loss(scores, y, tau)``: a one-row call
+    of ``weighted_cond_value``, the objective that the box oracle
+    minimizes, so ``calibration_gap`` subtracts the oracle's minimum from
+    the same function."""
     s = losses.check_scores(scores)
     p = check_cond_dist(p, s.shape[0])
-    return float(p @ losses.comp_sum_loss_all_labels(s, tau))
+    return float(weighted_cond_value(s[None], p[None], check_tau(tau))[0])
 
 
 def cond_risk_star_closed(p, tau):
@@ -224,43 +236,14 @@ def cond_risk_star_closed(p, tau):
     tau = check_tau(tau)
     if tau >= 2.0 - TAU_BRANCH_TOL:
         return float((1.0 - p.max()) / (tau - 1.0))
-    return _power_sum_stationary(p, tau)
-
-
-def cond_risk_power_sum_stationary(p, tau):
-    """Stationary value of the conditional risk in the power-sum form.
-
-    Coincides with ``cond_risk_star_closed`` for ``tau < 2`` (where the
-    problem is convex in softmax coordinates); for ``tau > 2`` it is a
-    stationary point but not the infimum. Exposed for diagnostics.
-    """
-    p = check_cond_dist(p)
-    tau = check_tau(tau)
-    if abs(tau - 2.0) < TAU_BRANCH_TOL:
-        return float(1.0 - p.max())
-    if tau > 2.0 and np.any(p < ZERO_PROB_EPS):
-        warnings.warn(
-            "zero probabilities floored at 1e-12: the power-sum exponent "
-            "is negative for tau > 2",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        p = np.maximum(p, ZERO_PROB_EPS)
-    return _power_sum_stationary(p, tau)
-
-
-def _power_sum_stationary(p, tau):
-    """Shannon entropy at ``tau = 1``, else
-    ``expm1((2 - tau) * log sum_y p_y ** (1 / (2 - tau))) / (1 - tau)``
-    over the nonzero ``p_y``."""
     if abs(tau - 1.0) < TAU_BRANCH_TOL:
         nz = p[p > 0]
         return float(-(nz * np.log(nz)).sum())
+    # expm1((2 - tau) * log sum_y p_y ** r) / (1 - tau) over the nonzero p_y
     r = 1.0 / (2.0 - tau)
     with np.errstate(divide="ignore"):
         logs = np.log(p)
-    terms = r * logs[np.isfinite(logs)]
-    lse = losses._logsumexp(terms)
+    lse = losses._rows_lse(r * logs[None, np.isfinite(logs)])[0]
     return float(math.expm1((2.0 - tau) * lse) / (1.0 - tau))
 
 
@@ -387,12 +370,14 @@ def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     p = check_cond_dist(p)
     if spec.kind != "score_box":
         raise ValueError("brute-force oracle needs a score_box spec")
+    check_spec_labels(spec, p.shape[0])
     return minimize_weighted_cond_risk(p, tau, spec.box_lam(), seed=seed,
                                        max_iter=max_iter)
 
 
 def cond_risk_star(p, tau, spec, **kw):
     """Closed form when the spec is complete, brute force otherwise."""
+    check_spec_labels(spec, check_cond_dist(p).shape[0])
     if spec.kind == "score_box" and spec.is_complete:
         return cond_risk_star_closed(p, tau)
     return cond_risk_star_brute(p, tau, spec, **kw).value
@@ -489,6 +474,7 @@ def minimizability_gap(dist, spec, tau, *, seed=0):
     give 0.11701, where 200 starts give 0.09575.
     """
     tau = check_tau(tau)
+    check_spec_labels(spec, dist.n)
     if spec.kind == "score_box":
         return 0.0
     lams = _linear_point_boxes(dist, spec)

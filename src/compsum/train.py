@@ -13,13 +13,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# the benchmark's tracer wraps ``pgd_maximize`` where this module looks it
+# up; no code here calls it
 from .adversarial import (
     AdvParams,
     PerturbationBall,
     adv_zero_one_batch,
-    deviation_objective,
     pgd_maximize,
-    project_to_ball,
+    smooth_adv_comp_loss_batch,
 )
 from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
 from .models import check_size, init_linear, init_mlp
@@ -158,36 +159,11 @@ def _standard_batch_grads(model, X, Y, tau):
 
 
 def _smooth_batch_grads(model, X, Y, cfg, rng):
-    """Smooth adversarial loss and its parameter gradients on one batch.
-
-    The attack maximizes the deviation term; the attacked points are then
-    held fixed while differentiating both terms. The deviation and its
-    gradient are 0 at the clean points, so the attack starts from them
-    jittered by ``1e-3`` standard normal noise drawn from ``rng``
-    (projected into the ball), as the TRADES attack does (Zhang et al.,
-    2019); a zero-radius ball draws nothing.
-    """
-    adv, ball = cfg.adversarial, cfg.ball
-    rng = np.random.default_rng(adv.seed) if rng is None else rng
-    clean = model.forward_vjp(X)
-    scores, back = clean
-    deviation = deviation_objective(scores, Y)
-    start = None if ball.gamma == 0.0 else project_to_ball(
-        X + 1e-3 * rng.standard_normal(X.shape), X, ball)
-    _, X_adv = pgd_maximize(model, deviation, X, clean, ball, adv, rng, start)
-
-    scaled = scores / adv.rho
-    clean_loss = comp_sum_loss_batch(scaled, Y, cfg.tau)
-    ds_clean = comp_sum_grad_batch(scaled, Y, cfg.tau) / (adv.rho * X.shape[0])
-
-    scores_adv, back_adv = model.forward_vjp(X_adv)
-    dev_norms, ds_dev = deviation(scores_adv)
-    loss = float(clean_loss.mean() + adv.nu * dev_norms.mean())
-    scale = adv.nu / X.shape[0]
-    # the deviation's gradient at the clean points is minus its gradient
-    # at the attacked ones
-    return loss, (back.params(ds_clean - scale * ds_dev)
-                  + back_adv.params(scale * ds_dev))
+    """Smooth adversarial loss and its parameter gradients on one batch:
+    ``smooth_adv_comp_loss_batch`` with the gradient, its attack drawing
+    from ``rng``."""
+    return smooth_adv_comp_loss_batch(model, X, Y, cfg.tau, cfg.adversarial,
+                                      cfg.ball, rng, grad=True)
 
 
 def evaluate(model, X, y, ball=None, attack=None, rng=None):

@@ -21,7 +21,6 @@ from compsum.adversarial import (
     clean_rho_loss,
     cstar_adv_rho_closed,
     deviation_objective,
-    deviation_sup_batch,
     deviation_sup_exact_1d,
     pgd_maximize,
     project_to_ball,
@@ -280,10 +279,26 @@ class TestAgainstExactOracles:
             y = np.array([int(rng.integers(0, 3))])
             exact = deviation_sup_exact_1d(model, float(x[0, 0]), int(y[0]),
                                            0.2)
-            pgd = float(deviation_sup_batch(model, x, y,
-                                            model.forward_vjp(x), adv,
-                                            ball)[0])
+            clean = model.forward_vjp(x)
+            pgd = float(pgd_maximize(model, deviation_objective(clean[0], y),
+                                     x, clean, ball, adv)[0][0])
             assert pgd == pytest.approx(exact, abs=1e-8)
+
+    def test_smooth_loss_meets_exact_at_one_restart(self):
+        # the deviation attack starts off the clean points, where its
+        # gradient vanishes, so one restart reaches the exact supremum
+        rng = np.random.default_rng(11)
+        ball = PerturbationBall(math.inf, 0.3)
+        adv = AdvParams(n=3, pgd_steps=10, restarts=1, seed=0)
+        for _ in range(50):
+            model = LinearModel(rng.normal(size=(3, 1)),
+                                rng.normal(scale=0.5, size=3))
+            x = float(rng.normal())
+            y = int(rng.integers(0, 3))
+            tau = float(rng.uniform(0.0, 3.0))
+            exact = smooth_adv_comp_loss_exact_1d(model, x, y, tau, adv, 0.3)
+            assert smooth_adv_comp_loss(model, x, y, tau, adv, ball) == \
+                pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("p_norm, q", [
         (1.0, math.inf), (2.0, 2.0), (math.inf, 1.0),
@@ -320,6 +335,41 @@ class TestAgainstExactOracles:
             ends.append(vals.sum())
         assert val == pytest.approx(1.6, abs=1e-12)
         assert max(ends) == pytest.approx(1.0, abs=1e-12)
+
+
+ONE_EXAMPLE_LOSSES = {
+    "adv_comp_rho_loss": lambda m, x, y, adv, ball: adv_comp_rho_loss(
+        m, x, y, 1.0, adv, ball),
+    "smooth_adv_comp_loss": lambda m, x, y, adv, ball: smooth_adv_comp_loss(
+        m, x, y, 1.0, adv, ball),
+    "adv_zero_one": lambda m, x, y, adv, ball: adv_zero_one(m, x, y, ball,
+                                                            adv),
+}
+
+
+@pytest.mark.parametrize("loss", ONE_EXAMPLE_LOSSES.values(),
+                         ids=ONE_EXAMPLE_LOSSES.keys())
+class TestOneExample:
+    ball = PerturbationBall(math.inf, 0.1)
+    adv = AdvParams(n=2, seed=0)
+
+    def test_scalar_feature_is_a_one_feature_vector(self, loss):
+        model = linear2(1.0, -1.0, 0.2, 0.0)
+        assert loss(model, 0.5, 1, self.adv, self.ball) == \
+            loss(model, [0.5], 1, self.adv, self.ball)
+
+    @pytest.mark.parametrize("dim, x", [
+        (1, [0.5, 0.5]), (1, [[0.5]]), (1, []), (3, 0.5), (3, [0.5, 0.5]),
+    ])
+    def test_feature_of_another_length_names_x(self, loss, dim, x):
+        model = init_linear(dim, 2, seed=0)
+        with pytest.raises(ValueError, match="^x must be"):
+            loss(model, x, 0, self.adv, self.ball)
+
+    @pytest.mark.parametrize("y", [2, 0.5])
+    def test_bad_label_is_refused(self, loss, y):
+        with pytest.raises(ValueError, match="label"):
+            loss(linear2(1.0, -1.0), [0.5], y, self.adv, self.ball)
 
 
 class TestMonotonicityAndChain:
@@ -446,11 +496,11 @@ class TestInputGradients:
                          "forward_vjp": passes + 2}
 
         # smooth adversarial loss: the clean term reads the attack's clean
-        # pass
+        # pass, and the attack starts off the clean points
         calls.update(tanh=0, forward=0, forward_vjp=0)
         smooth_adv_comp_loss_batch(model, X, Y, 1.0, adv, ball)
-        assert calls == {"tanh": passes, "forward": 0,
-                         "forward_vjp": passes}
+        assert calls == {"tanh": passes + 1, "forward": 0,
+                         "forward_vjp": passes + 1}
 
 
 class TestInPlaceSteps:

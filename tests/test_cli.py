@@ -356,6 +356,7 @@ class TestEvaluateCommand:
                      "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad checkpoint header")
+        assert repr(body.split(b"\n")[0].decode()) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("model, key", [

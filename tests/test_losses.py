@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compsum.losses import (
+    _rows_lse,
     comp_sum_grad,
     comp_sum_grad_batch,
     comp_sum_loss,
-    comp_sum_loss_all_labels,
     comp_sum_loss_batch,
     loss_upper_bound,
     phi_tau,
@@ -165,7 +165,7 @@ class TestCompSumLoss:
     def test_all_labels_matches_single(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=6)
-        all_l = comp_sum_loss_all_labels(s, 1.4)
+        all_l = comp_sum_loss_batch(np.tile(s, (6, 1)), np.arange(6), 1.4)
         for y in range(6):
             assert all_l[y] == pytest.approx(comp_sum_loss(s, y, 1.4))
 
@@ -203,6 +203,29 @@ class TestCompSumGrad:
         for i in range(20):
             assert bl[i] == pytest.approx(comp_sum_loss(S[i], Y[i], 0.7))
             assert np.allclose(bg[i], comp_sum_grad(S[i], Y[i], 0.7))
+
+
+class TestOneLogSumExp:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 16])
+    def test_row_bits_do_not_depend_on_row_count(self, n):
+        # the row sums switch from one accumulate call to a loop over the
+        # columns above 64 rows; both add left to right
+        S = np.random.default_rng(n).normal(scale=5.0, size=(1000, n))
+        alone = np.array([_rows_lse(S[r:r + 1])[0] for r in range(1000)])
+        for R in (1, 64, 65, 128, 1000):
+            assert np.array_equal(_rows_lse(S[:R]), alone[:R])
+
+    def test_scalar_forms_are_one_row_batch_calls(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.choice([2, 3, 5, 10, 16]))
+            s = rng.normal(scale=3.0, size=n)
+            y = int(rng.integers(0, n))
+            tau = float(rng.uniform(0.0, 3.0))
+            assert comp_sum_loss(s, y, tau) == \
+                comp_sum_loss_batch(s[None], [y], tau)[0]
+            assert np.array_equal(comp_sum_grad(s, y, tau),
+                                  comp_sum_grad_batch(s[None], [y], tau)[0])
 
 
 class TestMisc:

@@ -8,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from compsum import _kernels, losses, risk
+from compsum import _kernels, bounds, losses, risk
 from compsum.risk import (
     calibration_gap,
     cond_risk,
-    cond_risk_power_sum_stationary,
     cond_risk_star_brute,
     cond_risk_star_closed,
     finite_distribution,
@@ -47,6 +46,16 @@ class TestCondRisk:
             direct = sum(p[y] * losses.comp_sum_loss(s, y, 0.8)
                          for y in range(n))
             assert cond_risk(s, p, 0.8) == pytest.approx(direct, abs=1e-14)
+
+    def test_is_a_one_row_call_of_the_oracle_objective(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.choice([2, 3, 5, 10, 16]))
+            s = rng.normal(scale=3.0, size=n)
+            p = rng.dirichlet(np.ones(n))
+            tau = float(rng.uniform(0.0, 3.0))
+            assert cond_risk(s, p, tau) == _kernels.weighted_cond_value(
+                s[None], p[None], tau)[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -88,21 +97,6 @@ class TestClosedForm:
         # degenerate vertex limit, not the interior stationary point
         p = [0.5, 0.3, 0.15, 0.05]
         assert cond_risk_star_closed(p, 3.0) == pytest.approx(0.25)
-        stat = cond_risk_power_sum_stationary(p, 3.0)
-        assert stat > cond_risk_star_closed(p, 3.0)
-
-    def test_stationary_matches_closed_below_two(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            n = int(rng.choice([2, 3, 5]))
-            p = rng.dirichlet(np.ones(n))
-            tau = float(rng.uniform(0.0, 1.95))
-            assert cond_risk_power_sum_stationary(p, tau) == pytest.approx(
-                cond_risk_star_closed(p, tau), rel=1e-10, abs=1e-12)
-
-    def test_stationary_warns_on_zeros_above_two(self):
-        with pytest.warns(RuntimeWarning):
-            cond_risk_power_sum_stationary([0.9, 0.1, 0.0], 2.5)
 
     def test_continuity_in_tau_at_two(self):
         p = [0.55, 0.3, 0.15]
@@ -808,3 +802,33 @@ class TestSpecValidation:
             score_box(3, -1.0)
         with pytest.raises(ValueError):
             linear_family(3, 0)
+
+
+TWO_LABELS = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
+                                 xs=[[1.0], [-1.0]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: cond_risk_star_brute([0.5, 0.5], 1.0, score_box(3, 2.0)),
+     "spec"),
+    (lambda: risk.cond_risk_star([0.5, 0.5], 1.0, score_box(3)), "spec"),
+    (lambda: calibration_gap([0.0, 0.0], [0.5, 0.5], 1.0, score_box(3, 2.0)),
+     "spec"),
+    (lambda: minimizability_gap(TWO_LABELS, score_box(3, 2.0), 1.0), "spec"),
+    (lambda: minimizability_gap(TWO_LABELS, linear_family(3, 1, 1.0), 1.0),
+     "spec"),
+    (lambda: bounds.verify_h_consistency_bound(
+        TWO_LABELS, np.zeros((2, 2)), score_box(3), 1.0), "spec"),
+    (lambda: bounds.verify_h_consistency_bound(
+        TWO_LABELS, [[math.nan, 0.0], [0.0, 0.0]], score_box(2), 1.0),
+     "assignment"),
+    (lambda: bounds.verify_h_consistency_bound(
+        TWO_LABELS, [[-math.inf, 0.0], [0.0, 0.0]], score_box(2), 1.0),
+     "assignment"),
+    (lambda: bounds.learning_bound(TWO_LABELS, score_box(3, 1.5), 2.0, m=10,
+                                   delta=0.05, seed=0), "spec"),
+], ids=["brute", "star", "calibration_gap", "gap_score_box", "gap_linear",
+        "bound_spec", "bound_nan", "bound_inf", "learning_bound"])
+def test_spec_and_distribution_must_agree(call, name):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        call()

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from compsum import models
+from compsum import adversarial, models
 from compsum import train as train_mod
 from compsum.adversarial import AdvParams, PerturbationBall, deviation_objective
 from compsum.losses import comp_sum_loss_batch
@@ -309,14 +309,14 @@ class TestAdversarialTraining:
             model, deviation_objective(clean[0], Y), X, clean, ball, adv)
         assert np.all(values == 0.0) and np.array_equal(X_adv, X)
 
-        attack = train_mod.pgd_maximize
+        attack = adversarial.pgd_maximize
         attacked = []
 
         def recorded(*args):
             attacked.append(attack(*args))
             return attacked[-1]
 
-        monkeypatch.setattr(train_mod, "pgd_maximize", recorded)
+        monkeypatch.setattr(adversarial, "pgd_maximize", recorded)
         cfg = TrainConfig(tau=1.0, adversarial=adv, ball=ball)
         loss, _ = train_mod._smooth_batch_grads(model, X, Y, cfg,
                                                 np.random.default_rng(0))
@@ -350,7 +350,7 @@ class TestAdversarialTraining:
                 return train_mod._smooth_batch_grads(m2, X, Y, cfg, None)[0]
 
             with monkeypatch.context() as mp:
-                mp.setattr(train_mod, "pgd_maximize",
+                mp.setattr(adversarial, "pgd_maximize",
                            lambda *args: (None, X_adv))
                 _, gflat = train_mod._smooth_batch_grads(model, X, Y, cfg,
                                                          None)
