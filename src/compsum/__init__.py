@@ -20,6 +20,7 @@ from .bounds import (
     lemma_sup_grid,
     tightness_sides,
     verify_h_consistency_bound,
+    verify_h_consistency_bound_batch,
     verify_lemma_inf,
     verify_lemma_inf_batch,
 )
@@ -54,7 +55,15 @@ from .train import (
     train_adv_comp_sum,
     train_standard,
 )
-from .transform import gamma_tau, gamma_tilde, psi_tau, t_tau, t_tilde
+from .transform import (
+    gamma_tau,
+    gamma_tau_rows,
+    gamma_tilde,
+    psi_tau,
+    t_tau,
+    t_tau_rows,
+    t_tilde,
+)
 
 __version__ = "0.1.0"
 
@@ -68,7 +77,8 @@ __all__ = [
     "backend_name", "__version__",
     "phi_tau", "phi_tau_deriv", "comp_sum_loss", "comp_sum_grad",
     "loss_upper_bound", "predict",
-    "t_tau", "gamma_tau", "t_tilde", "gamma_tilde", "psi_tau",
+    "t_tau", "gamma_tau", "t_tau_rows", "gamma_tau_rows", "t_tilde",
+    "gamma_tilde", "psi_tau",
     "FiniteDistribution", "HypothesisSpec",
     "finite_distribution", "score_box", "linear_family",
     "cond_risk", "cond_risk_star_closed", "cond_risk_star_brute",
@@ -76,6 +86,7 @@ __all__ = [
     "gap_upper_bound_deterministic",
     "save_distribution", "load_distribution",
     "BoundReport", "verify_h_consistency_bound",
+    "verify_h_consistency_bound_batch",
     "build_tightness_instance", "tightness_sides",
     "hbar_mu_scores", "lemma_sup_closed", "lemma_sup_grid",
     "verify_lemma_inf", "verify_lemma_inf_batch", "learning_bound",

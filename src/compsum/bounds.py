@@ -23,7 +23,13 @@ from .risk import (
     finite_distribution,
     minimize_weighted_cond_risk_batch,
 )
-from .transform import gamma_tau, psi_tau, t_tau_max
+from .transform import (
+    gamma_tau,
+    gamma_tau_rows,
+    psi_tau,
+    t_tau_max,
+    t_tau_rows,
+)
 
 BOUND_CSV_HEADER = "tau,n,lhs,rhs,slack,gap01,gapSurrogate,flags"
 
@@ -56,43 +62,70 @@ class BoundReport:
 def verify_h_consistency_bound(dist, assignment, spec, tau):
     """Evaluate both sides of the consistency bound for one score assignment.
 
+    A batch of one: see ``verify_h_consistency_bound_batch``.
+    """
+    return verify_h_consistency_bound_batch([dist], [assignment], [spec],
+                                            [tau])[0]
+
+
+def verify_h_consistency_bound_batch(dists, assignments, specs, taus):
+    """Both sides of the consistency bound on each instance ``(dists[i],
+    assignments[i], specs[i], taus[i])``; one ``BoundReport`` each.
+
     Uses the closed best-in-class forms of a symmetric complete set (finite
     boxes are flagged as approximations). A non-symmetric spec is refused
     with a ``precondition_unmet`` flag rather than counted as a violation.
+    The instances are checked in order, then both sides of all of them
+    come from one ``risk.excess_risks`` call and one ``gamma_tau_rows``
+    call, so a report does not depend on the rest of the batch.
     """
-    tau = check_tau(tau)
-    if spec.kind != "score_box":
-        raise ValueError("bound verification needs a score_box spec "
-                         "(closed best-in-class forms assume it)")
-    risk.check_spec_labels(spec, dist.n)
-    flags = []
-    if not spec.is_symmetric:
-        return BoundReport(tau, dist.n, math.nan, math.nan, math.nan,
-                           flags=["precondition_unmet:not_symmetric"])
+    lengths = [len(dists), len(assignments), len(specs), len(taus)]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"dists, assignments, specs and taus must have "
+                         f"equal lengths, got {lengths}")
+    reports = []
+    todo = []  # (report, dist, scores) of the symmetric instances
+    for dist, assignment, spec, tau in zip(dists, assignments, specs, taus):
+        tau = check_tau(tau)
+        if spec.kind != "score_box":
+            raise ValueError("bound verification needs a score_box spec "
+                             "(closed best-in-class forms assume it)")
+        risk.check_spec_labels(spec, dist.n)
+        if not spec.is_symmetric:
+            reports.append(BoundReport(
+                tau, dist.n, math.nan, math.nan, math.nan,
+                flags=["precondition_unmet:not_symmetric"]))
+            continue
+        scores = np.asarray(assignment, dtype=np.float64)
+        if scores.shape != dist.conds.shape:
+            raise ValueError("assignment must be one score vector per "
+                             "support point")
+        if not np.isfinite(scores).all():
+            raise ValueError("assignment must be finite")
+        rep = BoundReport(tau, dist.n, 0.0, 0.0, 0.0)
+        if not spec.is_complete:
+            if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
+                raise ValueError("assignment leaves the spec's score box")
+            rep.flags.append("finite_box_closed_forms")
+        reports.append(rep)
+        todo.append((rep, dist, scores))
+    if not todo:
+        return reports
 
-    scores = np.asarray(assignment, dtype=np.float64)
-    if scores.shape != dist.conds.shape:
-        raise ValueError("assignment must be one score vector per support point")
-    if not np.isfinite(scores).all():
-        raise ValueError("assignment must be finite")
-    if not spec.is_complete:
-        if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
-            raise ValueError("assignment leaves the spec's score box")
-        flags.append("finite_box_closed_forms")
-
-    lhs = 0.0
-    arg = 0.0
-    for w, cond, s in zip(dist.weights.tolist(), dist.conds, scores):
-        lhs += w * (cond.max() - cond[predict(s)])
-        arg += w * (cond_risk(s, cond, tau) - cond_risk_star_closed(cond, tau))
-
-    tmax = t_tau_max(tau, dist.n)
-    if arg > tmax:
-        rhs = 1.0
-        flags.append("vacuous:surrogate_excess_above_transform_range")
-    else:
-        rhs = gamma_tau(arg, tau, dist.n)
-    return BoundReport(tau, dist.n, lhs, rhs, rhs - lhs, flags=flags)
+    tau = np.array([rep.tau for rep, _, _ in todo])
+    n = np.array([rep.n for rep, _, _ in todo])
+    lhs, arg = risk.excess_risks([dist for _, dist, _ in todo],
+                                 [scores for _, _, scores in todo], tau)
+    vacuous = arg > t_tau_rows(1.0, tau, n)
+    rhs = np.ones(len(todo))
+    rhs[~vacuous] = gamma_tau_rows(arg[~vacuous], tau[~vacuous],
+                                   n[~vacuous])
+    for (rep, _, _), lhs_i, rhs_i, vac in zip(todo, lhs.tolist(),
+                                              rhs.tolist(), vacuous.tolist()):
+        rep.lhs, rep.rhs, rep.slack = lhs_i, rhs_i, rhs_i - lhs_i
+        if vac:
+            rep.flags.append("vacuous:surrogate_excess_above_transform_range")
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +208,8 @@ def hbar_mu_scores(scores, mu, y_max, pred=None):
     s = losses.check_scores(scores)
     y_max = losses.check_label(y_max, s.shape[0])
     mu = float(mu)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
     if pred == y_max:
         return s.copy()
@@ -352,12 +387,9 @@ def _family_gap_rows(K, mu):
     when floor scores make individual losses enormous.
     """
     lse, lo, hi, pm, ph, cm, cp, tau = K.T[:, :, None]
-    one = np.abs(tau - 1.0) < losses.TAU_BRANCH_TOL
 
-    def phi(v):  # losses._phi_of_gap_array with each row's own tau
-        v = np.maximum(v, 0.0)
-        return np.where(one, v + 0.0, np.expm1(np.minimum(
-            (1.0 - tau) * v, losses.EXP_CAP)) / np.where(one, 1.0, 1.0 - tau))
+    def phi(v):
+        return losses._phi_of_gap_array(np.maximum(v, 0.0), tau)
 
     return pm * (cm - phi(lse - np.log(hi - mu))) \
         + ph * (cp - phi(lse - np.log(mu - lo)))

@@ -128,7 +128,15 @@ def _rows_lse(S):
 
 
 def _phi_of_gap_array(v, tau):
-    """Vectorized loss from log-sum gaps ``v = logsumexp(h) - h_y >= 0``."""
+    """Vectorized loss from log-sum gaps ``v = logsumexp(h) - h_y >= 0``.
+
+    ``tau`` is a float, or an array that broadcasts against ``v``, such as
+    a column of one tau per row; each entry then takes its own branch.
+    """
+    if isinstance(tau, np.ndarray):
+        one = np.abs(tau - 1.0) < TAU_BRANCH_TOL
+        return np.where(one, v + 0.0, np.expm1(np.minimum(
+            (1.0 - tau) * v, EXP_CAP)) / np.where(one, 1.0, 1.0 - tau))
     if abs(tau - 1.0) < TAU_BRANCH_TOL:
         return np.asarray(v, dtype=np.float64) + 0.0
     return np.expm1(np.minimum((1.0 - tau) * v, EXP_CAP)) / (1.0 - tau)
@@ -157,10 +165,20 @@ def comp_sum_grad(scores, y, tau):
     return comp_sum_grad_batch(s[None], [y], tau)[0]
 
 
+def _check_labels(Y, n):
+    """The labels ``Y`` as an array; one range check refuses, naming
+    ``Y``, any outside ``[0, n)``."""
+    Y = np.asarray(Y)
+    if Y.size and not (Y.min() >= 0 and Y.max() < n):
+        raise ValueError(f"Y: labels must lie in [0, {n}), got "
+                         f"{Y.min()} to {Y.max()}")
+    return Y
+
+
 def comp_sum_loss_batch(scores, Y, tau):
     """Row-wise losses for a batch of score vectors and labels."""
     s = np.asarray(scores, dtype=np.float64)
-    Y = np.asarray(Y)
+    Y = _check_labels(Y, s.shape[1])
     tau = check_tau(tau)
     lse = _rows_lse(s)
     v = np.maximum(lse - s[np.arange(s.shape[0]), Y], 0.0)
@@ -170,7 +188,7 @@ def comp_sum_loss_batch(scores, Y, tau):
 def comp_sum_grad_batch(scores, Y, tau):
     """Row-wise exact score gradients for a batch."""
     s = np.asarray(scores, dtype=np.float64)
-    Y = np.asarray(Y)
+    Y = _check_labels(Y, s.shape[1])
     tau = check_tau(tau)
     rows = np.arange(s.shape[0])
     lse = _rows_lse(s)

@@ -86,8 +86,15 @@ class FiniteDistribution:
         total = sum(self.weights.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
-        for cond in self.conds:
-            check_cond_dist(cond)
+        # every row by the tests of check_cond_dist at once (an axis-1 sum
+        # is each row's own sum); a failing one is checked row by row, so
+        # the first bad row raises its own message
+        C = self.conds
+        if not (C.shape[1] >= 2 and np.isfinite(C).all()
+                and C.min() >= -1e-15
+                and np.abs(C.sum(axis=1) - 1.0).max() <= 1e-12):
+            for cond in C:
+                check_cond_dist(cond)
 
     @property
     def n(self):
@@ -164,10 +171,12 @@ class HypothesisSpec:
             raise ValueError(f"unknown hypothesis kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.kind == "score_box" and not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if self.kind == "score_box":
+            _check_positive("lam", self.lam)
         if self.kind == "linear" and self.feature_dim < 1:
             raise ValueError("linear spec needs feature_dim >= 1")
+        if self.kind == "linear":
+            _check_positive("weight_bound", self.weight_bound)
 
     @property
     def is_symmetric(self):
@@ -186,6 +195,14 @@ class HypothesisSpec:
         if self.kind != "score_box":
             raise ValueError("box_lam only applies to score_box specs")
         return UNBOUNDED_BOX_LAM if math.isinf(self.lam) else self.lam
+
+
+def _check_positive(name, value):
+    """Refuse, naming ``name``, a value that is not a positive number: NaN
+    is not one, nor is a bool."""
+    if (isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)) or not value > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def check_spec_labels(spec, n):
@@ -222,6 +239,44 @@ def cond_risk(scores, p, tau):
     return float(weighted_cond_value(s[None], p[None], check_tau(tau))[0])
 
 
+def excess_risks(dists, assignments, taus):
+    """Zero-one and surrogate excess risks of each instance ``(dists[i],
+    assignments[i], taus[i])``, as two arrays: ``sum_k w_k (max p_k -
+    p_k[predict(s_k)])`` and ``sum_k w_k (C(s_k, p_k) - C*(p_k))`` with the
+    closed best-in-class value ``C*``. The assignments are finite arrays of
+    the conditionals' shape and the taus checked. The atoms of all
+    instances with one label count go through one ``weighted_cond_value``
+    call, each at its instance's tau, and each instance sums its atoms
+    left to right, so its values do not depend on the rest of the batch.
+    """
+    lhs, arg = np.zeros(len(dists)), np.zeros(len(dists))
+    taus = np.asarray(taus, dtype=np.float64)
+    n = np.array([dist.n for dist in dists])
+    for label_count in sorted(set(n.tolist())):
+        group = np.flatnonzero(n == label_count)
+        atoms = np.array([len(dists[g].weights) for g in group])
+        C = np.concatenate([dists[g].conds for g in group])
+        S = np.concatenate([assignments[g] for g in group])
+        w = np.concatenate([dists[g].weights for g in group])
+        atom_tau = np.repeat(taus[group], atoms)
+        P = np.maximum(C, 0.0)
+        rows = np.arange(len(C))
+        zero_one = w * (C.max(axis=1) - C[rows, losses.predict_batch(S)])
+        excess = w * (weighted_cond_value(S, P, atom_tau[:, None])
+                      - cond_risk_star_closed_rows(P, atom_tau))
+        # atom k of each instance in column k, summed left to right
+        inst = np.repeat(np.arange(len(group)), atoms)
+        col = rows - np.repeat(np.cumsum(atoms) - atoms, atoms)
+        for terms, total in ((zero_one, lhs), (excess, arg)):
+            table = np.zeros((len(group), atoms.max()))
+            table[inst, col] = terms
+            sums = np.zeros(len(group))
+            for k in range(table.shape[1]):
+                sums += table[:, k]
+            total[group] = sums
+    return lhs, arg
+
+
 def cond_risk_star_closed(p, tau):
     """Best-in-class conditional risk for a symmetric complete set.
 
@@ -231,20 +286,36 @@ def cond_risk_star_closed(p, tau):
     degenerate-vertex limit: in softmax coordinates the conditional risk is
     concave once the loss exponent ``tau - 1`` exceeds 1, so the infimum
     sits at a simplex vertex rather than at the interior stationary point.
+    A one-row call of ``cond_risk_star_closed_rows``.
     """
-    p = check_cond_dist(p)
-    tau = check_tau(tau)
-    if tau >= 2.0 - TAU_BRANCH_TOL:
-        return float((1.0 - p.max()) / (tau - 1.0))
-    if abs(tau - 1.0) < TAU_BRANCH_TOL:
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-    # expm1((2 - tau) * log sum_y p_y ** r) / (1 - tau) over the nonzero p_y
-    r = 1.0 / (2.0 - tau)
-    with np.errstate(divide="ignore"):
-        logs = np.log(p)
-    lse = losses._rows_lse(r * logs[None, np.isfinite(logs)])[0]
-    return float(math.expm1((2.0 - tau) * lse) / (1.0 - tau))
+    return float(cond_risk_star_closed_rows(check_cond_dist(p)[None],
+                                            np.array([check_tau(tau)]))[0])
+
+
+def cond_risk_star_closed_rows(P, tau):
+    """``cond_risk_star_closed`` of each row of ``P`` (R, n) at its own
+    ``tau`` (R,); the rows are conditionals that ``check_cond_dist`` has
+    passed and clipped at 0, and the taus are checked. Sums run left to
+    right over a row (``losses._rows_sum``), terms of zero probability
+    adding 0."""
+    out = np.empty(P.shape[0])
+    vertex = tau >= 2.0 - TAU_BRANCH_TOL
+    one = ~vertex & (np.abs(tau - 1.0) < TAU_BRANCH_TOL)
+    power = ~(vertex | one)
+    if vertex.any():
+        out[vertex] = (1.0 - P[vertex].max(axis=1)) / (tau[vertex] - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(P)
+        if one.any():
+            p = P[one]
+            out[one] = -losses._rows_sum(np.where(p > 0.0, p * logs[one],
+                                                  0.0))
+    if power.any():
+        # expm1((2 - tau) * log sum_y p_y ** r) / (1 - tau), zeros adding 0
+        t = tau[power]
+        lse = losses._rows_lse((1.0 / (2.0 - t))[:, None] * logs[power])
+        out[power] = np.expm1((2.0 - t) * lse) / (1.0 - t)
+    return out
 
 
 def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
@@ -253,19 +324,29 @@ def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
     Proportional in exp-space to ``p ** (1 / (2 - tau))``; labels with zero
     probability sit at ``-lam``. For ``tau >= 2`` the minimizer is the
     degenerate limit: top label at ``+lam``, everything else at ``-lam``.
+    A one-row call of ``optimal_scores_rows``.
     """
-    p = check_cond_dist(p)
-    tau = check_tau(tau)
-    if tau >= 2.0 - TAU_BRANCH_TOL:
-        s = np.full(p.shape, -lam)
-        s[losses.predict(p)] = lam
-        return s
-    r = 1.0 / (2.0 - tau)
-    with np.errstate(divide="ignore"):
-        s = r * np.log(p)
-    s[~np.isfinite(s)] = -np.inf
-    s -= s.max()
-    return np.maximum(s, -lam)
+    return optimal_scores_rows(check_cond_dist(p)[None],
+                               np.array([check_tau(tau)]), lam)[0]
+
+
+def optimal_scores_rows(P, tau, lam=UNBOUNDED_BOX_LAM):
+    """``optimal_scores`` of each row of ``P`` (R, n) at its own ``tau``
+    (R,); the rows are conditionals that ``check_cond_dist`` has passed and
+    clipped at 0, and the taus are checked."""
+    S = np.empty(P.shape)
+    vertex = tau >= 2.0 - TAU_BRANCH_TOL
+    if vertex.any():
+        S[vertex] = -lam
+        S[np.flatnonzero(vertex), losses.predict_batch(P[vertex])] = lam
+    power = ~vertex
+    if power.any():
+        with np.errstate(divide="ignore"):
+            s = (1.0 / (2.0 - tau[power]))[:, None] * np.log(P[power])
+        s[~np.isfinite(s)] = -np.inf
+        s -= s.max(axis=1, keepdims=True)
+        S[power] = np.maximum(s, -lam)
+    return S
 
 
 def pgd_starts(C, lam, seeds):

@@ -22,43 +22,39 @@ def fmt_number(v):
     return f"{v:.17g}"
 
 
+# Instances of the bounds suite per batch call: the batch holds every
+# instance it verifies, and this many keep that memory small.
+BOUNDS_BATCH = 250
+
+
 def run_bounds_suite(count=10000, seed=20240811, ns=(2, 3, 5),
                      taus=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0), tol=1e-9,
                      keep_rows=200):
     """Randomized consistency-bound instances: slack must stay above -tol.
 
     Assignments mix near-optimal scores with noise so a healthy share of
-    instances lands inside the transform's range (non-vacuous).
+    instances lands inside the transform's range (non-vacuous). The
+    instances are drawn and verified ``BOUNDS_BATCH`` at a time (see
+    ``_bounds_batch``), in the generator's order.
     """
     rng = np.random.default_rng(seed)
     rows = []
     violations = []
     min_slack = math.inf
     vacuous = 0
-    for i in range(count):
-        n = int(rng.choice(ns))
-        tau = float(rng.choice(taus))
-        K = int(rng.integers(1, 4))
-        weights = rng.dirichlet(np.ones(K))
-        conds = rng.dirichlet(np.ones(n), size=K)
-        dist = finite_distribution(weights, conds)
-        noise = float(rng.uniform(0.05, 3.0))
-        assignment = np.empty((K, n))
-        for k in range(K):
-            base = risk.optimal_scores(conds[k], tau, lam=12.0)
-            assignment[k] = np.clip(base + rng.normal(scale=noise, size=n),
-                                    -12.0, 12.0)
-        rep = bounds.verify_h_consistency_bound(dist, assignment,
-                                                score_box(n), tau)
-        if any(f.startswith("vacuous") for f in rep.flags):
-            vacuous += 1
-        min_slack = min(min_slack, rep.slack)
-        if rep.slack < -tol:
-            violations.append(
-                f"instance {i}: slack {rep.slack} below -{tol} "
-                f"(tau={tau}, n={n})")
-        if i < keep_rows:
-            rows.append(rep.csv_row())
+    for start in range(0, count, BOUNDS_BATCH):
+        reports = _bounds_batch(rng, min(BOUNDS_BATCH, count - start), ns,
+                                taus)
+        for i, rep in enumerate(reports, start):
+            if any(f.startswith("vacuous") for f in rep.flags):
+                vacuous += 1
+            min_slack = min(min_slack, rep.slack)
+            if rep.slack < -tol:
+                violations.append(
+                    f"instance {i}: slack {rep.slack} below -{tol} "
+                    f"(tau={rep.tau}, n={rep.n})")
+            if i < keep_rows:
+                rows.append(rep.csv_row())
     # a deliberately non-symmetric fixture exercises the precondition
     # gate: it is flagged, never counted as a violation
     fixture = risk.HypothesisSpec("score_box", 2, lam=4.0,
@@ -72,25 +68,66 @@ def run_bounds_suite(count=10000, seed=20240811, ns=(2, 3, 5),
     return bounds.BOUND_CSV_HEADER, rows, violations
 
 
+def _bounds_batch(rng, count, ns, taus):
+    """Draw ``count`` bounds-suite instances and verify them in one
+    ``verify_h_consistency_bound_batch`` call; their reports.
+
+    Each instance draws its label count, tau, atom count, weights,
+    conditionals, noise scale and noise, in that order. The near-optimal
+    scores that the noise perturbs draw nothing, so they are computed
+    afterwards, one ``optimal_scores_rows`` call per label count, and
+    each noise array becomes its instance's assignment in place.
+    """
+    dists, inst_taus, noises = [], [], []
+    for _ in range(count):
+        # rng.choice(a) draws the index integers(0, len(a)) and nothing else
+        n = int(ns[rng.integers(0, len(ns))])
+        tau = float(taus[rng.integers(0, len(taus))])
+        K = int(rng.integers(1, 4))
+        weights = rng.dirichlet(np.ones(K))
+        conds = rng.dirichlet(np.ones(n), size=K)
+        dists.append(finite_distribution(weights, conds))
+        inst_taus.append(tau)
+        noise = float(rng.uniform(0.05, 3.0))
+        noises.append(rng.normal(scale=noise, size=(K, n)))
+
+    label_counts = [dist.n for dist in dists]
+    boxes = {}
+    for n in sorted(set(label_counts)):
+        boxes[n] = score_box(n)
+        group = [i for i, m in enumerate(label_counts) if m == n]
+        atoms = [len(dists[i].weights) for i in group]
+        base = risk.optimal_scores_rows(
+            np.concatenate([dists[i].conds for i in group]),
+            np.repeat([inst_taus[i] for i in group], atoms), lam=12.0)
+        for i, b in zip(group, np.split(base, np.cumsum(atoms)[:-1])):
+            noises[i] += b
+            np.clip(noises[i], -12.0, 12.0, out=noises[i])
+    return bounds.verify_h_consistency_bound_batch(
+        dists, noises, [boxes[n] for n in label_counts], inst_taus)
+
+
 def run_tightness_suite(taus=(0.0, 0.25, 0.5, 0.75, 1.0), n_beta=21, n=5,
                         tol=1e-9):
     """Singleton equality instances: both sides must match to tol."""
     header = "tau,beta,zero_one_side,surrogate_side,expected_surrogate"
     rows = []
     violations = []
-    for tau in taus:
-        for beta in np.linspace(0.0, 1.0, n_beta):
-            inst = bounds.build_tightness_instance(beta, tau, n)
-            zo, sur = bounds.tightness_sides(inst)
-            expected = transform.t_tau(beta, tau, n)
-            rows.append(",".join(fmt_number(v) for v in
-                                 (tau, beta, zo, sur, expected)))
-            if abs(zo - beta) > tol:
-                violations.append(
-                    f"zero-one side off by {zo - beta} at tau={tau}, beta={beta}")
-            if abs(sur - expected) > tol:
-                violations.append(
-                    f"surrogate side off by {sur - expected} at tau={tau}, beta={beta}")
+    grid = [(tau, beta) for tau in taus
+            for beta in np.linspace(0.0, 1.0, n_beta).tolist()]
+    expects = transform.t_tau_rows([beta for _, beta in grid],
+                                   [tau for tau, _ in grid], n).tolist()
+    for (tau, beta), expected in zip(grid, expects):
+        inst = bounds.build_tightness_instance(beta, tau, n)
+        zo, sur = bounds.tightness_sides(inst)
+        rows.append(",".join(fmt_number(v) for v in
+                             (tau, beta, zo, sur, expected)))
+        if abs(zo - beta) > tol:
+            violations.append(
+                f"zero-one side off by {zo - beta} at tau={tau}, beta={beta}")
+        if abs(sur - expected) > tol:
+            violations.append(
+                f"surrogate side off by {sur - expected} at tau={tau}, beta={beta}")
     return header, rows, violations
 
 

@@ -3,18 +3,20 @@
 ``t_tau`` maps a zero-one conditional gap ``beta`` to the smallest
 achievable surrogate conditional gap; it is convex, increasing, vanishes at
 zero and is continuous in ``tau`` across the branch switches at 1 and 2.
-``gamma_tau`` is its numerical inverse. ``t_tilde``/``gamma_tilde`` are the
-tightest-order polynomial lower bound and the matching closed-form upper
-bound of the inverse. ``psi_tau`` is the two-argument generalization whose
-minimum over the first argument is attained at 1, where it reduces to
-``t_tau``.
+``gamma_tau`` is its numerical inverse. Both are one-row calls of the row
+forms ``t_tau_rows`` and ``gamma_tau_rows``, which take one ``tau`` and one
+``n`` per row; the inverse bisects every row in lockstep.
+``t_tilde``/``gamma_tilde`` are the tightest-order polynomial lower bound
+and the matching closed-form upper bound of the inverse. ``psi_tau`` is the
+two-argument generalization whose minimum over the first argument is
+attained at 1, where it reduces to ``t_tau``.
 """
 
 import math
 
 import numpy as np
 
-from .losses import TAU_BRANCH_TOL, check_tau
+from .losses import TAU_BRANCH_TOL, TAU_MAX, check_tau
 
 _LOG2 = math.log(2.0)
 
@@ -27,10 +29,35 @@ def _check_beta(beta):
 
 
 def _check_n(n):
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return n
+    """Label counts as an int64 array, 0-d for a scalar. A ``ValueError``
+    naming ``n`` refuses one that is not an integer >= 2, by the rule of
+    ``losses.check_label``; a bool is not an integer here."""
+    a = np.asarray(n)
+    if not (a.dtype.kind in "iu" or a.dtype.kind == "f" and bool(
+            (np.isfinite(a) & (a == np.trunc(a))).all())):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    a = a.astype(np.int64)
+    if (a < 2).any():
+        raise ValueError(f"n must be >= 2, got {n!r}")
+    return a
+
+
+def _check_rows(x, ok, check, tau, n):
+    """Validate a rows form's arguments and broadcast them to three
+    contiguous 1-D arrays. The first entry of ``x`` outside ``ok(x)``, and
+    then the first bad ``tau``, raise the messages of the scalar checks
+    ``check`` and ``check_tau``."""
+    x = np.asarray(x, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    for a, good, scalar_check in ((x, ok(x), check),
+                                  (tau, (tau >= 0.0) & (tau <= TAU_MAX),
+                                   check_tau)):
+        if not good.all():
+            scalar_check(a[~good].flat[0])
+    rows = [x, tau, _check_n(n)]
+    if not x.shape == tau.shape == rows[2].shape:
+        rows = [np.array(a) for a in np.broadcast_arrays(*rows)]
+    return [a.reshape(-1) for a in rows]
 
 
 def _log_half_power_sum(la, lb, inv_r):
@@ -38,36 +65,99 @@ def _log_half_power_sum(la, lb, inv_r):
     return inv_r * (np.logaddexp(la, lb) - _LOG2)
 
 
+def _t_tilde_rows(beta, tau, n):
+    """``t_tilde`` at each row of the 1-D arrays ``beta``, ``tau``, ``n``."""
+    npow = n ** (tau - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tau < 1.0, beta * beta / (2.0 ** tau * (2.0 - tau)),
+                        np.where(tau < 2.0, beta * beta / (2.0 * npow),
+                                 beta / ((tau - 1.0) * npow)))
+
+
+def _t_tau_core(tau, n):
+    """``T_tau`` of the rows ``(tau[i], n[i])``, checked 1-D arrays, as a
+    function of one ``beta`` per row. Each row's branch and constants are
+    set here once, so a bisection evaluates only the function step after
+    step. The branches: the log form at ``tau = 1``; the linear form for
+    ``tau >= 2``; otherwise the ``(2 - tau)``-power of the mean of
+    ``(1 +/- beta) ** (1 / (2 - tau))``, in log space so the exponent
+    blow-up near ``tau = 2`` stays finite. Below ``beta = 1e-5`` and
+    ``tau < 2`` the exact branches lose the quadratic signal to
+    cancellation, and the polynomial form of ``t_tilde``, relatively
+    accurate to O(beta^2) there, takes over.
+    """
+    one = np.abs(tau - 1.0) < TAU_BRANCH_TOL
+    lin = tau >= 2.0 - TAU_BRANCH_TOL
+    curved = ~lin
+    under = curved & ~one & (tau < 1.0)
+    scale = (tau - 1.0) * n ** (tau - 1.0)
+
+    def log_form(idx):
+        def form(b):
+            t2 = np.where(b >= 1.0, 0.0, 0.5 * (1.0 - b) * np.log1p(-b))
+            return np.maximum(0.5 * (1.0 + b) * np.log1p(b) + t2, 0.0)
+        return form
+
+    def power_form(idx):
+        g = 2.0 - tau[idx]
+        r = 1.0 / g
+
+        def core(b):
+            return _log_half_power_sum(r * np.log1p(b), r * np.log1p(-b), g)
+        return core
+
+    def under_form(idx):
+        core = power_form(idx)
+        # -(2 ** (1 - tau) / (1 - tau)): the factor of -expm1(core)
+        lead = -(2.0 ** (1.0 - tau[idx]) / (1.0 - tau[idx]))
+        return lambda b: np.maximum(lead * np.expm1(core(b)), 0.0)
+
+    def over_form(idx):
+        core, denom = power_form(idx), scale[idx]
+        return lambda b: np.maximum(np.expm1(core(b)) / denom, 0.0)
+
+    def linear_form(idx):
+        denom = scale[idx]
+        return lambda b: b / denom
+
+    forms = []
+    for mask, make in ((one, log_form), (under, under_form),
+                       (curved & ~one & ~under, over_form),
+                       (lin, linear_form)):
+        count = np.count_nonzero(mask)
+        if count:
+            idx = slice(None) if count == mask.size else np.flatnonzero(mask)
+            forms.append((idx, make(idx)))
+    any_curved = np.count_nonzero(curved) > 0
+
+    def t_of(beta):
+        """The rows' values at ``beta``. Call it under
+        ``np.errstate(divide="ignore", invalid="ignore")``: at ``beta = 1``
+        the log and power forms take ``log1p(-1)``."""
+        out = np.empty(beta.shape)
+        for idx, form in forms:
+            out[idx] = form(beta[idx])
+        if any_curved and beta.min() < 1e-5:
+            small = curved & (beta > 0.0) & (beta < 1e-5)
+            out[small] = _t_tilde_rows(beta[small], tau[small], n[small])
+        return out
+
+    return t_of
+
+
+def t_tau_rows(beta, tau, n):
+    """``t_tau`` at each row ``(beta[i], tau[i], n[i])``; the arguments
+    broadcast to one 1-D shape."""
+    beta, tau, n = _check_rows(beta, lambda b: (b >= 0.0) & (b <= 1.0),
+                               _check_beta, tau, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _t_tau_core(tau, n)(beta)
+
+
 def t_tau(beta, tau, n):
-    """Consistency transform at ``beta`` in [0, 1]."""
-    return _t_tau_unchecked(_check_beta(beta), check_tau(tau), _check_n(n))
-
-
-def _t_tau_unchecked(beta, tau, n):
-    """``t_tau`` on arguments already validated (the bisection's core)."""
-    if 0.0 < beta < 1e-5 and tau < 2.0 - TAU_BRANCH_TOL:
-        # below this scale the exact branches lose the quadratic signal to
-        # cancellation; the polynomial form is relatively accurate to
-        # O(beta^2) here
-        return _t_tilde_unchecked(beta, tau, n)
-
-    if abs(tau - 1.0) < TAU_BRANCH_TOL:
-        t1 = 0.5 * (1.0 + beta) * math.log1p(beta)
-        t2 = 0.0 if beta >= 1.0 else 0.5 * (1.0 - beta) * math.log1p(-beta)
-        return max(t1 + t2, 0.0)
-    if tau >= 2.0 - TAU_BRANCH_TOL:
-        return beta / ((tau - 1.0) * n ** (tau - 1.0))
-
-    # shared generic core: the (2 - tau)-power of the mean of
-    # (1 +/- beta) ** (1 / (2 - tau)), evaluated in log space so the
-    # exponent blow-up near tau = 2 stays finite
-    r = 1.0 / (2.0 - tau)
-    la = r * np.log1p(beta)
-    lb = r * np.log1p(-beta) if beta < 1.0 else -np.inf
-    core = float(_log_half_power_sum(la, lb, 2.0 - tau))
-    if tau < 1.0:
-        return max(2.0 ** (1.0 - tau) / (1.0 - tau) * (-math.expm1(core)), 0.0)
-    return max(math.expm1(core) / ((tau - 1.0) * n ** (tau - 1.0)), 0.0)
+    """Consistency transform at ``beta`` in [0, 1]: a one-row call of
+    ``t_tau_rows``."""
+    return float(t_tau_rows([float(beta)], [tau], [n])[0])
 
 
 def t_tau_max(tau, n):
@@ -75,60 +165,92 @@ def t_tau_max(tau, n):
     return t_tau(1.0, tau, n)
 
 
-def gamma_tau(t, tau, n):
-    """Inverse of the transform by bisection on the monotone ``t_tau``.
+def _check_t(t):
+    raise ValueError(f"t must be nonnegative, got {t}")
 
-    Bisection runs to interval convergence (residuals end up far below
-    1e-13 of the target); an absolute-residual early stop would return the
-    wrong preimage for targets near zero. The ``tau >= 2`` branch is linear
-    and inverted in closed form. Values of ``t`` above the attainable
-    maximum raise with that maximum reported.
+
+def gamma_tau_rows(t, tau, n):
+    """``gamma_tau`` at each row ``(t[i], tau[i], n[i])``; the arguments
+    broadcast to one 1-D shape.
+
+    The ``tau >= 2`` rows are linear and inverted in closed form, and
+    ``t = 0`` maps to 0. Every other row is bisected on the monotone
+    ``t_tau``, all rows in lockstep and each by the rule of a bisection of
+    its own: at most 200 steps from ``[0, 1]``, stopping once ``hi - lo
+    <= 1e-16``. A row whose step leaves its bracket unchanged is frozen
+    too, since every later step would repeat that one. Bisection runs to
+    interval convergence (residuals end up far below 1e-13 of the target);
+    an absolute-residual early stop would return the wrong preimage for
+    targets near zero. A ``t`` above the attainable maximum raises with
+    that maximum reported.
     """
-    t = float(t)
-    tau = check_tau(tau)
-    n = _check_n(n)
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    tmax = t_tau_max(tau, n)
-    if t > tmax * (1.0 + 1e-12):
-        raise ValueError(
-            f"t={t} exceeds the attainable maximum t_tau(1)={tmax}"
-        )
-    if t == 0.0:
-        return 0.0
-    if tau >= 2.0 - TAU_BRANCH_TOL:
-        return min((tau - 1.0) * n ** (tau - 1.0) * t, 1.0)
+    t, tau, n = _check_rows(t, lambda v: v >= 0.0, _check_t, tau, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tmax = _t_tau_core(tau, n)(np.ones(t.shape))
+    over = t > tmax * (1.0 + 1e-12)
+    if over.any():
+        i = np.flatnonzero(over)[0]
+        raise ValueError(f"t={float(t[i])} exceeds the attainable maximum "
+                         f"t_tau(1)={float(tmax[i])}")
+    out = np.zeros(t.shape)
+    lin = (tau >= 2.0 - TAU_BRANCH_TOL) & (t != 0.0)
+    out[lin] = np.minimum(
+        (tau[lin] - 1.0) * n[lin] ** (tau[lin] - 1.0) * t[lin], 1.0)
+    rows = np.flatnonzero((tau < 2.0 - TAU_BRANCH_TOL) & (t != 0.0))
+    if rows.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[rows] = _bisect_rows(t[rows], tau[rows], n[rows])
+    return out
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
+
+def _bisect_rows(t, tau, n):
+    """The bisection of ``gamma_tau_rows`` on its 1-D rows, in lockstep."""
+    out = np.empty(t.shape)
+    live = np.arange(t.size)
+    lo, hi = np.zeros(t.size), np.ones(t.size)
+    t_of = _t_tau_core(tau, n)
+    for step in range(200):
         mid = 0.5 * (lo + hi)
-        if _t_tau_unchecked(mid, tau, n) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return 0.5 * (lo + hi)
+        lower = t_of(mid) < t
+        new_lo = np.where(lower, mid, lo)
+        new_hi = np.where(lower, hi, mid)
+        # a bracket halves from width 1, exactly while its ends are
+        # multiples of 2**-50, and holds no double but its ends only
+        # below 2**-53: no row stops in the first 50 steps
+        if step < 50:
+            lo, hi = new_lo, new_hi
+            continue
+        done = (new_hi - new_lo <= 1e-16) | ((new_lo == lo) & (new_hi == hi))
+        lo, hi = new_lo, new_hi
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            if done.all():
+                return out
+            keep = ~done
+            live, lo, hi, t, tau, n = (
+                a[keep] for a in (live, lo, hi, t, tau, n))
+            t_of = _t_tau_core(tau, n)
+    out[live] = 0.5 * (lo + hi)
+    return out
+
+
+def gamma_tau(t, tau, n):
+    """Inverse of the transform: a one-row call of ``gamma_tau_rows``."""
+    return float(gamma_tau_rows([float(t)], [tau], [n])[0])
 
 
 def t_tilde(beta, tau, n):
     """Tightest-order polynomial lower bound of the transform."""
-    return _t_tilde_unchecked(_check_beta(beta), check_tau(tau), _check_n(n))
-
-
-def _t_tilde_unchecked(beta, tau, n):
-    if tau < 1.0:
-        return beta * beta / (2.0 ** tau * (2.0 - tau))
-    if tau < 2.0:
-        return beta * beta / (2.0 * n ** (tau - 1.0))
-    return beta / ((tau - 1.0) * n ** (tau - 1.0))
+    beta, tau = _check_beta(beta), check_tau(tau)
+    return float(_t_tilde_rows(np.array([beta]), np.array([tau]),
+                               _check_n([n]))[0])
 
 
 def gamma_tilde(t, tau, n):
     """Closed-form upper bound of the inverse transform."""
     t = float(t)
     tau = check_tau(tau)
-    n = _check_n(n)
+    n = int(_check_n(n))
     if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if tau < 1.0:
@@ -149,7 +271,7 @@ def psi_tau(alpha, beta, tau, n):
     alpha = float(alpha)
     beta = float(beta)
     tau = check_tau(tau)
-    n = _check_n(n)
+    n = int(_check_n(n))
     if not 0.0 <= alpha <= 1.0 + 1e-12:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     alpha = min(alpha, 1.0)

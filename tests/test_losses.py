@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compsum import losses
 from compsum.losses import (
     _rows_lse,
     comp_sum_grad,
@@ -203,6 +204,23 @@ class TestCompSumGrad:
         for i in range(20):
             assert bl[i] == pytest.approx(comp_sum_loss(S[i], Y[i], 0.7))
             assert np.allclose(bg[i], comp_sum_grad(S[i], Y[i], 0.7))
+
+    @pytest.mark.parametrize("Y", [[-1], [3], [0, -3], [2, 5]])
+    def test_batch_refuses_labels_out_of_range(self, Y):
+        # negative labels used to index from the end
+        S = np.tile([0.0, 1.0, 2.0], (len(Y), 1))
+        for batch in (comp_sum_loss_batch, comp_sum_grad_batch):
+            with pytest.raises(ValueError, match=r"^Y: labels must lie in "
+                                                 r"\[0, 3\)"):
+                batch(S, Y, 1.0)
+
+    def test_per_row_tau_equals_each_rows_own_tau(self):
+        rng = np.random.default_rng(8)
+        V = rng.exponential(2.0, size=(60, 3))
+        taus = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-10, 1.5, 3.0], 60)
+        rows = losses._phi_of_gap_array(V, taus[:, None])
+        for v, tau, row in zip(V, taus, rows):
+            assert np.array_equal(losses._phi_of_gap_array(v, float(tau)), row)
 
 
 class TestOneLogSumExp:

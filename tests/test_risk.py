@@ -4,6 +4,7 @@ serialization."""
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ class TestClosedForm:
             base, abs=1e-5)
         assert cond_risk_star_closed(p, 2.0 + 1e-7) == pytest.approx(
             base, abs=1e-5)
+
+    def test_rows_forms_equal_one_call_per_row(self):
+        # each row at its own tau, zero probabilities and n >= 8 included
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5, 9):
+            P = rng.dirichlet(np.ones(n), size=40)
+            P[::5, 0] = 0.0
+            P /= P.sum(axis=1, keepdims=True)
+            taus = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], 40)
+            stars = risk.cond_risk_star_closed_rows(P, taus)
+            scores = risk.optimal_scores_rows(P, taus, lam=12.0)
+            for p, tau, star, s in zip(P, taus, stars, scores):
+                assert star == cond_risk_star_closed(p, tau)
+                assert np.array_equal(s, optimal_scores(p, tau, lam=12.0))
 
 
 class TestBruteOracle:
@@ -727,6 +742,16 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError, match=match):
             finite_distribution(weights, conds, xs)
 
+    @pytest.mark.parametrize("bad", [[0.6, 0.6], [1.2, -0.2], [0.5, math.inf],
+                                     [1.0 + 2e-12, 0.0]])
+    def test_first_bad_row_raises_its_own_message(self, bad):
+        # the rows are checked at once, then the first bad one on its own
+        with pytest.raises(ValueError) as caught:
+            risk.check_cond_dist(bad)
+        with pytest.raises(ValueError, match=re.escape(str(caught.value))):
+            finite_distribution([0.25, 0.25, 0.5],
+                                [[0.5, 0.5], bad, [0.6, 0.6]])
+
     @pytest.mark.parametrize("xs", [None, [[1.0, 0.0], [0.0, 1.0]]],
                              ids=["no-xs", "two-features"])
     def test_linear_gap_needs_its_features(self, xs):
@@ -827,8 +852,16 @@ TWO_LABELS = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
      "assignment"),
     (lambda: bounds.learning_bound(TWO_LABELS, score_box(3, 1.5), 2.0, m=10,
                                    delta=0.05, seed=0), "spec"),
+    (lambda: linear_family(2, 1, math.nan), "weight_bound"),
+    (lambda: linear_family(2, 1, True), "weight_bound"),
+    (lambda: linear_family(2, 1, "x"), "weight_bound"),
+    (lambda: score_box(3, True), "lam"),
+    (lambda: score_box(3, math.nan), "lam"),
+    (lambda: bounds.hbar_mu_scores([1.0, 0.0], math.nan, 0), "mu"),
 ], ids=["brute", "star", "calibration_gap", "gap_score_box", "gap_linear",
-        "bound_spec", "bound_nan", "bound_inf", "learning_bound"])
+        "bound_spec", "bound_nan", "bound_inf", "learning_bound",
+        "linear_nan_bound", "linear_bool_bound", "linear_str_bound",
+        "box_bool_lam", "box_nan_lam", "hbar_nan_mu"])
 def test_spec_and_distribution_must_agree(call, name):
     with pytest.raises(ValueError, match=f"^{name}"):
         call()

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from compsum.transform import (
     gamma_tau,
+    gamma_tau_rows,
     gamma_tilde,
     psi_tau,
     t_tau,
     t_tau_max,
+    t_tau_rows,
     t_tilde,
 )
 
@@ -157,3 +159,65 @@ class TestTwoArgument:
             alphas = np.linspace(beta, 1.0, 40)
             vals = [psi_tau(a, beta, tau, 5) for a in alphas]
             assert vals[-1] <= min(vals) + 1e-12
+
+
+class TestRowForms:
+    @staticmethod
+    def _rows(seed=4, count=400):
+        rng = np.random.default_rng(seed)
+        tau = rng.choice(TAU_GRID + [1.0 - 1e-10, 1.0 + 1e-10, 2.0 - 1e-10,
+                                     2.0 + 1e-10], count)
+        n = rng.choice([2, 3, 5, 10], count)
+        beta = rng.uniform(0.0, 1.0, count) ** rng.choice([1, 4, 12], count)
+        beta[:3] = (0.0, 1.0, 3e-6)
+        return beta, tau, n
+
+    def test_t_tau_rows_equal_one_call_per_row(self):
+        beta, tau, n = self._rows()
+        rows = t_tau_rows(beta, tau, n)
+        assert rows.tolist() == [t_tau(*args) for args in zip(beta, tau, n)]
+
+    def test_gamma_tau_rows_equal_one_call_per_row_bit_for_bit(self):
+        beta, tau, n = self._rows()
+        t = t_tau_rows(beta, tau, n)
+        rows = gamma_tau_rows(t, tau, n)
+        assert rows.tolist() == [gamma_tau(*args) for args in zip(t, tau, n)]
+
+    @pytest.mark.parametrize("tau", [1.0 - 1e-10, 1.0 + 1e-10,
+                                     2.0 - 1e-10, 2.0 + 1e-10])
+    def test_round_trip_beside_the_branch_switches(self, tau):
+        betas = np.concatenate([np.linspace(0.0, 1.0, 41),
+                                [1e-9, 3e-7, 2e-6, 9.9e-6, 1.1e-5]])
+        for n in (2, 5):
+            t = t_tau_rows(betas, tau, n)
+            assert np.abs(gamma_tau_rows(t, tau, n) - betas).max() <= 1e-9
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1.5, 1.9])
+    def test_round_trip_at_small_beta(self, tau):
+        betas = np.geomspace(1e-12, 9.9e-6, 25)
+        t = t_tau_rows(betas, tau, 3)
+        assert np.abs(gamma_tau_rows(t, tau, 3) - betas).max() <= 1e-9
+
+    def test_rows_check_each_argument(self):
+        with pytest.raises(ValueError, match="^beta"):
+            t_tau_rows([0.5, 1.5], 1.0, 3)
+        with pytest.raises(ValueError, match="^tau"):
+            t_tau_rows([0.5, 0.5], [1.0, math.nan], 3)
+        with pytest.raises(ValueError, match="^t must be nonnegative"):
+            gamma_tau_rows([0.1, -1e-9], 1.0, 3)
+        with pytest.raises(ValueError, match="attainable maximum"):
+            gamma_tau_rows([0.1, 1.0], 1.0, 3)
+        assert gamma_tau_rows([], 1.0, 3).shape == (0,)
+
+    @pytest.mark.parametrize("n", [2.5, 2.7, True, math.nan, "3"])
+    def test_non_integer_n_refused(self, n):
+        for call in (lambda: t_tau(0.5, 1.0, n), lambda: gamma_tau(0.1, 1.0, n),
+                     lambda: t_tilde(0.5, 1.0, n),
+                     lambda: gamma_tilde(0.1, 1.0, n),
+                     lambda: psi_tau(0.8, 0.5, 1.0, n),
+                     lambda: t_tau_rows([0.5, 0.5], 1.0, [n, n])):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                call()
+
+    def test_integral_float_n_accepted(self):
+        assert t_tau(0.5, 1.5, 3.0) == t_tau(0.5, 1.5, 3)
