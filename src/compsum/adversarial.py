@@ -9,10 +9,12 @@ oracles for one-dimensional linear instances used to certify the
 adversarial consistency bound.
 
 Each PGD attack maximizes an objective of the scores, written once as a
-function ``objective(scores) -> (values, d values / d scores)``;
-``pgd_maximize`` runs the model and chains the score gradient to the
-inputs. PGD values are lower bounds on the true suprema; the exact oracles
-are the reference where enumeration is possible.
+function ``objective(scores, rows) -> (values, d values / d scores)`` of
+the scores of the batch rows ``rows`` (all rows by default);
+``pgd_maximize`` runs the model on the rows it still attacks and chains
+the score gradient to the inputs. PGD values are lower bounds on the true
+suprema; the exact oracles are the reference where enumeration is
+possible.
 """
 
 import math
@@ -25,6 +27,13 @@ from .losses import check_tau, phi_tau, phi_tau_deriv, predict, predict_batch
 from .models import LinearModel
 
 SUPPORTED_P_NORMS = (1.0, 2.0, math.inf)
+
+# OpenBLAS multiplies a matrix in blocks of this many rows and rounds a
+# last, partial block (and a lone row) through other kernels. An attack
+# that drops rows keeps whole blocks ahead of the batch's own partial one,
+# so each kept row is rounded as in the full batch, unless BLAS picks
+# another kernel for the smaller matrix.
+_BLAS_BLOCK = 4
 
 
 def _check_finite_positive(**values):
@@ -49,6 +58,9 @@ class PerturbationBall:
     gamma: float
 
     def __post_init__(self):
+        for name in ("p_norm", "gamma"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if float(self.p_norm) not in SUPPORTED_P_NORMS:
             raise ValueError(f"p_norm must be one of {SUPPORTED_P_NORMS}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
@@ -177,60 +189,129 @@ def _steepest_ascent(g, p_norm):
 
 
 def pgd_maximize(model, objective, X, clean, ball, adv, rng=None,
-                 start=None):
+                 start=None, stop=None):
     """Maximize ``objective`` at the model's scores over per-row balls by
     projected ascent.
 
-    ``objective(scores)`` returns the per-row values and their gradient
-    with respect to the scores. Each iterate costs one ``model.forward_vjp``
-    (one hidden-layer pass) and one objective call; a step taken from it
-    pulls the score gradient back through that same pass. The clean
-    points' pass ``clean = model.forward_vjp(X)`` comes from the caller,
-    and the clean points count toward the best values. Restart 0 starts at
-    ``start`` (points inside the ball) when given, else at the clean
-    points: an objective whose gradient vanishes at ``X``, such as the
-    deviation, needs a start off it. Further restarts start uniformly
-    inside the (projected) ball. That makes ``restarts * (pgd_steps + 1) -
-    1`` forward passes beyond the clean one, plus one for ``start``. The
-    best value seen at any iterate is retained per row, so enlarging the
-    budget never lowers the estimate. Returns (best values, best points).
+    ``objective(scores, rows)`` returns the values and their gradient with
+    respect to ``scores``, whose rows are the batch rows ``rows`` (an index
+    array into ``X``). Each iterate costs one ``model.forward_vjp`` (one
+    hidden-layer pass) and one objective call; a step taken from it pulls
+    the score gradient back through that same pass. The clean points' pass
+    ``clean = model.forward_vjp(X)`` comes from the caller, and the clean
+    points count toward the best values. Restart 0 starts at ``start``
+    (points inside the ball) when given, else at the clean points: an
+    objective whose gradient vanishes at ``X``, such as the deviation,
+    needs a start off it. Further restarts start uniformly inside the
+    (projected) ball, drawn for the whole batch. The best value seen at any
+    iterate is retained per row, so enlarging the budget never lowers the
+    estimate. Returns (best values, best points).
+
+    A row leaves the attack early by two rules, so a full budget is at
+    most ``restarts * (pgd_steps + 1) - 1`` passes beyond the clean one,
+    plus one for ``start``:
+
+    - **Fixed point.** A row whose projected step returns its iterate bit
+      for bit leaves the current restart: the step depends on that row
+      alone, so every later step would repeat it. Its best value and point
+      are the full budget's.
+    - **Settled.** With ``stop``, a row whose best value exceeds ``stop``,
+      at the clean points or later, leaves all remaining restarts. It
+      returns a value above ``stop`` and a point that attains it, not
+      necessarily the full budget's best.
+
+    A pass runs on the rows still attacked. The arrays are compacted only
+    once a tenth of their rows have left (rows that have left ride along
+    until then), and in whole blocks of ``_BLAS_BLOCK`` rows.
 
     Each step is computed in the fresh input-gradient buffer that
     ``back.inputs`` returns and becomes the next iterate, so ``X``, the
     caller's clean pass and earlier iterates are never written.
     """
     rng = np.random.default_rng(adv.seed) if rng is None else rng
+    X = np.asarray(X, dtype=np.float64)
+    every = slice(None)
     scores, back = clean
-    v, ds = objective(scores)
+    v, ds = objective(scores, every)
     best_v = np.asarray(v, dtype=np.float64).copy()
     best_X = X.copy()
     if ball.gamma == 0.0:
         return best_v, best_X
     step = adv.step_size(ball)
+    tail = X.shape[0] % _BLAS_BLOCK
+
+    def attack_pass(rows, Xp):
+        """One pass at the iterates ``Xp`` of the batch rows ``rows``;
+        returns what the step from them pulls back through."""
+        scores, back = model.forward_vjp(Xp)
+        v, ds = objective(scores, rows)
+        upd = np.flatnonzero(v > best_v[rows])
+        at = upd if rows is every else rows[upd]
+        best_v[at] = v[upd]
+        best_X[at] = Xp[upd]
+        return back, ds
+
+    def unsettled(rows):
+        return np.ones(X.shape[0], bool)[rows] if stop is None else \
+            best_v[rows] <= stop
+
     for r in range(adv.restarts):
-        Xp = X
+        noise = None if r == 0 else rng.uniform(-ball.gamma, ball.gamma,
+                                                size=X.shape)
+        live = unsettled(every)
+        if not live.any():
+            continue
+        # restart 0 steps first from the clean points, with their pass
+        rows, Xc, Xp = every, X, X
         if r > 0 or start is not None:
-            Xp = start if r == 0 else project_to_ball(
-                X + rng.uniform(-ball.gamma, ball.gamma, size=X.shape), X, ball)
-            scores, back = model.forward_vjp(Xp)
-            v, ds = objective(scores)
-            upd = v > best_v
-            best_v[upd] = v[upd]
-            best_X[upd] = Xp[upd]
+            keep = _blocked_rows(live, tail)
+            if keep is not None:
+                rows = np.flatnonzero(keep)
+            Xc = X[rows]
+            Xp = start[rows] if r == 0 else project_to_ball(
+                Xc + noise[rows], Xc, ball)
+            back, ds = attack_pass(rows, Xp)
+            live = unsettled(rows)
         for _ in range(adv.pgd_steps):
-            # project_to_ball(Xp + step * ascent, X, ball), one buffer
+            # project_to_ball(Xp + step * ascent, Xc, ball), one buffer
             d = _steepest_ascent(back.inputs(ds), ball.p_norm)
             d *= step
             d += Xp
-            d -= X
-            Xp = _project_delta(d, ball)
-            Xp += X
-            scores, back = model.forward_vjp(Xp)
-            v, ds = objective(scores)
-            upd = v > best_v
-            best_v[upd] = v[upd]
-            best_X[upd] = Xp[upd]
+            d -= Xc
+            Xn = _project_delta(d, ball)
+            Xn += Xc
+            live &= (Xn.view(np.int64) != Xp.view(np.int64)).any(axis=1)
+            left = live.size - np.count_nonzero(live)
+            if left == live.size:
+                break
+            keep = None if 10 * left < live.size else \
+                _blocked_rows(live, tail)
+            if keep is not None:
+                at = np.flatnonzero(keep)
+                rows = at if rows is every else rows[at]
+                Xc, Xn, live = Xc[at], Xn[at], live[at]
+            Xp = Xn
+            back, ds = attack_pass(rows, Xp)
+            if stop is not None:
+                live &= best_v[rows] <= stop
     return best_v, best_X
+
+
+def _blocked_rows(live, tail):
+    """Mask of the rows an attack keeps, or None where it would drop less
+    than a tenth of them: the ``live`` rows, padded with rows that have
+    left so that the rows ahead of the last ``tail`` (all kept) come in
+    whole blocks of ``_BLAS_BLOCK``, and at least one block where ``tail``
+    rows follow."""
+    head = live.size - tail
+    kept = np.count_nonzero(live[:head])
+    pad = -kept % _BLAS_BLOCK or (_BLAS_BLOCK if tail and not kept else 0)
+    if 10 * (head - kept - pad) < live.size:
+        return None
+    keep = live.copy()
+    keep[head:] = True
+    keep[np.flatnonzero(~keep[:head])[:pad]] = True
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +322,17 @@ def _ramp_objective(Y, tau, rho):
     """Ramp-margin comp-sum loss: the outer transform of the summed ramps
     at the score margins of each row's label."""
 
-    def objective(scores):
-        rows = np.arange(scores.shape[0])
-        margins = scores[rows, Y][:, None] - scores
+    def objective(scores, rows=slice(None)):
+        y = Y[rows]
+        at = np.arange(scores.shape[0])
+        margins = scores[at, y][:, None] - scores
         ramps = rho_margin(margins, rho)
-        ramps[rows, Y] = 0.0
+        ramps[at, y] = 0.0
         inner = ramps.sum(axis=1)
         ramp_g = rho_margin_subgrad(margins, rho)
-        ramp_g[rows, Y] = 0.0
+        ramp_g[at, y] = 0.0
         ds = -ramp_g
-        ds[rows, Y] = ramp_g.sum(axis=1)
+        ds[at, y] = ramp_g.sum(axis=1)
         ds *= phi_tau_deriv(inner, tau)[:, None]
         return phi_tau(inner, tau), ds
 
@@ -265,16 +347,18 @@ def deviation_objective(base_scores, Y):
     0), so the same objective serves the attack and the training step's
     upstream gradient at the attacked points.
     """
-    rows = np.arange(base_scores.shape[0])
-    base_diff = base_scores[rows, Y][:, None] - base_scores
+    Y = np.asarray(Y)
+    base_diff = base_scores[np.arange(Y.size), Y][:, None] - base_scores
 
-    def objective(scores):
-        dev = (scores[rows, Y][:, None] - scores) - base_diff
-        dev[rows, Y] = 0.0
+    def objective(scores, rows=slice(None)):
+        y = Y[rows]
+        at = np.arange(scores.shape[0])
+        dev = (scores[at, y][:, None] - scores) - base_diff[rows]
+        dev[at, y] = 0.0
         norms = np.linalg.norm(dev, axis=1, keepdims=True)
         u = dev / np.maximum(norms, 1e-300)
         ds = -u
-        ds[rows, Y] = u.sum(axis=1)
+        ds[at, y] = u.sum(axis=1)
         return norms[:, 0], ds
 
     return objective
@@ -284,15 +368,16 @@ def _margin_objective(Y):
     """Margin violation: best competing score minus the label's score,
     with the competitor chosen by the highest-index tie rule."""
 
-    def objective(scores):
-        rows = np.arange(scores.shape[0])
+    def objective(scores, rows=slice(None)):
+        y = Y[rows]
+        at = np.arange(scores.shape[0])
         masked = scores.copy()
-        masked[rows, Y] = -np.inf
+        masked[at, y] = -np.inf
         comp = predict_batch(masked)
         ds = np.zeros_like(scores)
-        ds[rows, comp] = 1.0
-        ds[rows, Y] -= 1.0
-        return masked[rows, comp] - scores[rows, Y], ds
+        ds[at, comp] = 1.0
+        ds[at, y] -= 1.0
+        return masked[at, comp] - scores[at, y], ds
 
     return objective
 
@@ -310,8 +395,10 @@ def _one_example(model, x, y):
 
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
-    return pgd_maximize(model, _ramp_objective(Y, check_tau(tau), adv.rho),
-                        X, model.forward_vjp(X), ball, adv, rng)[0]
+    objective = _ramp_objective(losses._check_labels(Y, model.n_labels),
+                                check_tau(tau), adv.rho)
+    return pgd_maximize(model, objective, X, model.forward_vjp(X), ball, adv,
+                        rng)[0]
 
 
 def adv_comp_rho_loss(model, x, y, tau, adv, ball):
@@ -344,6 +431,7 @@ def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None,
     points.
     """
     tau = check_tau(tau)
+    Y = losses._check_labels(Y, model.n_labels)
     rng = np.random.default_rng(adv.seed) if rng is None else rng
     clean = model.forward_vjp(X)
     scores, back = clean
@@ -383,9 +471,17 @@ def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
     """Worst-case zero-one losses (PGD lower bound, attacking the margin
     from the clean pass ``clean = model.forward_vjp(X)``): 1 where any
     attacked or clean point is misclassified under the highest-index tie
-    rule."""
+    rule. Labels outside ``[0, n_labels)`` are a ``ValueError`` naming
+    ``Y``.
+
+    A positive margin violation misclassifies its point under any tie
+    rule, so the attack stops at it (``stop=0``): a row misclassified at
+    the clean point needs no attack, and one whose attack reaches such a
+    point leaves it. The verdicts are those of the full budget.
+    """
+    Y = losses._check_labels(Y, model.n_labels)
     _, Xbest = pgd_maximize(model, _margin_objective(Y), X, clean, ball,
-                            attack, rng)
+                            attack, rng, stop=0.0)
     wrong_clean = predict_batch(clean[0]) != Y
     wrong_adv = predict_batch(model.forward(Xbest)) != Y
     return (wrong_clean | wrong_adv).astype(np.int64)

@@ -22,7 +22,12 @@ from .adversarial import (
     pgd_maximize,
     smooth_adv_comp_loss_batch,
 )
-from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
+from .losses import (
+    _check_labels,
+    comp_sum_grad_batch,
+    comp_sum_loss_batch,
+    predict_batch,
+)
 from .models import check_size, init_linear, init_mlp
 
 
@@ -169,7 +174,9 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
 def evaluate(model, X, y, ball=None, attack=None, rng=None):
     """Clean accuracy, plus worst-case accuracy under the margin attack
     when a ball is given. The attack includes the clean point, so the
-    robust accuracy never exceeds the clean one."""
+    robust accuracy never exceeds the clean one. Labels outside
+    ``[0, n_labels)`` are a ``ValueError`` naming ``Y``."""
+    y = _check_labels(y, model.n_labels)
     clean = model.forward_vjp(X)
     out = {"clean_acc": float((predict_batch(clean[0]) == y).mean())}
     if ball is not None:

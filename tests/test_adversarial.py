@@ -14,8 +14,10 @@ from compsum.adversarial import (
     _ramp_objective,
     _steepest_ascent,
     adv_comp_rho_loss,
+    adv_comp_rho_loss_batch,
     adv_comp_rho_loss_exact_1d,
     adv_zero_one,
+    adv_zero_one_batch,
     adv_zero_one_exact_1d,
     check_local_rho_consistency,
     clean_rho_loss,
@@ -76,6 +78,15 @@ class TestParams:
         for gamma in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="^gamma must be finite"):
                 PerturbationBall(2.0, gamma)
+
+    @pytest.mark.parametrize("field, args", [
+        ("p_norm", (True, 0.3)), ("p_norm", (False, 0.3)),
+        ("gamma", (2.0, True)), ("gamma", (math.inf, False)),
+    ])
+    def test_ball_refuses_bools(self, field, args):
+        # True read as the l1 ball or as radius 1
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            PerturbationBall(*args)
 
     @pytest.mark.parametrize("field, value", [
         ("rho", 0.0), ("rho", math.inf), ("rho", math.nan),
@@ -372,6 +383,22 @@ class TestOneExample:
             loss(linear2(1.0, -1.0), [0.5], y, self.adv, self.ball)
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_batch_losses_refuse_labels_out_of_range(bad):
+    # a negative label wrapped to the last one; one past the end was an
+    # IndexError (the smooth loss refused a negative label only after its
+    # attack)
+    model = linear2(1.0, -1.0)
+    X, Y = np.zeros((3, 1)), np.array([0, bad, 1])
+    ball, adv = PerturbationBall(math.inf, 0.1), AdvParams(n=2)
+    with pytest.raises(ValueError, match=r"^Y: labels must lie in \[0, 2\)"):
+        adv_comp_rho_loss_batch(model, X, Y, 1.0, adv, ball)
+    with pytest.raises(ValueError, match=r"^Y: labels must lie in \[0, 2\)"):
+        adv_zero_one_batch(model, X, Y, model.forward_vjp(X), ball, adv)
+    with pytest.raises(ValueError, match=r"^Y: labels must lie in \[0, 2\)"):
+        smooth_adv_comp_loss_batch(model, X, Y, 1.0, adv, ball)
+
+
 class TestMonotonicityAndChain:
     def test_more_steps_never_decrease(self):
         rng = np.random.default_rng(4)
@@ -519,10 +546,10 @@ class TestInPlaceSteps:
         ds = np.random.default_rng(2).normal(size=(X.shape[0], 3))
         calls = []
 
-        def rising(scores):
+        def rising(scores, rows):
             # every iterate beats the last, so the best point is the last
             calls.append(None)
-            return np.full(scores.shape[0], float(len(calls))), ds
+            return np.full(scores.shape[0], float(len(calls))), ds[rows]
 
         adv = AdvParams(n=3, pgd_steps=2, seed=0)
         step = adv.step_size(ball)

@@ -251,6 +251,21 @@ class TestEvaluate:
                          AdvParams(n=2, pgd_steps=10, seed=seed))
             assert m["robust_acc"] <= m["clean_acc"] + 1e-12
 
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_labels_out_of_range_name_y(self, bad, robust):
+        # a negative label used to count as wrong, and the attack masked
+        # the label it wrapped to; one past the end was an IndexError
+        # under attack and a silent clean accuracy without
+        data = small_data()
+        model = make_model("mlp", 4, 2, 16, seed=0)
+        y = data.y_test.copy()
+        y[3] = bad
+        ball = PerturbationBall(math.inf, 0.2) if robust else None
+        attack = AdvParams(n=2, pgd_steps=5) if robust else None
+        with pytest.raises(ValueError, match=r"^Y: labels must lie in "):
+            evaluate(model, data.X_test, y, ball, attack)
+
 
 class TestAdversarialTraining:
     def test_degenerate_ball_matches_standard(self):
