@@ -10,6 +10,7 @@ from .adversarial import (
     rho_margin,
     smooth_adv_comp_loss,
     verify_adv_bound,
+    verify_adv_bound_batch,
 )
 from .bounds import (
     BoundReport,
@@ -93,6 +94,7 @@ __all__ = [
     "PerturbationBall", "AdvParams", "rho_margin",
     "adv_comp_rho_loss", "smooth_adv_comp_loss", "adv_zero_one",
     "check_local_rho_consistency", "verify_adv_bound",
+    "verify_adv_bound_batch",
     "TrainConfig", "gaussian_mixture_dataset", "margin_task_dataset",
     "train_standard", "train_adv_comp_sum", "evaluate",
 ]

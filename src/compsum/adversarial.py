@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, risk
-from .losses import check_tau, phi_tau, phi_tau_deriv, predict, predict_batch
+from .losses import check_tau, phi_tau, phi_tau_deriv, predict_batch
 from .models import LinearModel
 
 SUPPORTED_P_NORMS = (1.0, 2.0, math.inf)
@@ -505,6 +505,21 @@ class RhoConsistencyResult:
     witness: object = None
 
 
+def _staircase_rows(n, rho, bound):
+    """The staircase levels ``-0.5 * (n - 1) * rho + rho * arange(n)`` of
+    each ``rho`` (R,), and two masks: whose span fits inside ``[-bound,
+    bound]``, and whose adjacent levels stay at least ``rho`` apart in
+    floating point, with relative tolerances (the staircase's rounding
+    scales with rho). Rounding is monotone, so adjacent gaps of at least
+    ``rho`` keep every pairwise gap as large and the levels ascending."""
+    span = (n - 1) * rho
+    levels = -0.5 * span[:, None] + rho[:, None] * np.arange(n)
+    fits = span <= 2.0 * bound * (1.0 + 1e-12)
+    spaced = (np.diff(levels, axis=1)
+              >= (rho * (1.0 - 1e-12))[:, None]).all(axis=1)
+    return levels, fits, spaced
+
+
 def check_local_rho_consistency(spec, rho):
     """Decide whether the set contains a hypothesis keeping every pairwise
     score gap at least ``rho`` with a fixed ordering on every ball.
@@ -520,33 +535,32 @@ def check_local_rho_consistency(spec, rho):
     if not rho > 0:
         raise ValueError("rho must be positive")
     n = spec.n
-    span = (n - 1) * rho
     if spec.kind == "score_box":
         bound, reason = spec.lam, "staircase witness with spacing rho"
         failure = (f"cannot fit {n} levels spaced {rho} inside "
                    f"[-{spec.lam}, {spec.lam}]")
     elif spec.kind == "linear":
         bound, reason = spec.weight_bound, "constant staircase witness"
-        failure = f"bias bound {spec.weight_bound} below required {span / 2}"
+        failure = (f"bias bound {spec.weight_bound} below required "
+                   f"{(n - 1) * rho / 2}")
     else:
         raise ValueError(f"unsupported hypothesis kind {spec.kind!r}")
-    # relative tolerances: the staircase's rounding scales with rho
-    if span > 2.0 * bound * (1.0 + 1e-12):
+    levels, fits, spaced = _staircase_rows(n, np.array([float(rho)]),
+                                           np.array([float(bound)]))
+    if not fits[0]:
         return RhoConsistencyResult(False, failure)
-
-    levels = -0.5 * span + rho * np.arange(n)
-    gaps = np.abs(levels[:, None] - levels[None, :])[~np.eye(n, dtype=bool)]
-    if gaps.min() < rho * (1.0 - 1e-12) or \
-            np.any(np.argsort(levels) != np.arange(n)):
+    if not spaced[0]:
         return RhoConsistencyResult(
             False, f"staircase gaps fall below {rho} in floating point")
-    witness = levels if spec.kind == "score_box" else \
-        LinearModel(np.zeros((n, spec.feature_dim)), levels)
+    witness = levels[0] if spec.kind == "score_box" else \
+        LinearModel(np.zeros((n, spec.feature_dim)), levels[0])
     return RhoConsistencyResult(True, reason, witness)
 
 
 # ---------------------------------------------------------------------------
-# exact oracles for one-dimensional linear instances
+# exact oracles for one-dimensional linear instances: one row per example,
+# its model's scores ``W * x + B`` (W, B (R, n)) at its input and its label
+# (X, Y (R,)), and each parameter a number or one per row
 # ---------------------------------------------------------------------------
 
 def _linear_wb(model):
@@ -555,62 +569,73 @@ def _linear_wb(model):
     return model.W[:, 0], model.b
 
 
-def adv_zero_one_exact_1d(model, x, y, gamma):
-    """Exact worst-case zero-one loss: an affine score family wins on an
-    interval, so checking the two ball endpoints is exact."""
-    w, b = _linear_wb(model)
-    for t in (x - gamma, x + gamma):
-        if predict(w * t + b) != y:
-            return 1
-    return 0
+def _column(a):
+    """A number or one value per row as a column that broadcasts against
+    the rows."""
+    return np.reshape(a, (-1, 1))
 
 
-def sup_rho_inner_exact_1d(model, x, y, rho, gamma):
-    """Exact supremum over the interval of the summed ramps.
+def _phi_rows(u, tau):
+    """``phi_tau(u, tau)`` entry by entry, ``tau`` broadcasting against
+    ``u``; ``u`` finite and nonnegative."""
+    return losses._phi_of_gap_array(np.log1p(u), tau)
+
+
+def adv_zero_one_exact_rows(W, B, X, Y, gamma):
+    """Exact worst-case zero-one loss of each row: an affine score family
+    wins on an interval, so the two ball endpoints decide it under the
+    highest-index tie rule."""
+    wrong = [predict_batch(W * _column(t) + B) != Y
+             for t in (X - gamma, X + gamma)]
+    return (wrong[0] | wrong[1]).astype(np.float64)
+
+
+def sup_ramp_exact_rows(W, B, X, Y, rho, gamma):
+    """Exact supremum over each row's interval ``[x - gamma, x + gamma]``
+    of the summed ramps at the score margins of its label.
 
     Each ramp of an affine margin is piecewise linear in the input, so the
-    supremum of the sum sits at an endpoint or at a ramp breakpoint.
+    supremum of the sum sits at an endpoint or at a breakpoint inside the
+    interval, where the margin against some label crosses 0 or ``rho``.
+    Breakpoints outside it (or of a constant margin) are replaced by the
+    lower endpoint.
     """
-    w, b = _linear_wb(model)
-    n = w.shape[0]
-    lo, hi = x - gamma, x + gamma
-    cands = [lo, hi]
-    for j in range(n):
-        if j == y:
-            continue
-        slope = w[y] - w[j]
-        inter = b[y] - b[j]
-        if slope != 0.0:
-            for target in (0.0, rho):
-                t = (target - inter) / slope
-                if lo < t < hi:
-                    cands.append(t)
-    best = -math.inf
-    for t in cands:
-        s = w * t + b
-        margins = s[y] - s
-        vals = rho_margin(margins, rho)
-        vals[y] = 0.0
-        best = max(best, float(vals.sum()))
-    return best
+    at = np.arange(len(Y))
+    rho = _column(rho)
+    lo, hi = _column(X - gamma), _column(X + gamma)
+    slope = W[at, Y][:, None] - W
+    inter = B[at, Y][:, None] - B
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.hstack([(target - inter) / slope for target in (0.0, rho)])
+    ts = np.hstack([lo, hi, np.where((lo < ts) & (ts < hi), ts, lo)])
+    S = W[:, None, :] * ts[:, :, None] + B[:, None, :]
+    ramps = np.clip(1.0 - (S[at, :, Y][:, :, None] - S) / rho[:, :, None],
+                    0.0, 1.0)
+    ramps[at, :, Y] = 0.0
+    R, C, n = ramps.shape
+    return losses._rows_sum(ramps.reshape(R * C, n)).reshape(R, C).max(1)
 
 
-def adv_comp_rho_loss_exact_1d(model, x, y, tau, rho, gamma):
-    return float(phi_tau(sup_rho_inner_exact_1d(model, x, y, rho, gamma), tau))
+def deviation_sup_exact_rows(W, Y, gamma):
+    """Exact worst deviation norm of each row: affine differences make it
+    ``gamma * ||w_y - w_j||_2`` over the competing labels ``j``."""
+    at = np.arange(len(Y))
+    others = np.arange(W.shape[1] - 1)
+    others = others + (others >= Y[:, None])
+    D = W[at, Y][:, None] - W[at[:, None], others]
+    # each squared norm as np.linalg.norm takes it: a stacked matmul makes
+    # one BLAS dot per row
+    return gamma * np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
 
 
-def deviation_sup_exact_1d(model, x, y, gamma):
-    """Exact worst deviation norm: affine differences make it
-    ``gamma * ||w_y - w_j||_2`` over the competing labels."""
-    w, _ = _linear_wb(model)
-    diffs = w[y] - np.delete(w, y)
-    return float(gamma * np.linalg.norm(diffs))
-
-
-def smooth_adv_comp_loss_exact_1d(model, x, y, tau, adv, gamma):
-    s = model.forward(np.array([[float(x)]]))[0]
-    clean = losses.comp_sum_loss(s / adv.rho, y, tau)
-    return clean + adv.nu * deviation_sup_exact_1d(model, x, y, gamma)
+def smooth_adv_exact_rows(W, B, X, Y, tau, rho, nu, gamma):
+    """Exact smooth adversarial loss of each row: the clean comp-sum loss
+    at the scores scaled by ``1 / rho`` plus ``nu`` times the worst
+    deviation; ``tau`` checked."""
+    S = (W * _column(X) + B) / _column(rho)
+    v = np.maximum(losses._rows_lse(S) - S[np.arange(len(Y)), Y], 0.0)
+    return (losses._phi_of_gap_array(v, tau)
+            + nu * deviation_sup_exact_rows(W, Y, gamma))
 
 
 def clean_rho_loss(model, x, y, tau, rho):
@@ -620,40 +645,46 @@ def clean_rho_loss(model, x, y, tau, rho):
     return float(objective(model.forward(X))[0][0])
 
 
+def _cstar_adv_rho_rows(P, tau):
+    """``cstar_adv_rho_closed`` of each row of ``P`` (R, n), conditionals
+    checked and clipped at 0, at its tau (R,)."""
+    n = P.shape[1]
+    coeffs = _phi_rows(np.arange(n - 1, -1, -1, dtype=np.float64),
+                       tau[:, None])
+    Q = np.sort(P, axis=1)
+    # each row's dot as ``q @ coeffs`` takes it: one BLAS dot per row
+    return (Q[:, None, :] @ coeffs[:, :, None])[:, 0, 0]
+
+
 def cstar_adv_rho_closed(p, tau):
     """Best-in-class conditional sup-ramp risk for a symmetric locally
     margin-consistent set: ascending-sorted probabilities dotted with the
     transform of the count of strictly-higher labels."""
-    p = risk.check_cond_dist(p)
-    n = p.shape[0]
-    q = np.sort(p)
-    coeffs = phi_tau(np.arange(n - 1, -1, -1, dtype=np.float64), tau)
-    return float(q @ coeffs)
+    return float(_cstar_adv_rho_rows(risk.check_cond_dist(p)[None],
+                                     np.array([check_tau(tau)]))[0])
 
 
 def _best_threshold_adv01(dist, gamma):
     """Exact best-in-class expected adversarial zero-one risk over
-    one-dimensional two-class threshold classifiers."""
-    xs = dist.xs[:, 0]
-    ws = dist.weights
-    conds = dist.conds
-    edges = np.concatenate([xs - gamma, xs + gamma])
-    edges = np.sort(np.unique(edges))
-    cands = [edges[0] - 1.0, edges[-1] + 1.0]
-    cands += list((edges[:-1] + edges[1:]) / 2.0)
-    best = math.inf
-    for t in cands:
-        for orient in (1, -1):
-            # orient=+1: predict label 1 above the threshold
-            risk_val = 0.0
-            for k in range(len(xs)):
-                lo, hi = xs[k] - gamma, xs[k] + gamma
-                ok1 = lo > t if orient == 1 else hi < t
-                ok0 = hi < t if orient == 1 else lo > t
-                risk_val += ws[k] * (conds[k][1] * (0.0 if ok1 else 1.0)
-                                     + conds[k][0] * (0.0 if ok0 else 1.0))
-            best = min(best, risk_val)
-    return best
+    one-dimensional two-class threshold classifiers.
+
+    The candidate thresholds lie below, above and between each pair of
+    adjacent distinct interval ends; each is scored in both orientations
+    at once, an atom's label costing its probability unless its whole
+    interval gets that label, summed over the atoms left to right.
+    """
+    lo = dist.xs[:, 0] - gamma
+    hi = dist.xs[:, 0] + gamma
+    edges = np.sort(np.concatenate([lo, hi]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+    t = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0],
+                        (edges[:-1] + edges[1:]) / 2.0])[:, None]
+    above, below = lo > t, hi < t
+    c0, c1 = dist.conds[:, 0], dist.conds[:, 1]
+    # label 1 predicted above the threshold, then below it
+    risks = [dist.weights * (c1 * ~ok1 + c0 * ~ok0)
+             for ok1, ok0 in ((above, below), (below, above))]
+    return min(float(losses._rows_sum(r).min()) for r in risks)
 
 
 @dataclass
@@ -683,52 +714,95 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     ``phi_tau(1) <= 1``). ``rhs_smooth`` replaces the hypothesis's
     sup-ramp risk by its smooth adversarial loss, which can only increase
     the bound. Refuses a distribution without one feature per support
-    point, hypothesis sets of another label count or feature dimension, and
-    sets that fail the local margin consistency check.
+    point; hypothesis sets, models and attack parameters (``adv.n``) of
+    another label count; sets of another feature dimension; and sets that
+    fail the local margin consistency check. A batch of one.
     """
-    tau = check_tau(tau)
-    _linear_wb(model)  # refuses all but a one-dimensional linear model
-    if dist.xs is None or dist.xs.shape[1] != 1:
-        raise ValueError("the adversarial bound needs one feature per "
-                         "support point")
-    risk.check_spec_labels(spec, dist.n)
-    if spec.kind == "linear" and spec.feature_dim != 1:
-        raise ValueError(f"spec: {spec} does not describe one-dimensional "
-                         f"instances")
-    check = check_local_rho_consistency(spec, adv.rho)
-    if not check.passed:
+    return verify_adv_bound_batch([dist], [spec], [model], [tau], [adv],
+                                  [ball])[0]
+
+
+def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
+    """``verify_adv_bound`` of each instance ``(dists[i], specs[i],
+    models[i], taus[i], advs[i], balls[i])``; their reports.
+
+    Every instance is checked first, as ``verify_adv_bound`` checks it, and
+    the first that fails raises. The rows of all instances with one label
+    count, one per atom and label, go through one call of each exact row
+    form at their instance's parameters, and each instance sums its terms
+    left to right in atom, then label order, skipping labels of zero
+    probability, so its report does not depend on the rest of the batch.
+    """
+    taus = np.array([check_tau(tau) for tau in taus])
+    for dist, spec, model, adv in zip(dists, specs, models, advs):
+        _linear_wb(model)  # refuses all but a one-dimensional linear model
+        if dist.xs is None or dist.xs.shape[1] != 1:
+            raise ValueError("the adversarial bound needs one feature per "
+                             "support point")
+        risk.check_spec_labels(spec, dist.n)
+        if spec.kind == "linear" and spec.feature_dim != 1:
+            raise ValueError(f"spec: {spec} does not describe "
+                             f"one-dimensional instances")
+        for name, n in (("model", model.n_labels), ("adv.n", adv.n)):
+            if n != dist.n:
+                raise ValueError(f"{name}: {n} labels do not match the "
+                                 f"{dist.n}-label conditionals")
+    rho = np.array([adv.rho for adv in advs], dtype=np.float64)
+    nu = np.array([adv.nu for adv in advs], dtype=np.float64)
+    gamma = np.array([ball.gamma for ball in balls], dtype=np.float64)
+    bound = np.array([spec.lam if spec.kind == "score_box" else
+                      spec.weight_bound for spec in specs], dtype=np.float64)
+    ns = np.array([dist.n for dist in dists])
+    consistent = np.ones(len(dists), dtype=bool)
+    # per instance: worst-case zero-one, sup-ramp and smooth risks, and
+    # the expected conditional optima of zero-one and sup-ramp
+    r01, r_rho, r_smooth, e01, e_rho = np.zeros((5, len(dists)))
+    for n in sorted(set(ns.tolist())):
+        group = np.flatnonzero(ns == n)
+        _, fits, spaced = _staircase_rows(n, rho[group], bound[group])
+        consistent[group] = fits & spaced
+        atoms = np.array([len(dists[i].weights) for i in group])
+        atom_inst = np.repeat(group, atoms)
+        C = np.concatenate([dists[i].conds for i in group])
+        w = np.concatenate([dists[i].weights for i in group])
+        e01[group] = risk._run_sums(w * (1.0 - C.max(axis=1)), atoms)
+        e_rho[group] = risk._run_sums(
+            w * _cstar_adv_rho_rows(np.maximum(C, 0.0), taus[atom_inst]),
+            atoms)
+        # rows: atom by atom, each atom's labels in order
+        at = np.repeat(np.repeat(np.arange(group.size), atoms), n)
+        inst = group[at]
+        W = np.array([models[i].W[:, 0] for i in group])[at]
+        B = np.array([models[i].b for i in group])[at]
+        X = np.repeat(np.concatenate([dists[i].xs[:, 0] for i in group]), n)
+        Y = np.tile(np.arange(n), len(C))
+        values = (
+            adv_zero_one_exact_rows(W, B, X, Y, gamma[inst]),
+            _phi_rows(sup_ramp_exact_rows(W, B, X, Y, rho[inst],
+                                          gamma[inst]), taus[inst]),
+            smooth_adv_exact_rows(W, B, X, Y, taus[inst], rho[inst],
+                                  nu[inst], gamma[inst]))
+        wy = np.repeat(w, n) * C.ravel()
+        for total, v in zip((r01, r_rho, r_smooth), values):
+            total[group] = risk._run_sums(
+                np.where(C.ravel() != 0.0, wy * v, 0.0), atoms * n)
+    bad = np.flatnonzero(~consistent)
+    if bad.size:
+        check = check_local_rho_consistency(specs[bad[0]], advs[bad[0]].rho)
         raise ValueError(
             f"hypothesis set is not locally margin-consistent: {check.reason}")
 
-    gamma = ball.gamma
-    r_adv01 = 0.0
-    e_cstar01 = 0.0
-    r_rho = 0.0
-    r_smooth = 0.0
-    e_cstar_rho = 0.0
-    for w, cond, x in zip(dist.weights.tolist(), dist.conds,
-                          dist.xs[:, 0].tolist()):
-        e_cstar01 += w * (1.0 - cond.max())
-        e_cstar_rho += w * cstar_adv_rho_closed(cond, tau)
-        for y in range(dist.n):
-            if cond[y] == 0.0:
-                continue
-            wy = w * cond[y]
-            r_adv01 += wy * adv_zero_one_exact_1d(model, x, y, gamma)
-            r_rho += wy * adv_comp_rho_loss_exact_1d(model, x, y, tau,
-                                                     adv.rho, gamma)
-            r_smooth += wy * smooth_adv_comp_loss_exact_1d(model, x, y, tau,
-                                                           adv, gamma)
-
-    phi1 = float(phi_tau(1.0, tau))
-    lhs = r_adv01 - e_cstar01
-    rhs = (r_rho - e_cstar_rho) / phi1
-    rhs_smooth = (r_smooth - e_cstar_rho) / phi1
-    flags = []
-    gap01 = math.nan
-    if dist.n == 2:
-        gap01 = _best_threshold_adv01(dist, gamma) - e_cstar01
-    else:
-        flags.append("gap01_skipped:n>2")
-    return AdvBoundReport(tau, dist.n, lhs, rhs, rhs - lhs, rhs_smooth,
-                          gap01=gap01, flags=flags)
+    phi1 = _phi_rows(np.ones(len(dists)), taus)
+    lhs = r01 - e01
+    rhs = (r_rho - e_rho) / phi1
+    rhs_smooth = (r_smooth - e_rho) / phi1
+    reports = []
+    for i, dist in enumerate(dists):
+        gap01, flags = math.nan, ["gap01_skipped:n>2"]
+        if dist.n == 2:
+            gap01, flags = _best_threshold_adv01(dist, gamma[i]) - e01[i], []
+        reports.append(AdvBoundReport(
+            float(taus[i]), dist.n, float(lhs[i]), float(rhs[i]),
+            float(rhs[i] - lhs[i]), float(rhs_smooth[i]), float(gap01),
+            flags))
+    return reports

@@ -264,17 +264,24 @@ def excess_risks(dists, assignments, taus):
         zero_one = w * (C.max(axis=1) - C[rows, losses.predict_batch(S)])
         excess = w * (weighted_cond_value(S, P, atom_tau[:, None])
                       - cond_risk_star_closed_rows(P, atom_tau))
-        # atom k of each instance in column k, summed left to right
-        inst = np.repeat(np.arange(len(group)), atoms)
-        col = rows - np.repeat(np.cumsum(atoms) - atoms, atoms)
-        for terms, total in ((zero_one, lhs), (excess, arg)):
-            table = np.zeros((len(group), atoms.max()))
-            table[inst, col] = terms
-            sums = np.zeros(len(group))
-            for k in range(table.shape[1]):
-                sums += table[:, k]
-            total[group] = sums
+        lhs[group] = _run_sums(zero_one, atoms)
+        arg[group] = _run_sums(excess, atoms)
     return lhs, arg
+
+
+def _run_sums(terms, sizes):
+    """Sums of the consecutive runs of ``terms`` of lengths ``sizes``, each
+    added left to right from 0, so a run's sum does not depend on the
+    others: term k of each run goes in column k of a table whose columns
+    are added in order."""
+    runs = np.repeat(np.arange(len(sizes)), sizes)
+    col = np.arange(len(terms)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.zeros((len(sizes), sizes.max()))
+    table[runs, col] = terms
+    sums = np.zeros(len(sizes))
+    for k in range(table.shape[1]):
+        sums += table[:, k]
+    return sums
 
 
 def cond_risk_star_closed(p, tau):

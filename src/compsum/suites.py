@@ -262,46 +262,57 @@ def run_adversarial_suite(count=1000, seed=13, tol=1e-6, keep_rows=200):
     """Exact 1-D linear instances of the adversarial bound.
 
     Checks the bound's slack and that the smooth-loss variant is never
-    below the ramp variant.
+    below the ramp variant. The instances are drawn in the generator's
+    order and verified ``BOUNDS_BATCH`` at a time, each batch in one
+    ``verify_adv_bound_batch`` call.
     """
     header = "tau,n,lhs,rhs,slack,rhs_smooth,corollary_ok,flags"
     rows = []
     violations = []
     rng = np.random.default_rng(seed)
     min_slack = math.inf
-    for i in range(count):
-        n = int(rng.choice([2, 3]))
-        model = LinearModel(rng.normal(scale=1.5, size=(n, 1)),
-                            rng.normal(scale=0.7, size=n))
-        K = int(rng.integers(1, 4))
-        weights = rng.dirichlet(np.ones(K))
-        conds = rng.dirichlet(np.ones(n), size=K)
-        xs = rng.normal(scale=1.0, size=(K, 1))
-        dist = finite_distribution(weights, conds, xs=xs)
-        tau = float(rng.uniform(0.0, 3.0))
-        rho = float(rng.uniform(0.3, 1.5))
-        gamma = float(rng.uniform(0.01, 0.5))
-        adv = advmod.AdvParams(n=n, rho=rho)
-        spec = linear_family(n, 1, weight_bound=max(1.0, (n - 1) * rho))
-        rep = advmod.verify_adv_bound(
-            dist, spec, model, tau, adv,
-            advmod.PerturbationBall(math.inf, gamma))
-        min_slack = min(min_slack, rep.slack)
-        cor_ok = rep.rhs_smooth >= rep.rhs - 1e-12
-        if rep.slack < -tol:
-            violations.append(f"instance {i}: slack {rep.slack} (tau={tau})")
-        if not cor_ok:
-            violations.append(
-                f"instance {i}: smooth-variant bound {rep.rhs_smooth} fell "
-                f"below the ramp bound {rep.rhs}")
-        if i < keep_rows:
-            rows.append(",".join(
-                [fmt_number(rep.tau), str(rep.n), fmt_number(rep.lhs),
-                 fmt_number(rep.rhs), fmt_number(rep.slack),
-                 fmt_number(rep.rhs_smooth), str(int(cor_ok)),
-                 ";".join(rep.flags)]))
+    for start in range(0, count, BOUNDS_BATCH):
+        draws = [_adversarial_draw(rng)
+                 for _ in range(min(BOUNDS_BATCH, count - start))]
+        reports = advmod.verify_adv_bound_batch(*zip(*draws))
+        for i, rep in enumerate(reports, start):
+            min_slack = min(min_slack, rep.slack)
+            cor_ok = rep.rhs_smooth >= rep.rhs - 1e-12
+            if rep.slack < -tol:
+                violations.append(
+                    f"instance {i}: slack {rep.slack} (tau={rep.tau})")
+            if not cor_ok:
+                violations.append(
+                    f"instance {i}: smooth-variant bound {rep.rhs_smooth} "
+                    f"fell below the ramp bound {rep.rhs}")
+            if i < keep_rows:
+                rows.append(",".join(
+                    [fmt_number(rep.tau), str(rep.n), fmt_number(rep.lhs),
+                     fmt_number(rep.rhs), fmt_number(rep.slack),
+                     fmt_number(rep.rhs_smooth), str(int(cor_ok)),
+                     ";".join(rep.flags)]))
     rows.append(f"# min_slack={min_slack:.3e}")
     return header, rows, violations
+
+
+def _adversarial_draw(rng):
+    """One adversarial-suite instance ``(dist, spec, model, tau, adv,
+    ball)``, drawing its label count, model, atom count, weights,
+    conditionals, features, tau, rho and radius, in that order."""
+    n = int(rng.choice([2, 3]))
+    model = LinearModel(rng.normal(scale=1.5, size=(n, 1)),
+                        rng.normal(scale=0.7, size=n))
+    K = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(K))
+    conds = rng.dirichlet(np.ones(n), size=K)
+    xs = rng.normal(scale=1.0, size=(K, 1))
+    dist = finite_distribution(weights, conds, xs=xs)
+    tau = float(rng.uniform(0.0, 3.0))
+    rho = float(rng.uniform(0.3, 1.5))
+    gamma = float(rng.uniform(0.01, 0.5))
+    spec = linear_family(n, 1, weight_bound=max(1.0, (n - 1) * rho))
+    return (dist, spec, model, tau, advmod.AdvParams(n=n, rho=rho),
+            advmod.PerturbationBall(math.inf, gamma))
 
 
 SUITES = {

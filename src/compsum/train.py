@@ -9,7 +9,7 @@ config seed.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -113,6 +113,9 @@ class TrainConfig:
     ball: PerturbationBall | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must be a number, not a bool")
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if not 0.0 <= self.momentum < 1.0:

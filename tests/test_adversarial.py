@@ -2,6 +2,8 @@
 consistency checks, bound verification."""
 
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,24 +17,24 @@ from compsum.adversarial import (
     _steepest_ascent,
     adv_comp_rho_loss,
     adv_comp_rho_loss_batch,
-    adv_comp_rho_loss_exact_1d,
     adv_zero_one,
     adv_zero_one_batch,
-    adv_zero_one_exact_1d,
+    adv_zero_one_exact_rows,
     check_local_rho_consistency,
     clean_rho_loss,
     cstar_adv_rho_closed,
     deviation_objective,
-    deviation_sup_exact_1d,
+    deviation_sup_exact_rows,
     pgd_maximize,
     project_to_ball,
     rho_margin,
     rho_margin_subgrad,
     smooth_adv_comp_loss,
     smooth_adv_comp_loss_batch,
-    smooth_adv_comp_loss_exact_1d,
-    sup_rho_inner_exact_1d,
+    smooth_adv_exact_rows,
+    sup_ramp_exact_rows,
     verify_adv_bound,
+    verify_adv_bound_batch,
 )
 from compsum.losses import comp_sum_grad_batch, comp_sum_loss_batch, phi_tau
 from compsum.models import LinearModel, init_linear, init_mlp
@@ -41,6 +43,17 @@ from compsum.risk import finite_distribution, linear_family, score_box
 
 def linear2(w0, w1, b0=0.0, b1=0.0):
     return LinearModel(np.array([[w0], [w1]]), np.array([b0, b1]))
+
+
+def one_row(model, x, y):
+    """One example of a 1-D linear model as the exact oracles' rows."""
+    return model.W.T, model.b[None], np.array([float(x)]), np.array([y])
+
+
+def exact_rho_loss(model, x, y, tau, rho, gamma):
+    """Exact worst ramp-margin comp-sum loss of one example."""
+    return phi_tau(sup_ramp_exact_rows(*one_row(model, x, y), rho, gamma)[0],
+                   tau)
 
 
 class TestRampLoss:
@@ -251,7 +264,7 @@ class TestAgainstExactOracles:
                         *rng.normal(scale=0.5, size=2))
             x = float(rng.normal())
             y = int(rng.integers(0, 2))
-            exact = adv_comp_rho_loss_exact_1d(m, x, y, 1.0, 1.0, 0.25)
+            exact = exact_rho_loss(m, x, y, 1.0, 1.0, 0.25)
             pgd = adv_comp_rho_loss(m, [x], y, 1.0, adv, ball)
             assert pgd <= exact + 1e-10
             meets += pgd == pytest.approx(exact, abs=1e-7)
@@ -267,14 +280,14 @@ class TestAgainstExactOracles:
             x = float(rng.normal())
             y = int(rng.integers(0, 2))
             assert adv_zero_one(m, [x], y, ball, adv) == \
-                adv_zero_one_exact_1d(m, x, y, 0.3)
+                adv_zero_one_exact_rows(*one_row(m, x, y), 0.3)[0]
 
     def test_certified_margin_gives_zero_loss(self):
         # margins exceed rho plus the attack budget times the weight gap
         m = linear2(2.0, -2.0)
         gamma, rho = 0.1, 0.5
         # at x = 1: margin = 4; worst-case drop = gamma * |w0 - w1| = 0.4
-        assert adv_comp_rho_loss_exact_1d(m, 1.0, 0, 1.0, rho, gamma) == 0.0
+        assert exact_rho_loss(m, 1.0, 0, 1.0, rho, gamma) == 0.0
         adv = AdvParams(n=2, rho=rho, pgd_steps=20, restarts=2, seed=0)
         assert adv_comp_rho_loss(m, [1.0], 0, 1.0, adv,
                                  PerturbationBall(math.inf, gamma)) == 0.0
@@ -288,8 +301,7 @@ class TestAgainstExactOracles:
                                 rng.normal(scale=0.5, size=3))
             x = np.array([[float(rng.normal())]])
             y = np.array([int(rng.integers(0, 3))])
-            exact = deviation_sup_exact_1d(model, float(x[0, 0]), int(y[0]),
-                                           0.2)
+            exact = deviation_sup_exact_rows(model.W.T, y, 0.2)[0]
             clean = model.forward_vjp(x)
             pgd = float(pgd_maximize(model, deviation_objective(clean[0], y),
                                      x, clean, ball, adv)[0][0])
@@ -307,7 +319,8 @@ class TestAgainstExactOracles:
             x = float(rng.normal())
             y = int(rng.integers(0, 3))
             tau = float(rng.uniform(0.0, 3.0))
-            exact = smooth_adv_comp_loss_exact_1d(model, x, y, tau, adv, 0.3)
+            exact = smooth_adv_exact_rows(*one_row(model, x, y), tau,
+                                          adv.rho, adv.nu, 0.3)[0]
             assert smooth_adv_comp_loss(model, x, y, tau, adv, ball) == \
                 pytest.approx(exact, abs=1e-12)
 
@@ -337,7 +350,7 @@ class TestAgainstExactOracles:
         # only 1.0 at t = +/- 0.5
         m = LinearModel(np.array([[0.0], [2.0], [-2.0]]),
                         np.array([0.0, -0.2, -0.2]))
-        val = sup_rho_inner_exact_1d(m, 0.0, 0, 1.0, 0.5)
+        val = sup_ramp_exact_rows(*one_row(m, 0.0, 0), 1.0, 0.5)[0]
         ends = []
         for t in (-0.5, 0.5):
             s = m.W[:, 0] * t + m.b
@@ -427,8 +440,9 @@ class TestMonotonicityAndChain:
             rho = float(rng.uniform(0.3, 2.0))
             gamma = float(rng.uniform(0.01, 0.6))
             adv = AdvParams(n=n, rho=rho)
-            smooth = smooth_adv_comp_loss_exact_1d(m, x, y, tau, adv, gamma)
-            sup = adv_comp_rho_loss_exact_1d(m, x, y, tau, rho, gamma)
+            smooth = smooth_adv_exact_rows(*one_row(m, x, y), tau, rho,
+                                           adv.nu, gamma)[0]
+            sup = exact_rho_loss(m, x, y, tau, rho, gamma)
             clean = clean_rho_loss(m, x, y, tau, rho)
             assert smooth >= sup - 1e-8
             assert sup >= clean - 1e-12
@@ -655,6 +669,60 @@ class TestAdvBound:
                                                     float(rng.uniform(0.01, 0.5))))
             assert rep.slack >= -1e-6
             assert rep.rhs_smooth >= rep.rhs - 1e-12
+
+    def test_batch_equals_one_call_per_instance(self):
+        # label counts 2 and 3, one to three atoms, conditionals with zero
+        # entries, and every parameter drawn per instance; the batch must
+        # return each single call's report bit for bit, in either order
+        rng = np.random.default_rng(21)
+        insts = []
+        for i in range(60):
+            n = 2 + i % 2
+            model, dist = self._instance(rng, n)
+            if i % 3 == 0:
+                conds = dist.conds.copy()
+                conds[0] = 0.0
+                conds[0, rng.integers(0, n)] = 1.0
+                dist = finite_distribution(dist.weights, conds, xs=dist.xs)
+            rho = float(rng.uniform(0.3, 1.5))
+            nu = math.sqrt(n - 1) / rho + float(rng.uniform(0.0, 2.0))
+            insts.append((dist, linear_family(n, 1, weight_bound=n * rho),
+                          model, float(rng.choice([0.0, 1.0, 2.0, 2.7])),
+                          AdvParams(n=n, rho=rho, nu=nu),
+                          PerturbationBall(math.inf,
+                                           float(rng.uniform(0.0, 0.6)))))
+        singles = [repr(astuple(verify_adv_bound(*inst))) for inst in insts]
+        assert any("nan" in rep for rep in singles)
+        for order in (insts, insts[::-1]):
+            batch = [repr(astuple(rep))
+                     for rep in verify_adv_bound_batch(*zip(*order))]
+            assert batch == (singles if order is insts else singles[::-1])
+
+    @pytest.mark.parametrize("model_n, dist_n, adv_n, message", [
+        (3, 2, 2, "model: 3 labels"), (2, 3, 3, "model: 2 labels"),
+        (3, 3, 2, "adv.n: 2 labels"),
+    ])
+    def test_refuses_label_count_mismatch(self, model_n, dist_n, adv_n,
+                                          message):
+        model = LinearModel(np.arange(model_n, dtype=float)[:, None],
+                            np.zeros(model_n))
+        dist = finite_distribution([1.0], [np.full(dist_n, 1.0 / dist_n)],
+                                   xs=[[0.0]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
+            verify_adv_bound(dist, linear_family(dist_n, 1, weight_bound=5.0),
+                             model, 1.0, AdvParams(n=adv_n, rho=1.0),
+                             PerturbationBall(math.inf, 0.1))
+
+    def test_batch_refuses_the_first_failing_instance(self):
+        dist = finite_distribution([1.0], [[0.5, 0.5]], xs=[[0.0]])
+        good = (dist, linear_family(2, 1, weight_bound=2.0),
+                linear2(1.0, -1.0), 1.0, AdvParams(n=2, rho=1.0),
+                PerturbationBall(math.inf, 0.1))
+        tight = [(dist, linear_family(2, 1, weight_bound=bound)) + good[2:]
+                 for bound in (0.4, 0.3)]
+        assert len(verify_adv_bound_batch(*zip(good, good))) == 2
+        with pytest.raises(ValueError, match="bias bound 0.4 below"):
+            verify_adv_bound_batch(*zip(good, *tight, good))
 
     def test_margin_witness_zero_lhs(self):
         # a hypothesis ordering labels like the conditionals with gaps

@@ -1,5 +1,6 @@
 """CLI tests: commands, config handling, exit codes, output hygiene."""
 
+import hashlib
 import math
 import os
 
@@ -410,3 +411,25 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         for cmd in ("transform-table", "verify", "gaps", "train", "evaluate"):
             assert cmd in out
+
+
+class TestAdversarialSuitePins:
+    """The adversarial suite's output, pinned bit for bit as float64 numpy
+    on OpenBLAS computes it (another BLAS may round a dot product
+    differently)."""
+
+    def _csv(self, tmp_path, *args):
+        out = tmp_path / "adv.csv"
+        assert main(["verify", "--suite", "adversarial", "--out", str(out),
+                     *args]) == 0
+        return out.read_bytes()
+
+    def test_default_summary_line(self, tmp_path):
+        text = self._csv(tmp_path).decode()
+        assert text.splitlines()[-1] == "# min_slack=-3.331e-16"
+
+    def test_seed_3_count_200_csv(self, tmp_path):
+        text = self._csv(tmp_path, "--count", "200", "--seed", "3")
+        assert text.decode().splitlines()[-1] == "# min_slack=-3.331e-16"
+        assert hashlib.sha256(text).hexdigest() == (
+            "0a4c7c96d7a22d6d26e29d0898c4a62d829591a0a7d70fc9b24cb269f66213c0")

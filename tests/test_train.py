@@ -60,6 +60,17 @@ class TestSizeChecks:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", True), ("lr0", True), ("lr0", False), ("momentum", True),
+        ("weight_decay", True), ("epochs", True), ("batch_size", True),
+        ("seed", True), ("holdout_frac", True), ("weight_avg_decay", False),
+        ("eval_attack_steps", True),
+    ])
+    def test_train_config_refuses_bools(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a number, not a bool"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("decay", [0.0, 0.98])
     def test_weight_avg_decay_in_unit_interval_accepted(self, decay):
         assert TrainConfig(weight_avg_decay=decay).weight_avg_decay == decay
@@ -227,7 +238,7 @@ class TestEvaluate:
     def test_robust_accuracy_matches_enumeration_on_linear_1d(self):
         # affine scores on an interval: endpoint enumeration is exact, and
         # the margin attack should reproduce it
-        from compsum.adversarial import adv_zero_one_exact_1d
+        from compsum.adversarial import adv_zero_one_exact_rows
         from compsum.models import LinearModel
         rng = np.random.default_rng(11)
         model = LinearModel(np.array([[1.3], [-0.7]]), np.array([0.2, -0.1]))
@@ -236,9 +247,9 @@ class TestEvaluate:
         gamma = 0.3
         ball = PerturbationBall(math.inf, gamma)
         m = evaluate(model, X, y, ball, AdvParams(n=2, pgd_steps=40, seed=0))
-        exact = 1.0 - np.mean([adv_zero_one_exact_1d(model, float(X[i, 0]),
-                                                     int(y[i]), gamma)
-                               for i in range(200)])
+        W, B = (np.tile(a, (200, 1)) for a in (model.W[:, 0], model.b))
+        exact = 1.0 - np.mean(adv_zero_one_exact_rows(W, B, X[:, 0], y,
+                                                      gamma))
         assert m["robust_acc"] == pytest.approx(exact, abs=1e-12)
 
     def test_robust_never_exceeds_clean(self):
