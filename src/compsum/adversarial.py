@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks as check
 from . import losses, risk
-from .losses import check_tau, phi_tau, phi_tau_deriv, predict_batch
+from .losses import phi_tau, phi_tau_deriv, predict_batch
 from .models import LinearModel
 
 SUPPORTED_P_NORMS = (1.0, 2.0, math.inf)
@@ -34,15 +35,6 @@ SUPPORTED_P_NORMS = (1.0, 2.0, math.inf)
 # so each kept row is rounded as in the full batch, unless BLAS picks
 # another kernel for the smaller matrix.
 _BLAS_BLOCK = 4
-
-
-def _check_finite_positive(**values):
-    """Refuse any of the named ``values`` that is not finite and positive,
-    naming it."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +50,10 @@ class PerturbationBall:
     gamma: float
 
     def __post_init__(self):
-        for name in ("p_norm", "gamma"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if float(self.p_norm) not in SUPPORTED_P_NORMS:
+        if check.real(self.p_norm, "p_norm", "[1, inf]") \
+                not in SUPPORTED_P_NORMS:
             raise ValueError(f"p_norm must be one of {SUPPORTED_P_NORMS}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(
-                f"gamma must be finite and nonnegative, got {self.gamma}")
+        check.real(self.gamma, "gamma", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -86,19 +74,19 @@ class AdvParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        _check_finite_positive(rho=self.rho)
+        check.integer(self.n, "n", 2)
+        check.real(self.rho, "rho", "(0, inf)")
         nu_min = math.sqrt(self.n - 1) / self.rho
         if self.nu is None:
             object.__setattr__(self, "nu", max(1.0, nu_min))
-        elif not (math.isfinite(self.nu) and self.nu >= nu_min - 1e-12):
-            raise ValueError(f"nu={self.nu} must be finite and at least "
-                             f"the required {nu_min}")
-        if self.pgd_steps < 1 or self.restarts < 1:
-            raise ValueError("pgd_steps and restarts must be >= 1")
+        elif check.real(self.nu, "nu", "(0, inf)") < nu_min - 1e-12:
+            raise ValueError(f"nu must be at least the required "
+                             f"sqrt(n - 1) / rho = {nu_min}, got {self.nu}")
+        check.integer(self.pgd_steps, "pgd_steps", 1)
+        check.integer(self.restarts, "restarts", 1)
+        check.integer(self.seed, "seed", 0)
         if self.pgd_step_size is not None:
-            _check_finite_positive(pgd_step_size=self.pgd_step_size)
+            check.real(self.pgd_step_size, "pgd_step_size", "(0, inf)")
 
     def step_size(self, ball):
         if self.pgd_step_size is not None:
@@ -108,16 +96,13 @@ class AdvParams:
 
 def rho_margin(u, rho):
     """Clamped ramp ``min(max(0, 1 - u / rho), 1)``: 1 below 0, 0 above rho."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return np.clip(1.0 - np.asarray(u, dtype=np.float64) / rho, 0.0, 1.0)
+    rho = check.real(rho, "rho", "(0, inf)")
+    return np.clip(1.0 - check.reals(u, "u", "[-inf, inf]") / rho, 0.0, 1.0)
 
 
 def rho_margin_subgrad(u, rho):
     """Subgradient of the ramp: ``-1/rho`` on (0, rho), ``-1/(2 rho)`` at
     the kinks, 0 outside. The kink convention keeps attacks deterministic."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
     u = np.asarray(u, dtype=np.float64)
     g = np.where((u > 0) & (u < rho), -1.0 / rho, 0.0)
     g = np.where((u == 0.0) | (u == rho), -0.5 / rho, g)
@@ -383,20 +368,25 @@ def _margin_objective(Y):
 
 
 def _one_example(model, x, y):
-    """One example as a one-row batch ``(X, Y)``: ``x`` a scalar or a
-    vector of length ``model.dim``, ``y`` a label of the model."""
-    x = np.asarray(x, dtype=np.float64)
+    """One example as a one-row batch ``(X, Y)``: ``x`` a finite scalar or
+    vector of length ``model.dim`` at which the model's score differences
+    are finite, ``y`` a label of the model."""
+    x = check.reals(x, "x")
     if x.ndim > 1 or x.size != model.dim:
         raise ValueError(f"x must be a scalar or a vector of length "
                          f"{model.dim}, got shape {x.shape}")
-    return (x.reshape(1, model.dim),
-            np.array([losses.check_label(y, model.n_labels)]))
+    X = x.reshape(1, model.dim)
+    with np.errstate(over="ignore"):
+        spread = np.ptp(model.forward(X))
+    if not np.isfinite(spread):
+        raise ValueError("x: the model's score differences at x overflow")
+    return X, np.array([check.label(y, model.n_labels, "y")])
 
 
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
     """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
-    objective = _ramp_objective(losses._check_labels(Y, model.n_labels),
-                                check_tau(tau), adv.rho)
+    objective = _ramp_objective(check.labels(Y, model.n_labels, len(X)),
+                                check.tau(tau), adv.rho)
     return pgd_maximize(model, objective, X, model.forward_vjp(X), ball, adv,
                         rng)[0]
 
@@ -430,8 +420,8 @@ def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None,
     back through the clean pass and through one more pass at the attacked
     points.
     """
-    tau = check_tau(tau)
-    Y = losses._check_labels(Y, model.n_labels)
+    tau = check.tau(tau)
+    Y = check.labels(Y, model.n_labels, len(X))
     rng = np.random.default_rng(adv.seed) if rng is None else rng
     clean = model.forward_vjp(X)
     scores, back = clean
@@ -471,15 +461,14 @@ def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
     """Worst-case zero-one losses (PGD lower bound, attacking the margin
     from the clean pass ``clean = model.forward_vjp(X)``): 1 where any
     attacked or clean point is misclassified under the highest-index tie
-    rule. Labels outside ``[0, n_labels)`` are a ``ValueError`` naming
-    ``Y``.
+    rule.
 
     A positive margin violation misclassifies its point under any tie
     rule, so the attack stops at it (``stop=0``): a row misclassified at
     the clean point needs no attack, and one whose attack reaches such a
     point leaves it. The verdicts are those of the full budget.
     """
-    Y = losses._check_labels(Y, model.n_labels)
+    Y = check.labels(Y, model.n_labels, len(X))
     _, Xbest = pgd_maximize(model, _margin_objective(Y), X, clean, ball,
                             attack, rng, stop=0.0)
     wrong_clean = predict_batch(clean[0]) != Y
@@ -512,11 +501,13 @@ def _staircase_rows(n, rho, bound):
     floating point, with relative tolerances (the staircase's rounding
     scales with rho). Rounding is monotone, so adjacent gaps of at least
     ``rho`` keep every pairwise gap as large and the levels ascending."""
-    span = (n - 1) * rho
-    levels = -0.5 * span[:, None] + rho[:, None] * np.arange(n)
-    fits = span <= 2.0 * bound * (1.0 + 1e-12)
-    spaced = (np.diff(levels, axis=1)
-              >= (rho * (1.0 - 1e-12))[:, None]).all(axis=1)
+    # a span that overflows fits no finite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = (n - 1) * rho
+        levels = -0.5 * span[:, None] + rho[:, None] * np.arange(n)
+        fits = span <= 2.0 * bound * (1.0 + 1e-12)
+        spaced = (np.diff(levels, axis=1)
+                  >= (rho * (1.0 - 1e-12))[:, None]).all(axis=1)
     return levels, fits, spaced
 
 
@@ -532,20 +523,17 @@ def check_local_rho_consistency(spec, rho):
     point, and one exact test of its gaps and order decides the set for
     every point and every ball radius.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    rho = check.real(rho, "rho", "(0, inf)")
     n = spec.n
     if spec.kind == "score_box":
         bound, reason = spec.lam, "staircase witness with spacing rho"
         failure = (f"cannot fit {n} levels spaced {rho} inside "
                    f"[-{spec.lam}, {spec.lam}]")
-    elif spec.kind == "linear":
+    else:
         bound, reason = spec.weight_bound, "constant staircase witness"
         failure = (f"bias bound {spec.weight_bound} below required "
                    f"{(n - 1) * rho / 2}")
-    else:
-        raise ValueError(f"unsupported hypothesis kind {spec.kind!r}")
-    levels, fits, spaced = _staircase_rows(n, np.array([float(rho)]),
+    levels, fits, spaced = _staircase_rows(n, np.array([rho]),
                                            np.array([float(bound)]))
     if not fits[0]:
         return RhoConsistencyResult(False, failure)
@@ -562,12 +550,6 @@ def check_local_rho_consistency(spec, rho):
 # its model's scores ``W * x + B`` (W, B (R, n)) at its input and its label
 # (X, Y (R,)), and each parameter a number or one per row
 # ---------------------------------------------------------------------------
-
-def _linear_wb(model):
-    if not isinstance(model, LinearModel) or model.dim != 1:
-        raise ValueError("exact oracles need a one-dimensional linear model")
-    return model.W[:, 0], model.b
-
 
 def _column(a):
     """A number or one value per row as a column that broadcasts against
@@ -641,7 +623,7 @@ def smooth_adv_exact_rows(W, B, X, Y, tau, rho, nu, gamma):
 def clean_rho_loss(model, x, y, tau, rho):
     """Pointwise ramp-margin comp-sum loss (no perturbation)."""
     X, Y = _one_example(model, x, y)
-    objective = _ramp_objective(Y, check_tau(tau), rho)
+    objective = _ramp_objective(Y, check.tau(tau), rho)
     return float(objective(model.forward(X))[0][0])
 
 
@@ -660,8 +642,8 @@ def cstar_adv_rho_closed(p, tau):
     """Best-in-class conditional sup-ramp risk for a symmetric locally
     margin-consistent set: ascending-sorted probabilities dotted with the
     transform of the count of strictly-higher labels."""
-    return float(_cstar_adv_rho_rows(risk.check_cond_dist(p)[None],
-                                     np.array([check_tau(tau)]))[0])
+    return float(_cstar_adv_rho_rows(check.cond_dist(p)[None],
+                                     np.array([check.tau(tau)]))[0])
 
 
 def _best_threshold_adv01(dist, gamma):
@@ -733,20 +715,22 @@ def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
     left to right in atom, then label order, skipping labels of zero
     probability, so its report does not depend on the rest of the batch.
     """
-    taus = np.array([check_tau(tau) for tau in taus])
+    check.lengths(dists=dists, specs=specs, models=models, taus=taus,
+                  advs=advs, balls=balls)
+    taus = np.array([check.tau(tau) for tau in taus])
     for dist, spec, model, adv in zip(dists, specs, models, advs):
-        _linear_wb(model)  # refuses all but a one-dimensional linear model
+        if not isinstance(model, LinearModel) or model.dim != 1:
+            raise ValueError("model: the adversarial bound needs a "
+                             "one-dimensional linear model")
         if dist.xs is None or dist.xs.shape[1] != 1:
-            raise ValueError("the adversarial bound needs one feature per "
-                             "support point")
-        risk.check_spec_labels(spec, dist.n)
+            raise ValueError("dist: the adversarial bound needs one feature "
+                             "per support point")
+        check.label_count(spec.n, dist.n, "spec")
         if spec.kind == "linear" and spec.feature_dim != 1:
             raise ValueError(f"spec: {spec} does not describe "
                              f"one-dimensional instances")
-        for name, n in (("model", model.n_labels), ("adv.n", adv.n)):
-            if n != dist.n:
-                raise ValueError(f"{name}: {n} labels do not match the "
-                                 f"{dist.n}-label conditionals")
+        check.label_count(model.n_labels, dist.n, "model")
+        check.label_count(adv.n, dist.n, "adv.n")
     rho = np.array([adv.rho for adv in advs], dtype=np.float64)
     nu = np.array([adv.nu for adv in advs], dtype=np.float64)
     gamma = np.array([ball.gamma for ball in balls], dtype=np.float64)
@@ -788,9 +772,9 @@ def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
                 np.where(C.ravel() != 0.0, wy * v, 0.0), atoms * n)
     bad = np.flatnonzero(~consistent)
     if bad.size:
-        check = check_local_rho_consistency(specs[bad[0]], advs[bad[0]].rho)
-        raise ValueError(
-            f"hypothesis set is not locally margin-consistent: {check.reason}")
+        result = check_local_rho_consistency(specs[bad[0]], advs[bad[0]].rho)
+        raise ValueError(f"spec: hypothesis set is not locally "
+                         f"margin-consistent: {result.reason}")
 
     phi1 = _phi_rows(np.ones(len(dists)), taus)
     lhs = r01 - e01

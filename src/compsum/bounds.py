@@ -13,9 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _checks as check
 from . import losses, risk
 from ._kernels import newton_box_min
-from .losses import check_tau, predict
+from .losses import predict
 from .risk import (
     FiniteDistribution,
     cond_risk,
@@ -79,29 +80,25 @@ def verify_h_consistency_bound_batch(dists, assignments, specs, taus):
     come from one ``risk.excess_risks`` call and one ``gamma_tau_rows``
     call, so a report does not depend on the rest of the batch.
     """
-    lengths = [len(dists), len(assignments), len(specs), len(taus)]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"dists, assignments, specs and taus must have "
-                         f"equal lengths, got {lengths}")
+    check.lengths(dists=dists, assignments=assignments, specs=specs,
+                  taus=taus)
     reports = []
     todo = []  # (report, dist, scores) of the symmetric instances
     for dist, assignment, spec, tau in zip(dists, assignments, specs, taus):
-        tau = check_tau(tau)
+        tau = check.tau(tau)
         if spec.kind != "score_box":
-            raise ValueError("bound verification needs a score_box spec "
+            raise ValueError("spec: bound verification needs a score_box spec "
                              "(closed best-in-class forms assume it)")
-        risk.check_spec_labels(spec, dist.n)
+        check.label_count(spec.n, dist.n, "spec")
         if not spec.is_symmetric:
             reports.append(BoundReport(
                 tau, dist.n, math.nan, math.nan, math.nan,
                 flags=["precondition_unmet:not_symmetric"]))
             continue
-        scores = np.asarray(assignment, dtype=np.float64)
+        scores = check.reals(assignment, "assignment")
         if scores.shape != dist.conds.shape:
             raise ValueError("assignment must be one score vector per "
                              "support point")
-        if not np.isfinite(scores).all():
-            raise ValueError("assignment must be finite")
         rep = BoundReport(tau, dist.n, 0.0, 0.0, 0.0)
         if not spec.is_complete:
             if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
@@ -156,13 +153,9 @@ def build_tightness_instance(beta, tau, n):
     Equality is proven for ``tau`` in [0, 1]; larger ``tau`` is accepted but
     flagged.
     """
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    tau = check_tau(tau)
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    beta = check.real(beta, "beta", "[0, 1]")
+    tau = check.tau(tau)
+    n = check.integer(n, "n", 2)
     cond = np.zeros(n)
     cond[0] = (1.0 + beta) / 2.0
     cond[1] = (1.0 - beta) / 2.0
@@ -190,9 +183,9 @@ def tightness_sides(inst):
 
 def hbar_mu_range(scores, y_max, pred=None):
     """Open interval of ``mu`` keeping both transformed scores representable."""
-    s = losses.check_scores(scores)
-    y_max = losses.check_label(y_max, s.shape[0])
-    pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
+    s = check.scores(scores)
+    y_max = check.label(y_max, s.shape[0], "y_max")
+    pred = predict(s) if pred is None else check.label(pred, len(s), "pred")
     return -math.exp(s[y_max]), math.exp(s[pred])
 
 
@@ -205,12 +198,10 @@ def hbar_mu_scores(scores, mu, y_max, pred=None):
     defaults to the argmax of the scores; when it coincides with ``y_max``
     the family degenerates and the scores are returned unchanged.
     """
-    s = losses.check_scores(scores)
-    y_max = losses.check_label(y_max, s.shape[0])
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
-    pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
+    s = check.scores(scores)
+    y_max = check.label(y_max, s.shape[0], "y_max")
+    mu = check.real(mu, "mu")
+    pred = predict(s) if pred is None else check.label(pred, len(s), "pred")
     if pred == y_max:
         return s.copy()
     lo, hi = -math.exp(s[y_max]), math.exp(s[pred])
@@ -297,15 +288,24 @@ def lemma_sup_closed(scores, p, tau, y_max=None, pred=None):
     with the highest-index tie rule); it must differ from the top
     conditional label ``y_max``.
     """
-    s = losses.check_scores(scores)
-    p = risk.check_cond_dist(p, s.shape[0])
-    tau = check_tau(tau)
-    y_max = predict(p) if y_max is None else losses.check_label(y_max, s.shape[0])
-    pred = predict(s) if pred is None else losses.check_label(pred, s.shape[0])
-    if pred == y_max:
-        raise ValueError("closed form needs predicted label != top label")
+    s, p, tau, y_max, pred = _family_args(scores, p, tau, y_max, pred)
     return float(_lemma_sup_closed_rows(s[None, :],
                                         _sup_rows(p, tau, y_max, pred))[0])
+
+
+def _family_args(scores, p, tau, y_max, pred):
+    """One instance's checked ``(scores, p, tau, y_max, pred)``: ``y_max``
+    defaults to the argmax of ``p``, ``pred`` to that of the scores, and
+    the two must differ."""
+    s = check.scores(scores)
+    p = check.cond_dist(p, len(s))
+    y_max = predict(p) if y_max is None else check.label(y_max, len(s),
+                                                         "y_max")
+    pred = predict(s) if pred is None else check.label(pred, len(s), "pred")
+    if pred == y_max:
+        raise ValueError("pred: the exp-sum family needs a predicted label "
+                         "other than the top label y_max")
+    return s, p, check.tau(tau), y_max, pred
 
 
 # lemma oracles: points of the supremum's mu grid; the infimum search's
@@ -420,11 +420,7 @@ def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
     for s, p, tau, y_max, pred in zip(
             S, ps, taus, none if y_maxs is None else y_maxs,
             none if preds is None else preds, strict=True):
-        s = losses.check_scores(s)
-        p = risk.check_cond_dist(p, s.shape[0])
-        tau = check_tau(tau)
-        y_max = predict(p) if y_max is None else y_max
-        pred = predict(s) if pred is None else pred
+        s, p, tau, y_max, pred = _family_args(s, p, tau, y_max, pred)
         lo, hi = hbar_mu_range(s, y_max, pred)
         lse = losses._rows_lse(s[None])[0]
         K.append((lse, lo, hi, p[y_max], p[pred],
@@ -521,22 +517,19 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     the closed form is only a lower bound of the brute value (which is the
     direction the consistency bound uses).
     """
-    ps = [risk.check_cond_dist(p) for p in ps]
-    taus = [check_tau(tau) for tau in taus]
-    seeds = list(seeds)
+    ps = [check.cond_dist(p) for p in ps]
+    taus = [check.tau(tau) for tau in taus]
+    seeds = [check.integer(seed, "seed", 0) for seed in seeds]
     pred_labels = [None] * len(ps) if pred_labels is None else \
         list(pred_labels)
-    if not len(ps) == len(taus) == len(seeds) == len(pred_labels):
-        raise ValueError("ps, taus, seeds and pred_labels must have equal "
-                         f"lengths, got {len(ps)}, {len(taus)}, "
-                         f"{len(seeds)} and {len(pred_labels)}")
+    check.lengths(ps=ps, taus=taus, seeds=seeds, pred_labels=pred_labels)
     tops, preds = [], []
     for p, pred in zip(ps, pred_labels):
         y_max = predict(p)
         if pred is None:
             order = np.argsort(p)
             pred = int(order[-2] if order[-1] == y_max else order[-1])
-        pred = losses.check_label(pred, p.shape[0], "pred_label")
+        pred = check.label(pred, p.shape[0], "pred_label")
         if pred == y_max:
             raise ValueError("pred_label must differ from the top conditional "
                              "label")
@@ -616,23 +609,18 @@ def learning_bound(dist, spec, tau, m, delta, seed, n_sign_draws=200,
     The labels of all ``m`` points come from one uniform draw each, the
     signs of a draw from one ``integers`` call, and both oracle batches
     from one ``minimize_weighted_cond_risk_batch`` call each, so the
-    bound runs no Python loop per point. ``m``, ``n_sign_draws`` and
-    ``opt_iters`` must be positive integers and ``seed`` a nonnegative
-    one; a ``ValueError`` names the field that is not.
+    bound runs no Python loop per point.
     """
-    tau = check_tau(tau)
+    tau = check.tau(tau)
     if spec.kind != "score_box" or not math.isfinite(spec.lam):
-        raise ValueError("learning bound needs a score_box spec with finite lam")
-    risk.check_spec_labels(spec, dist.n)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    for name, value, low in (("m", m, 1), ("n_sign_draws", n_sign_draws, 1),
-                             ("opt_iters", opt_iters, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not (
-                isinstance(value, (int, np.integer)) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got "
-                             f"{value!r}")
-    m = int(m)
+        raise ValueError("spec: the learning bound needs a score_box spec "
+                         "with finite lam")
+    check.label_count(spec.n, dist.n, "spec")
+    delta = check.real(delta, "delta", "(0, 1)")
+    m = check.integer(m, "m", 1)
+    n_sign_draws = check.integer(n_sign_draws, "n_sign_draws", 1)
+    opt_iters = check.integer(opt_iters, "opt_iters", 1)
+    seed = check.integer(seed, "seed", 0)
     n = dist.n
     K = len(dist.weights)
     rng = np.random.default_rng(seed)

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import _checks as check
 from . import config as cfgmod
 from . import risk, suites, transform
 from .config import ConfigError
@@ -115,8 +116,7 @@ def cmd_verify(args):
 
 
 def cmd_gaps(args):
-    if not math.isfinite(args.r_star):
-        raise ValueError(f"--r-star must be finite, got {args.r_star:g}")
+    check.real(args.r_star, "--r-star")
     # no sum-exponential risk lies below the box's pointwise optimum; the
     # table itself refuses a box with lam <= 0
     if args.lam > 0:
@@ -207,6 +207,7 @@ def cmd_evaluate(args):
     if values["train.mode"] == "adversarial" or args.robust:
         ball = cfgmod.ball_from(values)
         attack = cfgmod.adv_params_from(values, data.n_classes)
+        check.sizes(eval_attack_steps=values["eval.attack_steps"])
         attack = dataclasses.replace(attack,
                                      pgd_steps=values["eval.attack_steps"])
     metrics = evaluate(model, data.X_test, data.y_test, ball, attack)
@@ -221,20 +222,23 @@ def cmd_evaluate(args):
 
 def _add_common(p, out_default=None):
     p.add_argument("--out", default=out_default, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0, "nonnegative"),
+                   default=None, help="override the config seed")
 
 
-def _positive_int(text):
-    """argparse type for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(floor, what):
+    """argparse type for counts and seeds: an integer of at least
+    ``floor``, refused as not a ``what`` integer."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be a {what} integer, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -248,13 +252,13 @@ def build_parser():
                        help="emit beta/T/T_tilde/t/Gamma/Gamma_tilde grids")
     p.add_argument("--taus", default="0,0.5,1,1.5,2")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--grid", type=_positive_int, default=51)
+    p.add_argument("--grid", type=_int_at_least(1, "positive"), default=51)
     _add_common(p, out_default="transform_table.csv")
     p.set_defaults(func=cmd_transform_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
-    p.add_argument("--count", type=_positive_int, default=None,
+    p.add_argument("--count", type=_int_at_least(1, "positive"), default=None,
                    help="instance count override")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

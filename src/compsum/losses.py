@@ -14,9 +14,7 @@ import math
 
 import numpy as np
 
-# The outer transform is defined for every tau >= 0; values beyond this cap
-# are rejected because the family saturates and float powers degrade.
-TAU_MAX = 100.0
+from . import _checks as check
 
 # Branch window: closed special forms replace the generic formula here.
 TAU_BRANCH_TOL = 1e-9
@@ -26,41 +24,13 @@ TAU_BRANCH_TOL = 1e-9
 EXP_CAP = 709.0
 
 
-def check_tau(tau):
-    """Validate and return the family parameter as a float."""
-    tau = float(tau)
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau must be a finite nonnegative real, got {tau}")
-    if tau > TAU_MAX:
-        raise ValueError(f"tau is capped at {TAU_MAX}, got {tau}")
-    return tau
-
-
-def check_scores(scores):
-    """Validate a score vector: 1-D, length >= 2, all entries finite."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] < 2:
-        raise ValueError("scores must be a 1-D array with at least 2 entries")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    return s
-
-
-def check_label(y, n, name="label index"):
-    """Validate an integer label in [0, n) and return it as an int;
-    ``name`` is the argument the error message names."""
-    label = int(y)
-    if label != y:
-        raise ValueError(f"{name} must be an integer, got {y}")
-    if not 0 <= label < n:
-        raise ValueError(f"{name} {label} outside [0, {n})")
-    return label
-
-
 def predict(scores):
     """Argmax label with ties resolved to the highest index."""
-    s = np.asarray(scores)
-    return int(np.flatnonzero(s == s.max())[-1])
+    s = check.floats(scores, "scores")
+    top = np.flatnonzero(s == s.max()) if s.ndim == 1 and s.size else ()
+    if not len(top):
+        raise ValueError("scores must be a non-empty 1-D array without NaN")
+    return int(top[-1])
 
 
 def predict_batch(scores):
@@ -78,12 +48,8 @@ def phi_tau(u, tau):
     the switch window. Nonnegative, concave, non-decreasing and bounded by
     ``u``.
     """
-    tau = check_tau(tau)
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u must be finite")
-    if np.any(u < 0):
-        raise ValueError("u must be nonnegative")
+    tau = check.tau(tau)
+    u = check.reals(u, "u", "[0, inf)")
     v = np.log1p(u)
     if abs(tau - 1.0) < TAU_BRANCH_TOL:
         out = v
@@ -94,12 +60,8 @@ def phi_tau(u, tau):
 
 def phi_tau_deriv(u, tau):
     """Derivative of the outer transform: ``(1 + u)**(-tau)``, in (0, 1]."""
-    tau = check_tau(tau)
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u must be finite")
-    if np.any(u < 0):
-        raise ValueError("u must be nonnegative")
+    tau = check.tau(tau)
+    u = check.reals(u, "u", "[0, inf)")
     out = np.exp(-tau * np.log1p(u))
     return out if out.ndim else float(out)
 
@@ -149,8 +111,8 @@ def comp_sum_loss(scores, y, tau):
     log-sum-exp max-shifted so the value stays finite for any finite
     scores; a one-row call of ``comp_sum_loss_batch``.
     """
-    s = check_scores(scores)
-    y = check_label(y, s.shape[0])
+    s = check.scores(scores)
+    y = check.label(y, s.shape[0], "y")
     return float(comp_sum_loss_batch(s[None], [y], tau)[0])
 
 
@@ -160,26 +122,16 @@ def comp_sum_grad(scores, y, tau):
     Equals ``softmax(h)[y]**(tau - 1) * (softmax(h) - onehot(y))``; for
     ``tau = 1`` this is the familiar softmax-minus-onehot.
     """
-    s = check_scores(scores)
-    y = check_label(y, s.shape[0])
+    s = check.scores(scores)
+    y = check.label(y, s.shape[0], "y")
     return comp_sum_grad_batch(s[None], [y], tau)[0]
-
-
-def _check_labels(Y, n):
-    """The labels ``Y`` as an array; one range check refuses, naming
-    ``Y``, any outside ``[0, n)``."""
-    Y = np.asarray(Y)
-    if Y.size and not (Y.min() >= 0 and Y.max() < n):
-        raise ValueError(f"Y: labels must lie in [0, {n}), got "
-                         f"{Y.min()} to {Y.max()}")
-    return Y
 
 
 def comp_sum_loss_batch(scores, Y, tau):
     """Row-wise losses for a batch of score vectors and labels."""
     s = np.asarray(scores, dtype=np.float64)
-    Y = _check_labels(Y, s.shape[1])
-    tau = check_tau(tau)
+    Y = check.labels(Y, s.shape[1], s.shape[0])
+    tau = check.tau(tau)
     lse = _rows_lse(s)
     v = np.maximum(lse - s[np.arange(s.shape[0]), Y], 0.0)
     return _phi_of_gap_array(v, tau)
@@ -188,8 +140,8 @@ def comp_sum_loss_batch(scores, Y, tau):
 def comp_sum_grad_batch(scores, Y, tau):
     """Row-wise exact score gradients for a batch."""
     s = np.asarray(scores, dtype=np.float64)
-    Y = _check_labels(Y, s.shape[1])
-    tau = check_tau(tau)
+    Y = check.labels(Y, s.shape[1], s.shape[0])
+    tau = check.tau(tau)
     rows = np.arange(s.shape[0])
     lse = _rows_lse(s)
     sm = np.exp(s - lse[:, None])
@@ -207,14 +159,10 @@ def loss_upper_bound(tau, n, lam=None):
     Without a bound, the transform saturates at ``1 / (tau - 1)`` for
     ``tau > 1`` and is unbounded (``inf``) for ``tau <= 1``.
     """
-    tau = check_tau(tau)
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    tau = check.tau(tau)
+    n = check.integer(n, "n", 2)
     if lam is not None:
-        lam = float(lam)
-        if not lam > 0:
-            raise ValueError("lam must be positive")
+        lam = check.real(lam, "lam", "(0, inf]")
         v_max = np.logaddexp(0.0, math.log(n - 1) + 2.0 * lam)
         return float(_phi_of_gap_array(np.float64(v_max), tau))
     if tau > 1.0 + TAU_BRANCH_TOL:

@@ -27,6 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _checks as check
+
 
 class Pullback(NamedTuple):
     """Gradients at the points of one forward pass. ``inputs(ds)`` maps a
@@ -147,24 +149,17 @@ class MLPModel(_FlatModel):
         return [self.dim, self.hidden, self.n_labels]
 
 
-def check_size(least=1, **sizes):
-    """Refuse any of the named ``sizes`` below ``least``, naming it."""
-    for name, value in sizes.items():
-        if not value >= least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def init_linear(dim, n_labels, seed=0):
-    check_size(dim=dim)
-    check_size(2, n_labels=n_labels)
+    check.sizes(dim=dim)
+    check.sizes(2, n_labels=n_labels)
     rng = np.random.default_rng(seed)
     return LinearModel(rng.normal(scale=1.0 / math.sqrt(dim),
                                   size=(n_labels, dim)), np.zeros(n_labels))
 
 
 def init_mlp(dim, hidden, n_labels, seed=0):
-    check_size(dim=dim, hidden=hidden)
-    check_size(2, n_labels=n_labels)
+    check.sizes(dim=dim, hidden=hidden)
+    check.sizes(2, n_labels=n_labels)
     rng = np.random.default_rng(seed)
     return MLPModel(
         rng.normal(scale=1.0 / math.sqrt(dim), size=(dim, hidden)),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks as check
 from . import losses
 # the benchmark's tracer wraps ``pgd_box_weighted_min`` where this module
 # looks it up; no code here calls it
@@ -30,7 +31,7 @@ from ._kernels import (
     pgd_box_weighted_min,
     weighted_cond_value,
 )
-from .losses import TAU_BRANCH_TOL, check_tau
+from .losses import TAU_BRANCH_TOL
 
 # Box half-width standing in for an unbounded (complete) score set in the
 # brute-force oracle.
@@ -42,59 +43,46 @@ ORACLE_STARTS = 8
 ORACLE_GTOL = 1e-10
 
 
-def check_cond_dist(p, n=None):
-    """Validate a conditional label distribution (sums to 1 within 1e-12)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("conditional distribution must be 1-D with >= 2 entries")
-    if n is not None and p.shape[0] != n:
-        raise ValueError(f"expected {n} labels, got {p.shape[0]}")
-    if not np.isfinite(p).all():
-        raise ValueError(f"probabilities must be finite, got {p}")
-    if np.any(p < -1e-15):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    return np.maximum(p, 0.0)
-
-
 class FiniteDistribution:
     """A finite-support distribution as arrays, one row per atom: ``weights``
     (K,), conditional label distributions ``conds`` (K, n) and features
     ``xs`` (K, d) or None; the linear family and the adversarial bound read
     ``xs``. Built from copies, checked once: finite nonnegative weights that
-    sum to 1 within 1e-12, and each row of ``conds`` by ``check_cond_dist``.
+    sum to 1 within 1e-12, each row of ``conds`` a conditional distribution
+    and finite features.
     """
 
     def __init__(self, weights, conds, xs=None):
-        self.weights = np.array(weights, dtype=np.float64)
-        self.conds = np.array(conds, dtype=np.float64)
-        self.xs = None if xs is None else np.array(xs, dtype=np.float64)
-        arrays = [a for a in (self.weights, self.conds, self.xs)
-                  if a is not None]
+        self.weights = check.floats(weights, "weights", copy=True)
+        self.conds = check.floats(conds, "conds", copy=True)
+        self.xs = None if xs is None else check.floats(xs, "xs", copy=True)
         K = self.weights.size
-        if (self.weights.ndim != 1 or K == 0
-                or any(a.ndim != 2 or a.shape[0] != K for a in arrays[1:])):
-            raise ValueError(f"need K >= 1 weights (K,), conds (K, n) and xs "
-                             f"(K, d) or None, got shapes "
-                             f"{[a.shape for a in arrays]}")
-        if self.xs is not None and not np.isfinite(self.xs).all():
-            raise ValueError("features must be finite")
-        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
-            raise ValueError(f"weights must be finite and nonnegative, got "
-                             f"{self.weights}")
+        arrays = (("weights", self.weights, 1), ("conds", self.conds, 2),
+                  ("xs", self.xs, 2))
+        for name, a, ndim in arrays:
+            if a is not None and (a.ndim != ndim or a.shape[0] != K or K == 0):
+                shapes = [a.shape for _, a, _ in arrays if a is not None]
+                raise ValueError(f"{name}: need K >= 1 weights (K,), conds "
+                                 f"(K, n) and xs (K, d) or None, got shapes "
+                                 f"{shapes}")
+        if self.xs is not None:
+            check.reals(self.xs, "xs")
+        check.reals(self.weights, "weights", "[0, inf)")
         total = sum(self.weights.tolist())
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total}, not 1")
-        # every row by the tests of check_cond_dist at once (an axis-1 sum
+            raise ValueError(f"weights must sum to 1, got a sum of {total}")
+        # every row by the tests of check.cond_dist at once (an axis-1 sum
         # is each row's own sum); a failing one is checked row by row, so
         # the first bad row raises its own message
         C = self.conds
         if not (C.shape[1] >= 2 and np.isfinite(C).all()
                 and C.min() >= -1e-15
                 and np.abs(C.sum(axis=1) - 1.0).max() <= 1e-12):
-            for cond in C:
-                check_cond_dist(cond)
+            for k, cond in enumerate(C):
+                try:
+                    check.cond_dist(cond)
+                except ValueError as exc:
+                    raise ValueError(f"conds: row {k}: {exc}") from None
 
     @property
     def n(self):
@@ -139,10 +127,17 @@ def load_distribution(path):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(v) for v in line.split(",")]
-            if len(vals) != len(cols):
+            fields = line.split(",")
+            if len(fields) != len(cols):
                 raise ValueError(f"line {line_no}: expected {len(cols)} fields")
-            rows.append(vals)
+            row = []
+            for col, (name, v) in enumerate(zip(cols, fields), start=1):
+                try:
+                    row.append(float(v))
+                except ValueError:
+                    raise ValueError(f"line {line_no}, column {col} ({name}): "
+                                     f"{v!r} is not a number") from None
+            rows.append(row)
     table = np.array(rows).reshape(-1, len(cols))
     return finite_distribution(table[:, 0], table[:, 1:n + 1],
                                table[:, n + 1:] if d else None)
@@ -168,15 +163,18 @@ class HypothesisSpec:
 
     def __post_init__(self):
         if self.kind not in ("score_box", "linear"):
-            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.kind == "score_box":
-            _check_positive("lam", self.lam)
-        if self.kind == "linear" and self.feature_dim < 1:
-            raise ValueError("linear spec needs feature_dim >= 1")
-        if self.kind == "linear":
-            _check_positive("weight_bound", self.weight_bound)
+            raise ValueError(f"kind: unknown hypothesis kind {self.kind!r}")
+        check.integer(self.n, "n", 2)
+        if self.label_lams is not None and check.reals(
+                self.label_lams, "label_lams", "(0, inf]").shape != (self.n,):
+            raise ValueError(f"label_lams must hold one half-width per label, "
+                             f"got {self.label_lams!r}")
+        linear = self.kind == "linear"
+        check.integer(self.feature_dim, "feature_dim", 1 if linear else 0)
+        if linear:
+            check.real(self.weight_bound, "weight_bound", "(0, inf]")
+        else:
+            check.real(self.lam, "lam", "(0, inf]")
 
     @property
     def is_symmetric(self):
@@ -195,22 +193,6 @@ class HypothesisSpec:
         if self.kind != "score_box":
             raise ValueError("box_lam only applies to score_box specs")
         return UNBOUNDED_BOX_LAM if math.isinf(self.lam) else self.lam
-
-
-def _check_positive(name, value):
-    """Refuse, naming ``name``, a value that is not a positive number: NaN
-    is not one, nor is a bool."""
-    if (isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)) or not value > 0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def check_spec_labels(spec, n):
-    """Refuse, naming ``spec``, a hypothesis set whose label count is not
-    the ``n`` of the conditionals it is applied to."""
-    if spec.n != n:
-        raise ValueError(f"spec: a hypothesis set over {spec.n} labels does "
-                         f"not describe {n}-label conditionals")
 
 
 def score_box(n, lam=math.inf):
@@ -234,9 +216,9 @@ def cond_risk(scores, p, tau):
     of ``weighted_cond_value``, the objective that the box oracle
     minimizes, so ``calibration_gap`` subtracts the oracle's minimum from
     the same function."""
-    s = losses.check_scores(scores)
-    p = check_cond_dist(p, s.shape[0])
-    return float(weighted_cond_value(s[None], p[None], check_tau(tau))[0])
+    s = check.scores(scores)
+    p = check.cond_dist(p, s.shape[0])
+    return float(weighted_cond_value(s[None], p[None], check.tau(tau))[0])
 
 
 def excess_risks(dists, assignments, taus):
@@ -295,13 +277,13 @@ def cond_risk_star_closed(p, tau):
     sits at a simplex vertex rather than at the interior stationary point.
     A one-row call of ``cond_risk_star_closed_rows``.
     """
-    return float(cond_risk_star_closed_rows(check_cond_dist(p)[None],
-                                            np.array([check_tau(tau)]))[0])
+    return float(cond_risk_star_closed_rows(check.cond_dist(p)[None],
+                                            np.array([check.tau(tau)]))[0])
 
 
 def cond_risk_star_closed_rows(P, tau):
     """``cond_risk_star_closed`` of each row of ``P`` (R, n) at its own
-    ``tau`` (R,); the rows are conditionals that ``check_cond_dist`` has
+    ``tau`` (R,); the rows are conditionals that ``check.cond_dist`` has
     passed and clipped at 0, and the taus are checked. Sums run left to
     right over a row (``losses._rows_sum``), terms of zero probability
     adding 0."""
@@ -333,13 +315,13 @@ def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
     degenerate limit: top label at ``+lam``, everything else at ``-lam``.
     A one-row call of ``optimal_scores_rows``.
     """
-    return optimal_scores_rows(check_cond_dist(p)[None],
-                               np.array([check_tau(tau)]), lam)[0]
+    return optimal_scores_rows(check.cond_dist(p)[None],
+                               np.array([check.tau(tau)]), lam)[0]
 
 
 def optimal_scores_rows(P, tau, lam=UNBOUNDED_BOX_LAM):
     """``optimal_scores`` of each row of ``P`` (R, n) at its own ``tau``
-    (R,); the rows are conditionals that ``check_cond_dist`` has passed and
+    (R,); the rows are conditionals that ``check.cond_dist`` has passed and
     clipped at 0, and the taus are checked."""
     S = np.empty(P.shape)
     vertex = tau >= 2.0 - TAU_BRANCH_TOL
@@ -389,8 +371,8 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
     Newton call, and the first best start wins.
     """
     return minimize_weighted_cond_risk_batch(
-        np.asarray(c, dtype=np.float64)[None], tau, lam, [seed],
-        max_iter=max_iter)[0]
+        np.asarray(c, dtype=np.float64)[None], tau, lam,
+        [check.integer(seed, "seed")], max_iter=max_iter)[0]
 
 
 def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
@@ -402,31 +384,23 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     ``pgd_box_weighted_min`` takes from it. Per row the best start is the
     first minimum in start order (a NaN value never wins), and the row has
     converged when every start has. Returns one ``BruteResult`` per row.
-
-    A ``ValueError`` names the argument at fault: ``C`` not a finite (B, n)
-    array with n >= 1, ``lam`` negative or so wide that ``2 * lam`` is not
-    a finite float, or ``seeds`` not one nonnegative integer per row.
     """
-    C = np.asarray(C, dtype=np.float64)
-    tau = check_tau(tau)
+    C = check.floats(C, "C")
+    tau = check.tau(tau)
     seeds = list(seeds)
     if C.ndim != 2 or C.shape[0] != len(seeds) or C.shape[1] < 1:
         raise ValueError(f"C must be a (B, n) array with n >= 1 and one seed "
                          f"per row, got shape {C.shape} and {len(seeds)} "
                          f"seeds")
-    if not np.isfinite(C).all():
-        raise ValueError("C must be finite")
-    lam = float(lam)
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be a nonnegative box half-width, got {lam}")
+    check.reals(C, "C")
+    lam = check.real(lam, "lam", "[0, inf)")
     # the random starts are drawn uniformly from [-lam, lam]
     if not math.isfinite(2.0 * lam):
         raise ValueError(f"lam: score box half-width {lam:g} is too wide to "
                          f"search")
-    bad = [s for s in seeds if isinstance(s, bool)
-           or not (isinstance(s, (int, np.integer)) and s >= 0)]
-    if bad:
-        raise ValueError(f"seeds must be nonnegative integers, got {bad[0]!r}")
+    for seed in seeds:
+        check.integer(seed, "seeds", 0)
+    check.integer(max_iter, "max_iter", 1)
     if not seeds:
         return []
     B, n = C.shape
@@ -455,17 +429,17 @@ def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     False when any start was still running at ``max_iter`` (a warning, not
     an error).
     """
-    p = check_cond_dist(p)
+    p = check.cond_dist(p)
     if spec.kind != "score_box":
-        raise ValueError("brute-force oracle needs a score_box spec")
-    check_spec_labels(spec, p.shape[0])
+        raise ValueError("spec: the brute-force oracle needs a score_box spec")
+    check.label_count(spec.n, p.shape[0], "spec")
     return minimize_weighted_cond_risk(p, tau, spec.box_lam(), seed=seed,
                                        max_iter=max_iter)
 
 
 def cond_risk_star(p, tau, spec, **kw):
     """Closed form when the spec is complete, brute force otherwise."""
-    check_spec_labels(spec, check_cond_dist(p).shape[0])
+    check.label_count(spec.n, check.cond_dist(p).shape[0], "spec")
     if spec.kind == "score_box" and spec.is_complete:
         return cond_risk_star_closed(p, tau)
     return cond_risk_star_brute(p, tau, spec, **kw).value
@@ -483,8 +457,8 @@ def calibration_gap(scores, p, tau, spec, **kw):
 def _linear_point_boxes(dist, spec):
     """Per-point reachable score boxes of a bounded linear family."""
     if dist.xs is None or dist.xs.shape[1] != spec.feature_dim:
-        raise ValueError(f"linear spec needs {spec.feature_dim} features per "
-                         f"support point")
+        raise ValueError(f"dist: the linear spec needs {spec.feature_dim} "
+                         f"features per support point")
     lams = []
     for x in dist.xs:
         lam = spec.weight_bound * (float(np.abs(x).sum()) + 1.0)
@@ -561,8 +535,9 @@ def minimizability_gap(dist, spec, tau, *, seed=0):
     -0.9]]``, ``linear_family(2, 2, weight_bound=3.0)``, tau 2.4 and seed 0
     give 0.11701, where 200 starts give 0.09575.
     """
-    tau = check_tau(tau)
-    check_spec_labels(spec, dist.n)
+    tau = check.tau(tau)
+    check.label_count(spec.n, dist.n, "spec")
+    seed = check.integer(seed, "seed", 0)
     if spec.kind == "score_box":
         return 0.0
     lams = _linear_point_boxes(dist, spec)
@@ -592,10 +567,10 @@ def gap_upper_bound_deterministic(spec, tau, r_star_tau0):
     the supplied best-in-class sum-exponential risk minus the transform at
     that optimum. Non-increasing in ``tau``.
     """
-    tau = check_tau(tau)
+    tau = check.tau(tau)
     if spec.kind != "score_box" or math.isinf(spec.lam):
-        raise ValueError("needs a score_box spec with finite lam")
-    r_star_tau0 = float(r_star_tau0)
+        raise ValueError("spec: needs a score_box spec with finite lam")
+    r_star_tau0 = check.real(r_star_tau0, "r_star_tau0")
     c0 = sum_exp_box_optimum(spec.n, spec.lam)
     if r_star_tau0 < c0 - 1e-15:
         raise ValueError(

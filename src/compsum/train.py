@@ -9,10 +9,11 @@ config seed.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _checks as check
 # the benchmark's tracer wraps ``pgd_maximize`` where this module looks it
 # up; no code here calls it
 from .adversarial import (
@@ -22,13 +23,8 @@ from .adversarial import (
     pgd_maximize,
     smooth_adv_comp_loss_batch,
 )
-from .losses import (
-    _check_labels,
-    comp_sum_grad_batch,
-    comp_sum_loss_batch,
-    predict_batch,
-)
-from .models import check_size, init_linear, init_mlp
+from .losses import comp_sum_grad_batch, comp_sum_loss_batch, predict_batch
+from .models import init_linear, init_mlp
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,11 @@ def gaussian_mixture_dataset(n_classes=10, dim=20, n_train=5000, n_test=1000,
     ``center_scale`` controls class separation, ``noise`` the within-class
     spread; together they set the Bayes accuracy of the benchmark.
     """
-    check_size(2, n_classes=n_classes)
-    check_size(dim=dim, n_train=n_train, n_test=n_test)
+    check.sizes(2, n_classes=n_classes)
+    check.sizes(dim=dim, n_train=n_train, n_test=n_test)
+    check.real(center_scale, "center_scale", "[0, inf)")
+    check.real(noise, "noise", "[0, inf)")
+    check.integer(seed, "seed")
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=center_scale, size=(n_classes, dim))
     priors = np.full(n_classes, 1.0 / n_classes)
@@ -79,7 +78,10 @@ def margin_task_dataset(n_train=400, n_test=800, dim=20, center=0.8,
     encourages) hands the max-norm attack a budget of ``gamma`` in every
     leaked dimension.
     """
-    check_size(dim=dim, n_train=n_train, n_test=n_test)
+    check.sizes(dim=dim, n_train=n_train, n_test=n_test)
+    check.real(center, "center")
+    check.real(sigma, "sigma", "[0, inf)")
+    check.integer(seed, "seed")
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -113,22 +115,17 @@ class TrainConfig:
     ball: PerturbationBall | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            if isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"{f.name} must be a number, not a bool")
+        check.tau(self.tau)
+        for name, interval in (("lr0", "(0, inf)"), ("momentum", "[0, 1)"),
+                               ("weight_decay", "[0, inf)"),
+                               ("holdout_frac", "[0, 1)"),
+                               ("weight_avg_decay", "[0, 1)")):
+            check.real(getattr(self, name), name, interval)
+        check.sizes(epochs=self.epochs, batch_size=self.batch_size,
+                    eval_attack_steps=self.eval_attack_steps)
+        check.sizes(0, seed=self.seed)
         if self.schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if not (math.isfinite(self.lr0) and self.lr0 > 0.0):
-            raise ValueError("lr0 must be finite and positive")
-        check_size(epochs=self.epochs, batch_size=self.batch_size)
-        if not 0.0 <= self.holdout_frac < 1.0:
-            raise ValueError("holdout_frac must lie in [0, 1)")
-        if not 0.0 <= self.weight_avg_decay < 1.0:
-            raise ValueError("weight_avg_decay must lie in [0, 1)")
+            raise ValueError(f"schedule: unknown schedule {self.schedule!r}")
         if (self.adversarial is None) != (self.ball is None):
             raise ValueError("adversarial params and ball go together")
 
@@ -174,18 +171,23 @@ def _smooth_batch_grads(model, X, Y, cfg, rng):
                                       cfg.ball, rng, grad=True)
 
 
-def evaluate(model, X, y, ball=None, attack=None, rng=None):
+def evaluate(model, X, Y, ball=None, attack=None, rng=None):
     """Clean accuracy, plus worst-case accuracy under the margin attack
     when a ball is given. The attack includes the clean point, so the
-    robust accuracy never exceeds the clean one. Labels outside
-    ``[0, n_labels)`` are a ``ValueError`` naming ``Y``."""
-    y = _check_labels(y, model.n_labels)
+    robust accuracy never exceeds the clean one. ``X`` must be a finite
+    ``(rows, model.dim)`` array and ``Y`` one label in ``[0, n_labels)``
+    per row."""
+    X = check.reals(X, "X")
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ValueError(f"X must be a (rows, {model.dim}) array, got shape "
+                         f"{X.shape}")
+    Y = check.labels(Y, model.n_labels, X.shape[0])
     clean = model.forward_vjp(X)
-    out = {"clean_acc": float((predict_batch(clean[0]) == y).mean())}
+    out = {"clean_acc": float((predict_batch(clean[0]) == Y).mean())}
     if ball is not None:
         if attack is None:
             attack = AdvParams(n=model.n_labels, pgd_steps=40)
-        wrong = adv_zero_one_batch(model, X, y, clean, ball, attack, rng)
+        wrong = adv_zero_one_batch(model, X, Y, clean, ball, attack, rng)
         out["robust_acc"] = float(1.0 - wrong.mean())
     return out
 

@@ -16,46 +16,20 @@ import math
 
 import numpy as np
 
-from .losses import TAU_BRANCH_TOL, TAU_MAX, check_tau
+from . import _checks as check
+from .losses import TAU_BRANCH_TOL
 
 _LOG2 = math.log(2.0)
 
 
-def _check_beta(beta):
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
-
-
-def _check_n(n):
-    """Label counts as an int64 array, 0-d for a scalar. A ``ValueError``
-    naming ``n`` refuses one that is not an integer >= 2, by the rule of
-    ``losses.check_label``; a bool is not an integer here."""
-    a = np.asarray(n)
-    if not (a.dtype.kind in "iu" or a.dtype.kind == "f" and bool(
-            (np.isfinite(a) & (a == np.trunc(a))).all())):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    a = a.astype(np.int64)
-    if (a < 2).any():
-        raise ValueError(f"n must be >= 2, got {n!r}")
-    return a
-
-
-def _check_rows(x, ok, check, tau, n):
-    """Validate a rows form's arguments and broadcast them to three
-    contiguous 1-D arrays. The first entry of ``x`` outside ``ok(x)``, and
-    then the first bad ``tau``, raise the messages of the scalar checks
-    ``check`` and ``check_tau``."""
-    x = np.asarray(x, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    for a, good, scalar_check in ((x, ok(x), check),
-                                  (tau, (tau >= 0.0) & (tau <= TAU_MAX),
-                                   check_tau)):
-        if not good.all():
-            scalar_check(a[~good].flat[0])
-    rows = [x, tau, _check_n(n)]
-    if not x.shape == tau.shape == rows[2].shape:
+def _check_rows(x, name, interval, tau, n):
+    """Check a rows form's arguments and broadcast them to three contiguous
+    1-D arrays: ``x`` by ``check.reals`` on ``interval`` and under
+    ``name``, then ``tau`` and ``n``. The first bad entry raises."""
+    rows = [check.reals(x, name, interval),
+            check.reals(tau, "tau", check.TAU_RANGE),
+            check.integers(n, "n", 2)]
+    if not rows[0].shape == rows[1].shape == rows[2].shape:
         rows = [np.array(a) for a in np.broadcast_arrays(*rows)]
     return [a.reshape(-1) for a in rows]
 
@@ -148,8 +122,7 @@ def _t_tau_core(tau, n):
 def t_tau_rows(beta, tau, n):
     """``t_tau`` at each row ``(beta[i], tau[i], n[i])``; the arguments
     broadcast to one 1-D shape."""
-    beta, tau, n = _check_rows(beta, lambda b: (b >= 0.0) & (b <= 1.0),
-                               _check_beta, tau, n)
+    beta, tau, n = _check_rows(beta, "beta", "[0, 1]", tau, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _t_tau_core(tau, n)(beta)
 
@@ -157,16 +130,12 @@ def t_tau_rows(beta, tau, n):
 def t_tau(beta, tau, n):
     """Consistency transform at ``beta`` in [0, 1]: a one-row call of
     ``t_tau_rows``."""
-    return float(t_tau_rows([float(beta)], [tau], [n])[0])
+    return float(t_tau_rows([beta], [tau], [n])[0])
 
 
 def t_tau_max(tau, n):
     """Largest value of the transform, attained at ``beta = 1``."""
     return t_tau(1.0, tau, n)
-
-
-def _check_t(t):
-    raise ValueError(f"t must be nonnegative, got {t}")
 
 
 def gamma_tau_rows(t, tau, n):
@@ -184,7 +153,7 @@ def gamma_tau_rows(t, tau, n):
     targets near zero. A ``t`` above the attainable maximum raises with
     that maximum reported.
     """
-    t, tau, n = _check_rows(t, lambda v: v >= 0.0, _check_t, tau, n)
+    t, tau, n = _check_rows(t, "t", "[0, inf]", tau, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         tmax = _t_tau_core(tau, n)(np.ones(t.shape))
     over = t > tmax * (1.0 + 1e-12)
@@ -236,23 +205,20 @@ def _bisect_rows(t, tau, n):
 
 def gamma_tau(t, tau, n):
     """Inverse of the transform: a one-row call of ``gamma_tau_rows``."""
-    return float(gamma_tau_rows([float(t)], [tau], [n])[0])
+    return float(gamma_tau_rows([t], [tau], [n])[0])
 
 
 def t_tilde(beta, tau, n):
     """Tightest-order polynomial lower bound of the transform."""
-    beta, tau = _check_beta(beta), check_tau(tau)
-    return float(_t_tilde_rows(np.array([beta]), np.array([tau]),
-                               _check_n([n]))[0])
+    return float(_t_tilde_rows(*_check_rows([beta], "beta", "[0, 1]", [tau],
+                                            [n]))[0])
 
 
 def gamma_tilde(t, tau, n):
     """Closed-form upper bound of the inverse transform."""
-    t = float(t)
-    tau = check_tau(tau)
-    n = int(_check_n(n))
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = check.real(t, "t", "[0, inf)")
+    tau = check.tau(tau)
+    n = check.integer(n, "n", 2)
     if tau < 1.0:
         return math.sqrt(2.0 ** tau * (2.0 - tau) * t)
     if tau < 2.0:
@@ -268,15 +234,17 @@ def psi_tau(alpha, beta, tau, n):
     ``0 <= beta <= alpha <= 1``. Lower bounded by ``t_tau(beta)`` with the
     minimum over ``alpha`` at 1.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    tau = check_tau(tau)
-    n = int(_check_n(n))
-    if not 0.0 <= alpha <= 1.0 + 1e-12:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = check.real(alpha, "alpha")
+    beta = check.real(beta, "beta")
+    tau = check.tau(tau)
+    n = check.integer(n, "n", 2)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     alpha = min(alpha, 1.0)
-    if not 0.0 <= beta <= alpha + 1e-15:
-        raise ValueError(f"need 0 <= beta <= alpha, got beta={beta}, alpha={alpha}")
+    if not beta <= alpha + 1e-15:
+        raise ValueError(f"alpha must be at least beta, got alpha={alpha}, "
+                         f"beta={beta}")
     beta = min(beta, alpha)
     if alpha == 0.0:
         return 0.0

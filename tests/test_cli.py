@@ -154,6 +154,17 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "b.csv")])
         assert code == 0
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "g.csv"
+        code = main(["verify", "--suite", "gaps", "--seed", seed,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seed: must be a nonnegative integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count):
         out = tmp_path / "b.csv"
@@ -262,6 +273,8 @@ class TestTrainCommand:
         ("data.train = 1", "holdout_frac"),
         ("data.test = 0", "n_test"),
         ("data.classes = 1", "n_classes"),
+        ("eval.attack_steps = 0", "eval_attack_steps"),
+        ("data.noise = -1", "noise"),
     ])
     def test_bad_size_exits_one_without_traceback(self, tmp_path, capsys,
                                                   line, field):
@@ -344,6 +357,21 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: gamma must be finite")
         assert captured.out == ""
+
+    def test_robust_with_zero_attack_steps_names_them(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MARGIN_ADV_CFG)
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "m.csv")]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MARGIN_ADV_CFG + "eval.attack_steps = 0\n")
+        assert main(["evaluate", "--config", str(bad), "--robust",
+                     "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eval_attack_steps must")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("body", [b"compsum-model\n",
                                       b"compsum-model\n\0\0\0\0\0\0\0\0",

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from compsum import _kernels, bounds, losses, risk
+from compsum import _checks, _kernels, bounds, losses, risk
 from compsum.risk import (
     calibration_gap,
     cond_risk,
@@ -70,7 +70,7 @@ class TestCondRisk:
 @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan],
                                [math.nan, math.nan]])
 @pytest.mark.parametrize("call", [
-    risk.check_cond_dist,
+    _checks.cond_dist,
     lambda p: cond_risk([0.0, 0.0], p, 1.0),
     lambda p: cond_risk_star_closed(p, 1.0),
 ], ids=["check_cond_dist", "cond_risk", "cond_risk_star_closed"])
@@ -747,7 +747,7 @@ class TestFiniteDistribution:
     def test_first_bad_row_raises_its_own_message(self, bad):
         # the rows are checked at once, then the first bad one on its own
         with pytest.raises(ValueError) as caught:
-            risk.check_cond_dist(bad)
+            _checks.cond_dist(bad)
         with pytest.raises(ValueError, match=re.escape(str(caught.value))):
             finite_distribution([0.25, 0.25, 0.5],
                                 [[0.5, 0.5], bad, [0.6, 0.6]])
@@ -805,6 +805,13 @@ class TestSerialization:
         path = tmp_path / "bad2.csv"
         path.write_text("weight,p1,p2\n1.0,0.5\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_distribution(path)
+
+    def test_non_numeric_field_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "bad3.csv"
+        path.write_text("weight,p1,p2,x1\n0.5,0.5,0.5,1\n0.5,0.5,x,2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "line 3, column 3 (p2): 'x' is not a number")):
             load_distribution(path)
 
 

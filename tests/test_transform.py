@@ -219,5 +219,8 @@ class TestRowForms:
             with pytest.raises(ValueError, match="^n must be an integer"):
                 call()
 
-    def test_integral_float_n_accepted(self):
-        assert t_tau(0.5, 1.5, 3.0) == t_tau(0.5, 1.5, 3)
+    def test_integral_float_n_refused(self):
+        # one integer rule: an int or a numpy integer, never a float
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            t_tau(0.5, 1.5, 3.0)
+        assert t_tau(0.5, 1.5, np.int64(3)) == t_tau(0.5, 1.5, 3)
