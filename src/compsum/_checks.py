@@ -4,10 +4,13 @@ Every exported entry checks its arguments here. A check takes a value and
 the name of its argument, returns the value in the form the caller computes
 with, and refuses anything else with a ``ValueError`` whose message begins
 with that name. A bool, a NaN or a non-number is never a number, and an
-integer is an ``int`` or a numpy integer: ``3.0`` is not one.
+integer is an ``int`` or a numpy integer: ``3.0`` is not one. A batch
+entry refuses instance ``k``'s argument under the name of the list and the
+index that hold it, ``taus[2]: tau must lie in [0, 100]``.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -184,3 +187,24 @@ def cond_dist(p, n=None):
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"p must sum to 1, got a sum of {p.sum()}")
     return np.maximum(p, 0.0)
+
+
+def argument(refusal):
+    """The argument a refusal names: the word its message begins with."""
+    return re.match(r"\w*", str(refusal)).group()
+
+
+def entry(refusal, k, **lists):
+    """The refusal of instance ``k`` of a batch, begun ``<list>[k]: ``;
+    ``lists`` maps the argument it names to the list that holds it."""
+    return ValueError(f"{lists.get(argument(refusal), 'instances')}[{k}]: "
+                      f"{refusal}")
+
+
+def one(batch, *args):
+    """``batch`` on the one instance ``args``; a refusal names the
+    instance's argument, not the entry ``<list>[0]`` that held it."""
+    try:
+        return batch(*([a] for a in args))[0]
+    except ValueError as exc:
+        raise ValueError(re.sub(r"^\w+\[0\]: ", "", str(exc))) from None

@@ -700,8 +700,8 @@ def verify_adv_bound(dist, spec, model, tau, adv, ball):
     another label count; sets of another feature dimension; and sets that
     fail the local margin consistency check. A batch of one.
     """
-    return verify_adv_bound_batch([dist], [spec], [model], [tau], [adv],
-                                  [ball])[0]
+    return check.one(verify_adv_bound_batch, dist, spec, model, tau, adv,
+                     ball)
 
 
 def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
@@ -709,7 +709,8 @@ def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
     models[i], taus[i], advs[i], balls[i])``; their reports.
 
     Every instance is checked first, as ``verify_adv_bound`` checks it, and
-    the first that fails raises. The rows of all instances with one label
+    the first that fails raises, naming the entry: ``taus[2]: tau must lie
+    in [0, 100]``. The rows of all instances with one label
     count, one per atom and label, go through one call of each exact row
     form at their instance's parameters, and each instance sums its terms
     left to right in atom, then label order, skipping labels of zero
@@ -717,20 +718,26 @@ def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
     """
     check.lengths(dists=dists, specs=specs, models=models, taus=taus,
                   advs=advs, balls=balls)
-    taus = np.array([check.tau(tau) for tau in taus])
-    for dist, spec, model, adv in zip(dists, specs, models, advs):
-        if not isinstance(model, LinearModel) or model.dim != 1:
-            raise ValueError("model: the adversarial bound needs a "
-                             "one-dimensional linear model")
-        if dist.xs is None or dist.xs.shape[1] != 1:
-            raise ValueError("dist: the adversarial bound needs one feature "
-                             "per support point")
-        check.label_count(spec.n, dist.n, "spec")
-        if spec.kind == "linear" and spec.feature_dim != 1:
-            raise ValueError(f"spec: {spec} does not describe "
-                             f"one-dimensional instances")
-        check.label_count(model.n_labels, dist.n, "model")
-        check.label_count(adv.n, dist.n, "adv.n")
+    try:
+        for k, (dist, spec, model, tau, adv) in enumerate(
+                zip(dists, specs, models, taus, advs)):
+            check.tau(tau)
+            if not isinstance(model, LinearModel) or model.dim != 1:
+                raise ValueError("model: the adversarial bound needs a "
+                                 "one-dimensional linear model")
+            if dist.xs is None or dist.xs.shape[1] != 1:
+                raise ValueError("dist: the adversarial bound needs one "
+                                 "feature per support point")
+            check.label_count(spec.n, dist.n, "spec")
+            if spec.kind == "linear" and spec.feature_dim != 1:
+                raise ValueError(f"spec: {spec} does not describe "
+                                 f"one-dimensional instances")
+            check.label_count(model.n_labels, dist.n, "model")
+            check.label_count(adv.n, dist.n, "adv.n")
+    except ValueError as exc:
+        raise check.entry(exc, k, dist="dists", spec="specs", model="models",
+                          tau="taus", adv="advs") from None
+    taus = np.array(taus, dtype=np.float64)
     rho = np.array([adv.rho for adv in advs], dtype=np.float64)
     nu = np.array([adv.nu for adv in advs], dtype=np.float64)
     gamma = np.array([ball.gamma for ball in balls], dtype=np.float64)
@@ -773,8 +780,9 @@ def verify_adv_bound_batch(dists, specs, models, taus, advs, balls):
     bad = np.flatnonzero(~consistent)
     if bad.size:
         result = check_local_rho_consistency(specs[bad[0]], advs[bad[0]].rho)
-        raise ValueError(f"spec: hypothesis set is not locally "
-                         f"margin-consistent: {result.reason}")
+        raise check.entry(ValueError(f"spec: hypothesis set is not locally "
+                                     f"margin-consistent: {result.reason}"),
+                          bad[0], spec="specs")
 
     phi1 = _phi_rows(np.ones(len(dists)), taus)
     lhs = r01 - e01

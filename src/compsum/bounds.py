@@ -65,8 +65,8 @@ def verify_h_consistency_bound(dist, assignment, spec, tau):
 
     A batch of one: see ``verify_h_consistency_bound_batch``.
     """
-    return verify_h_consistency_bound_batch([dist], [assignment], [spec],
-                                            [tau])[0]
+    return check.one(verify_h_consistency_bound_batch, dist, assignment,
+                     spec, tau)
 
 
 def verify_h_consistency_bound_batch(dists, assignments, specs, taus):
@@ -78,34 +78,41 @@ def verify_h_consistency_bound_batch(dists, assignments, specs, taus):
     with a ``precondition_unmet`` flag rather than counted as a violation.
     The instances are checked in order, then both sides of all of them
     come from one ``risk.excess_risks`` call and one ``gamma_tau_rows``
-    call, so a report does not depend on the rest of the batch.
+    call, so a report does not depend on the rest of the batch. A refusal
+    names the entry, as in ``taus[2]: tau must lie in [0, 100]``.
     """
     check.lengths(dists=dists, assignments=assignments, specs=specs,
                   taus=taus)
     reports = []
     todo = []  # (report, dist, scores) of the symmetric instances
-    for dist, assignment, spec, tau in zip(dists, assignments, specs, taus):
-        tau = check.tau(tau)
-        if spec.kind != "score_box":
-            raise ValueError("spec: bound verification needs a score_box spec "
-                             "(closed best-in-class forms assume it)")
-        check.label_count(spec.n, dist.n, "spec")
-        if not spec.is_symmetric:
-            reports.append(BoundReport(
-                tau, dist.n, math.nan, math.nan, math.nan,
-                flags=["precondition_unmet:not_symmetric"]))
-            continue
-        scores = check.reals(assignment, "assignment")
-        if scores.shape != dist.conds.shape:
-            raise ValueError("assignment must be one score vector per "
-                             "support point")
-        rep = BoundReport(tau, dist.n, 0.0, 0.0, 0.0)
-        if not spec.is_complete:
-            if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
-                raise ValueError("assignment leaves the spec's score box")
-            rep.flags.append("finite_box_closed_forms")
-        reports.append(rep)
-        todo.append((rep, dist, scores))
+    try:
+        for k, (dist, assignment, spec, tau) in enumerate(
+                zip(dists, assignments, specs, taus)):
+            tau = check.tau(tau)
+            if spec.kind != "score_box":
+                raise ValueError("spec: bound verification needs a score_box "
+                                 "spec (closed best-in-class forms assume "
+                                 "it)")
+            check.label_count(spec.n, dist.n, "spec")
+            if not spec.is_symmetric:
+                reports.append(BoundReport(
+                    tau, dist.n, math.nan, math.nan, math.nan,
+                    flags=["precondition_unmet:not_symmetric"]))
+                continue
+            scores = check.reals(assignment, "assignment")
+            if scores.shape != dist.conds.shape:
+                raise ValueError("assignment must be one score vector per "
+                                 "support point")
+            rep = BoundReport(tau, dist.n, 0.0, 0.0, 0.0)
+            if not spec.is_complete:
+                if np.any(np.abs(scores) > spec.lam * (1 + 1e-12)):
+                    raise ValueError("assignment leaves the spec's score box")
+                rep.flags.append("finite_box_closed_forms")
+            reports.append(rep)
+            todo.append((rep, dist, scores))
+    except ValueError as exc:
+        raise check.entry(exc, k, dist="dists", assignment="assignments",
+                          spec="specs", tau="taus") from None
     if not todo:
         return reports
 
@@ -400,7 +407,7 @@ def lemma_sup_grid(scores, p, tau, y_max=None, pred=None):
 
     A batch of one: see ``lemma_sup_grid_batch``.
     """
-    return lemma_sup_grid_batch([scores], [p], [tau], [y_max], [pred])[0]
+    return check.one(lemma_sup_grid_batch, scores, p, tau, y_max, pred)
 
 
 def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
@@ -414,18 +421,22 @@ def lemma_sup_grid_batch(S, ps, taus, y_maxs=None, preds=None):
     All grids are one gap evaluation, and one lockstep golden-section
     search polishes between the grid neighbours of each best point.
     """
-    none = [None] * len(S)
+    y_maxs = [None] * len(S) if y_maxs is None else y_maxs
+    preds = [None] * len(S) if preds is None else preds
+    check.lengths(S=S, ps=ps, taus=taus, y_maxs=y_maxs, preds=preds)
     K = []  # per instance: lse, lo, hi, pm, ph, cm, cp, tau
     phi = losses._phi_of_gap_array
-    for s, p, tau, y_max, pred in zip(
-            S, ps, taus, none if y_maxs is None else y_maxs,
-            none if preds is None else preds, strict=True):
-        s, p, tau, y_max, pred = _family_args(s, p, tau, y_max, pred)
-        lo, hi = hbar_mu_range(s, y_max, pred)
-        lse = losses._rows_lse(s[None])[0]
-        K.append((lse, lo, hi, p[y_max], p[pred],
-                  phi(np.float64(lse - s[y_max]), tau),
-                  phi(np.float64(lse - s[pred]), tau), tau))
+    try:
+        for k, args in enumerate(zip(S, ps, taus, y_maxs, preds)):
+            s, p, tau, y_max, pred = _family_args(*args)
+            lo, hi = hbar_mu_range(s, y_max, pred)
+            lse = losses._rows_lse(s[None])[0]
+            K.append((lse, lo, hi, p[y_max], p[pred],
+                      phi(np.float64(lse - s[y_max]), tau),
+                      phi(np.float64(lse - s[pred]), tau), tau))
+    except ValueError as exc:
+        raise check.entry(exc, k, scores="S", p="ps", tau="taus",
+                          y_max="y_maxs", pred="preds") from None
     K = np.array(K).reshape(-1, 8)
     mus = np.linspace(K[:, 1] * (1.0 - 1e-12), K[:, 2] * (1.0 - 1e-12),
                       _SUP_GRID, axis=1)
@@ -491,7 +502,7 @@ def verify_lemma_inf(p, tau, pred_label=None, seed=0):
     A batch of one: see ``verify_lemma_inf_batch``, whose search this runs
     on the one instance ``(p, tau, seed, pred_label)``.
     """
-    return verify_lemma_inf_batch([p], [tau], [seed], [pred_label])[0]
+    return check.one(verify_lemma_inf_batch, p, tau, seed, pred_label)
 
 
 def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
@@ -517,24 +528,29 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     the closed form is only a lower bound of the brute value (which is the
     direction the consistency bound uses).
     """
-    ps = [check.cond_dist(p) for p in ps]
-    taus = [check.tau(tau) for tau in taus]
-    seeds = [check.integer(seed, "seed", 0) for seed in seeds]
     pred_labels = [None] * len(ps) if pred_labels is None else \
         list(pred_labels)
     check.lengths(ps=ps, taus=taus, seeds=seeds, pred_labels=pred_labels)
+    ps, taus, seeds = list(ps), list(taus), list(seeds)
     tops, preds = [], []
-    for p, pred in zip(ps, pred_labels):
-        y_max = predict(p)
-        if pred is None:
-            order = np.argsort(p)
-            pred = int(order[-2] if order[-1] == y_max else order[-1])
-        pred = check.label(pred, p.shape[0], "pred_label")
-        if pred == y_max:
-            raise ValueError("pred_label must differ from the top conditional "
-                             "label")
-        tops.append(y_max)
-        preds.append(pred)
+    try:
+        for k, pred in enumerate(pred_labels):
+            ps[k] = p = check.cond_dist(ps[k])
+            taus[k] = check.tau(taus[k])
+            seeds[k] = check.integer(seeds[k], "seed")
+            y_max = predict(p)
+            if pred is None:
+                order = np.argsort(p)
+                pred = int(order[-2] if order[-1] == y_max else order[-1])
+            pred = check.label(pred, p.shape[0], "pred_label")
+            if pred == y_max:
+                raise ValueError("pred_label must differ from the top "
+                                 "conditional label")
+            tops.append(y_max)
+            preds.append(pred)
+    except ValueError as exc:
+        raise check.entry(exc, k, p="ps", tau="taus", seed="seeds",
+                          pred_label="pred_labels") from None
 
     results = [None] * len(ps)
     for n in sorted({p.shape[0] for p in ps}):

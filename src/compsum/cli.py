@@ -8,7 +8,6 @@ partial outputs; a diverged run still writes its metrics and checkpoint.
 """
 
 import argparse
-import dataclasses
 import inspect
 import math
 import os
@@ -23,9 +22,6 @@ from .config import ConfigError
 from .models import load_model, save_model, write_atomic
 from .train import (
     evaluate,
-    gaussian_mixture_dataset,
-    make_model,
-    margin_task_dataset,
     train_adv_comp_sum,
     train_standard,
     train_standard_best_lr,
@@ -54,22 +50,6 @@ def _metrics_rows(history):
             str(h["checkpoint_flag"]),
         ]))
     return rows
-
-
-def _build_dataset(values):
-    kind = values["data.kind"]
-    if kind == "gaussian_mixture":
-        return gaussian_mixture_dataset(
-            n_classes=values["data.classes"], dim=values["data.dim"],
-            n_train=values["data.train"], n_test=values["data.test"],
-            center_scale=values["data.center_scale"],
-            noise=values["data.noise"], seed=values["seed"])
-    if kind == "margin_task":
-        return margin_task_dataset(
-            n_train=values["data.train"], n_test=values["data.test"],
-            dim=values["data.dim"], center=values["data.center"],
-            sigma=values["data.sigma"], seed=values["seed"])
-    raise ConfigError(f"unknown data.kind {kind!r}")
 
 
 def _taus(text):
@@ -131,53 +111,40 @@ def cmd_gaps(args):
     return 0
 
 
-def _train_single(values, data, tau, out_path, checkpoint_path):
-    adversarial = None
-    ball = None
-    if values["train.mode"] == "adversarial":
-        adversarial = cfgmod.adv_params_from(values, data.n_classes)
-        ball = cfgmod.ball_from(values)
-    elif values["train.mode"] != "standard":
-        raise ConfigError(f"unknown train.mode {values['train.mode']!r}")
-    cfg = cfgmod.train_config_from(values, tau=tau, adversarial=adversarial,
-                                   ball=ball)
+def _load(args):
+    """The config file's values, ``--seed`` in place of ``seed``, and
+    their ``Setup``."""
+    values = cfgmod.load_config(args.config)
+    if args.seed is not None:
+        values["seed"] = args.seed
+    return values, cfgmod.build(values)
 
-    def factory():
-        return make_model(values["model.kind"], data.X_train.shape[1],
-                          data.n_classes, hidden=values["model.hidden"],
-                          seed=values["seed"])
 
-    if adversarial is not None:
-        model, history = train_adv_comp_sum(data, factory(), cfg)
-    elif values["train.lr_grid"]:
+def _train_single(setup, cfg, out_path, checkpoint_path):
+    if cfg.adversarial is not None:
+        model, history = train_adv_comp_sum(setup.data, setup.new_model(),
+                                            cfg)
+    elif setup.lr_grid:
         model, history, _ = train_standard_best_lr(
-            data, factory, cfg, lr_grid=values["train.lr_grid"])
+            setup.data, setup.new_model, cfg, setup.lr_grid)
     else:
-        model, history = train_standard(data, factory(), cfg)
+        model, history = train_standard(setup.data, setup.new_model(), cfg)
     write_csv(out_path, METRICS_HEADER, _metrics_rows(history))
     save_model(model, checkpoint_path)
     return history
 
 
 def cmd_train(args):
-    values = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    data = _build_dataset(values)
+    values, setup = _load(args)
     out = args.out or "metrics.csv"
     base, ext = os.path.splitext(out)
     sweep = values["train.tau_sweep"]
     runs = []
-    if sweep:
-        for tau in sweep:
-            tag = f"{base}_tau{tau:g}"
-            runs.append((tau, _train_single(values, data, tau,
-                                            tag + (ext or ".csv"),
-                                            tag + ".ckpt")))
-    else:
-        tau = values["train.tau"]
-        runs.append((tau, _train_single(values, data, tau, out,
-                                        base + ".ckpt")))
+    for tau, cfg in setup.runs:
+        tag = f"{base}_tau{tau:g}" if sweep else base
+        runs.append((tau, _train_single(
+            setup, cfg, tag + (ext or ".csv") if sweep else out,
+            tag + ".ckpt")))
     diverged = [(tau, h[-1]["epoch"]) for tau, h in runs
                 if h and h[-1].get("diverged")]
     for tau, epoch in diverged:
@@ -186,14 +153,9 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    values = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    ckpt = args.checkpoint or values["eval.checkpoint"]
-    if not ckpt:
-        raise ConfigError("evaluate needs --checkpoint or eval.checkpoint")
-    model = load_model(ckpt)
-    data = _build_dataset(values)
+    values, setup = _load(args)
+    model = load_model(args.checkpoint)
+    data = setup.data
     if model.n_labels != data.n_classes:
         raise ConfigError(f"checkpoint scores {model.n_labels} labels, but "
                           f"the config's data has {data.n_classes} "
@@ -202,14 +164,8 @@ def cmd_evaluate(args):
         raise ConfigError(f"checkpoint takes {model.dim} inputs, but the "
                           f"config's data has {data.X_test.shape[1]} "
                           f"(data.dim)")
-    ball = None
-    attack = None
-    if values["train.mode"] == "adversarial" or args.robust:
-        ball = cfgmod.ball_from(values)
-        attack = cfgmod.adv_params_from(values, data.n_classes)
-        check.sizes(eval_attack_steps=values["eval.attack_steps"])
-        attack = dataclasses.replace(attack,
-                                     pgd_steps=values["eval.attack_steps"])
+    robust = values["train.mode"] == "adversarial" or args.robust
+    ball, attack = (setup.ball, setup.attack) if robust else (None, None)
     metrics = evaluate(model, data.X_test, data.y_test, ball, attack)
     header = ",".join(metrics.keys())
     row = ",".join(_fmt(float(v)) for v in metrics.values())
@@ -282,7 +238,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="evaluate a checkpoint",
                        epilog=key_help)
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--robust", action="store_true",
                    help="also attack with the config's ball")
     _add_common(p)

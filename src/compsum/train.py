@@ -109,7 +109,6 @@ class TrainConfig:
     schedule: str = "cosine"
     seed: int = 0
     holdout_frac: float = 0.1
-    weight_avg_decay: float = 0.0  # 0 disables exponential parameter averaging
     eval_attack_steps: int = 40
     adversarial: AdvParams | None = None
     ball: PerturbationBall | None = None
@@ -118,8 +117,7 @@ class TrainConfig:
         check.tau(self.tau)
         for name, interval in (("lr0", "(0, inf)"), ("momentum", "[0, 1)"),
                                ("weight_decay", "[0, inf)"),
-                               ("holdout_frac", "[0, 1)"),
-                               ("weight_avg_decay", "[0, 1)")):
+                               ("holdout_frac", "[0, 1)")):
             check.real(getattr(self, name), name, interval)
         check.sizes(epochs=self.epochs, batch_size=self.batch_size,
                     eval_attack_steps=self.eval_attack_steps)
@@ -192,13 +190,20 @@ def evaluate(model, X, Y, ball=None, attack=None, rng=None):
     return out
 
 
-def _split_holdout(X, y, frac, rng):
-    m = X.shape[0]
-    idx = rng.permutation(m)
-    cut = max(int(m * frac), 1) if frac > 0 else 0
-    if cut >= m:
+def holdout_size(rows, holdout_frac):
+    """The points of a training set of ``rows`` that the holdout takes: at
+    least one when ``holdout_frac > 0``, and never all of them."""
+    cut = max(int(rows * holdout_frac), 1) if holdout_frac > 0 else 0
+    if cut >= rows:
         raise ValueError(f"holdout_frac must leave a training point: "
-                         f"{frac:g} of a training set of {m} leaves none")
+                         f"{holdout_frac:g} of a training set of {rows} "
+                         f"leaves none")
+    return cut
+
+
+def _split_holdout(X, y, frac, rng):
+    cut = holdout_size(X.shape[0], frac)
+    idx = rng.permutation(X.shape[0])
     val, tr = idx[:cut], idx[cut:]
     return X[tr], y[tr], X[val], y[val]
 
@@ -211,7 +216,6 @@ def _train_loop(data, model, cfg, batch_step, select_metric):
     history = []
     best_metric = -math.inf
     best_flat = model.get_flat()
-    avg_flat = model.get_flat() if cfg.weight_avg_decay else None
 
     diverged = False
     for epoch in range(cfg.epochs):
@@ -231,9 +235,9 @@ def _train_loop(data, model, cfg, batch_step, select_metric):
                 break
             opt.step(grads, lr)
             losses_epoch.append(loss)
-            if avg_flat is not None:
-                d = cfg.weight_avg_decay
-                avg_flat = d * avg_flat + (1.0 - d) * model.flat
+        # a step can overflow the parameters from finite gradients; the next
+        # batch's loss shows it, but the epoch's last step has no next batch
+        diverged = diverged or not np.isfinite(model.flat).all()
         if diverged:
             history.append({"epoch": epoch, "lr": lr,
                             "train_loss": math.inf, "clean_acc": math.nan,
@@ -250,7 +254,7 @@ def _train_loop(data, model, cfg, batch_step, select_metric):
                    train_loss=float(np.mean(losses_epoch)),
                    checkpoint_flag=int(is_best), holdout_metric=metric)
         history.append(row)
-    return history, best_flat, avg_flat
+    return history, best_flat
 
 
 def train_standard(data, model, cfg):
@@ -268,10 +272,7 @@ def train_standard(data, model, cfg):
         test = evaluate(m, data.X_test, data.y_test)
         return val, {"clean_acc": test["clean_acc"], "robust_acc": math.nan}
 
-    history, _, avg_flat = _train_loop(data, model, cfg, batch_step,
-                                       select_metric)
-    if avg_flat is not None:
-        model.set_flat(avg_flat)
+    history, _ = _train_loop(data, model, cfg, batch_step, select_metric)
     return model, history
 
 
@@ -299,9 +300,9 @@ def train_adv_comp_sum(data, model, cfg):
         return val, {"clean_acc": test["clean_acc"],
                      "robust_acc": test["robust_acc"]}
 
-    history, best_flat, avg_flat = _train_loop(data, model, cfg, batch_step,
-                                               select_metric)
-    model.set_flat(avg_flat if avg_flat is not None else best_flat)
+    history, best_flat = _train_loop(data, model, cfg, batch_step,
+                                     select_metric)
+    model.set_flat(best_flat)
     return model, history
 
 

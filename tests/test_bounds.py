@@ -676,8 +676,8 @@ class TestTrainLoopSelection:
             snapshots.append(m.get_flat())
             return next(metrics), {"clean_acc": 0.0, "robust_acc": 0.0}
 
-        history, best_flat, _ = _train_loop(data, model, cfg, batch_step,
-                                            select_metric)
+        history, best_flat = _train_loop(data, model, cfg, batch_step,
+                                         select_metric)
         flags = [h["checkpoint_flag"] for h in history]
         assert flags == [1, 1, 0, 0]
         assert np.allclose(best_flat, snapshots[1])

@@ -21,7 +21,6 @@ data.train = 300
 data.test = 150
 data.noise = 1.0
 train.epochs = 4
-train.tau = 1.0
 train.batch_size = 64
 """
 
@@ -283,19 +282,24 @@ class TestTrainCommand:
         out = tmp_path / "m.csv"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must ")
+        # the key that feeds the refused argument, then the library's words
+        key = ("train.holdout_frac" if field == "holdout_frac"
+               else line.split(" =")[0])
+        assert err.startswith(f"config error: {key}: {field} must ")
         assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1"])
     def test_bad_weight_avg_decay_exits_one(self, tmp_path, capsys, value):
-        # a NaN decay used to train and write a non-finite checkpoint
+        # averaging wrote parameters that no metrics row described; the key
+        # is gone, so every value of it is an unknown key
         cfg = tmp_path / "c.cfg"
         cfg.write_text(MARGIN_ADV_CFG + f"train.weight_avg_decay = {value}\n")
         out = tmp_path / "m.csv"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: weight_avg_decay must lie in [0, 1)\n"
+        assert err.startswith(f"config error: {cfg}:")
+        assert "unknown key 'train.weight_avg_decay'" in err
         assert not out.exists()
         assert not (tmp_path / "m.ckpt").exists()
 
@@ -314,21 +318,21 @@ class TestTrainCommand:
         out = tmp_path / "m.csv"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}")
+        assert err.startswith(f"config error: {line.split(' =')[0]}: {field}")
         assert "Traceback" not in err
         assert not out.exists()
         assert not (tmp_path / "m.ckpt").exists()
 
-    def test_nan_step_size_selects_the_default(self, tmp_path):
-        outs = []
-        for extra in ("", "adv.pgd_step_size = nan\n"):
-            cfg = tmp_path / "c.cfg"
-            cfg.write_text(MARGIN_ADV_CFG + extra)
-            out = tmp_path / f"m{len(outs)}.csv"
-            assert main(["train", "--config", str(cfg), "--out",
-                         str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_nan_step_size_is_refused(self, tmp_path, capsys):
+        # NaN used to select the default step; an unset key does that now
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MARGIN_ADV_CFG + "adv.pgd_step_size = nan\n")
+        out = tmp_path / "m.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: adv.pgd_step_size: pgd_step_size must be finite "
+            "and positive\n")
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -355,7 +359,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(bad), "--robust",
                      "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: gamma must be finite")
+        assert captured.err.startswith(
+            "config error: adv.gamma: gamma must be finite")
         assert captured.out == ""
 
     def test_robust_with_zero_attack_steps_names_them(self, tmp_path,
@@ -370,7 +375,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(bad), "--robust",
                      "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: eval_attack_steps must")
+        assert captured.err.startswith(
+            "config error: eval.attack_steps: eval_attack_steps must")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("body", [b"compsum-model\n",
@@ -418,6 +424,34 @@ class TestEvaluateCommand:
         assert "non-finite parameters" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["standard", "adversarial"])
+    def test_checkpoint_is_the_model_its_row_describes(self, tmp_path, capsys,
+                                                       mode):
+        # standard training writes the last epoch's model, adversarial the
+        # last flagged epoch's (here epoch 4 of 0-5); with one restart the
+        # attack starts at the clean point and draws nothing, so evaluate
+        # repeats the row's figures exactly
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\ndata.kind = margin_task\ndata.dim = 5\n"
+                       "data.train = 80\ndata.test = 60\n"
+                       f"train.mode = {mode}\ntrain.epochs = 6\n"
+                       "train.batch_size = 32\nadv.pgd_steps = 2\n"
+                       "adv.restarts = 1\neval.attack_steps = 3\n")
+        out = tmp_path / "m.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        if mode == "adversarial":
+            row = [r for r in rows if r[5] == "1"][-1]
+            assert row is not rows[-1]
+        else:
+            row = rows[-1]
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--robust",
+                     "--checkpoint", str(tmp_path / "m.ckpt")]) == 0
+        clean, robust = capsys.readouterr().out.splitlines()[-1].split(",")
+        # a standard row records no robust accuracy
+        assert [clean, robust if mode == "adversarial" else ""] == row[3:5]
 
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"

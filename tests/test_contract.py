@@ -35,7 +35,7 @@ X4 = np.linspace(-1.0, 1.0, 4)[:, None]
 
 # (entry, valid keyword arguments, the arguments that take a bad value and
 # the name each refusal begins with); "taus[0]" is the first entry of the
-# list ``taus``, refused under the name of one instance's argument
+# list ``taus``, refused under that name
 TABLE = [
     (compsum.phi_tau, dict(u=0.5, tau=1.5), ["u", "tau"]),
     (compsum.phi_tau_deriv, dict(u=0.5, tau=1.5), ["u", "tau"]),
@@ -87,7 +87,7 @@ TABLE = [
     (compsum.verify_h_consistency_bound_batch,
      dict(dists=[DIST], assignments=[[[1.0, 0.0], [0.0, 1.0]]],
           specs=[BOX], taus=[1.5]),
-     {"assignments[0]": "assignment", "taus[0]": "tau"}),
+     ["assignments[0]", "taus[0]"]),
     (compsum.build_tightness_instance, dict(beta=0.5, tau=0.5, n=3),
      ["beta", "tau", "n"]),
     (compsum.hbar_mu_scores, dict(scores=[0.0, 1.0], mu=0.5, y_max=0),
@@ -100,8 +100,7 @@ TABLE = [
      ["p", "tau", "pred_label", "seed"]),
     (compsum.verify_lemma_inf_batch,
      dict(ps=[P3], taus=[1.0], seeds=[0], pred_labels=[1]),
-     {"ps[0]": "p", "taus[0]": "tau", "seeds[0]": "seed",
-      "pred_labels[0]": "pred_label"}),
+     ["ps[0]", "taus[0]", "seeds[0]", "pred_labels[0]"]),
     (compsum.learning_bound,
      dict(dist=DIST, spec=score_box(2, 1.5), tau=1.5, m=6, delta=0.05,
           seed=0, n_sign_draws=2, opt_iters=50),
@@ -127,10 +126,10 @@ TABLE = [
           ball=BALL), ["tau"]),
     (compsum.verify_adv_bound_batch,
      dict(dists=[DIST], specs=[ADV_SPEC], models=[MODEL], taus=[1.5],
-          advs=[ADV], balls=[BALL]), {"taus[0]": "tau"}),
+          advs=[ADV], balls=[BALL]), ["taus[0]"]),
     (compsum.TrainConfig, dict(),
      ["tau", "lr0", "momentum", "weight_decay", "epochs", "batch_size",
-      "seed", "holdout_frac", "weight_avg_decay", "eval_attack_steps"]),
+      "seed", "holdout_frac", "eval_attack_steps"]),
     (compsum.gaussian_mixture_dataset,
      dict(n_classes=2, dim=2, n_train=8, n_test=8, center_scale=2.0,
           noise=2.0, seed=0),

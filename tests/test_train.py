@@ -52,9 +52,6 @@ class TestSizeChecks:
         ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("lr0", 0.0),
         ("lr0", -0.1), ("lr0", math.inf), ("lr0", math.nan),
         ("holdout_frac", 1.0), ("holdout_frac", 1.5), ("holdout_frac", -0.1),
-        ("weight_avg_decay", math.nan), ("weight_avg_decay", math.inf),
-        ("weight_avg_decay", -math.inf), ("weight_avg_decay", -1.0),
-        ("weight_avg_decay", 1.0), ("weight_avg_decay", 1e308),
     ])
     def test_train_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -63,17 +60,12 @@ class TestSizeChecks:
     @pytest.mark.parametrize("field, value", [
         ("tau", True), ("lr0", True), ("lr0", False), ("momentum", True),
         ("weight_decay", True), ("epochs", True), ("batch_size", True),
-        ("seed", True), ("holdout_frac", True), ("weight_avg_decay", False),
-        ("eval_attack_steps", True),
+        ("seed", True), ("holdout_frac", True), ("eval_attack_steps", True),
     ])
     def test_train_config_refuses_bools(self, field, value):
         with pytest.raises(ValueError,
                            match=f"^{field} must be a number, not a bool"):
             TrainConfig(**{field: value})
-
-    @pytest.mark.parametrize("decay", [0.0, 0.98])
-    def test_weight_avg_decay_in_unit_interval_accepted(self, decay):
-        assert TrainConfig(weight_avg_decay=decay).weight_avg_decay == decay
 
     @pytest.mark.parametrize("make, kwargs, field", [
         (init_linear, dict(dim=0, n_labels=3), "dim"),
@@ -176,8 +168,8 @@ class TestStandardTraining:
         def select_metric(m, Xv, yv, rng):
             return 0.0, {"clean_acc": 0.0, "robust_acc": 0.0}
 
-        history, _, _ = train_mod._train_loop(data, model, cfg, batch_step,
-                                              select_metric)
+        history, _ = train_mod._train_loop(data, model, cfg, batch_step,
+                                           select_metric)
         assert history[-1]["diverged"] == 1
         assert len(seen) == diverge_at + 1
         assert np.array_equal(model.flat, seen[-1])
@@ -207,16 +199,6 @@ class TestStandardTraining:
                                              lr_grid=(0.01, 0.1))
         assert lr == 0.01
         assert hist[-1]["holdout_metric"] == 0.9
-
-    def test_weight_averaging_runs_and_differs(self):
-        data = small_data()
-        base = dict(tau=1.0, lr0=0.1, epochs=6, batch_size=64, seed=1)
-        m_plain, _ = train_standard(data, make_model("mlp", 4, 2, 16, seed=1),
-                                    TrainConfig(**base))
-        m_avg, _ = train_standard(data, make_model("mlp", 4, 2, 16, seed=1),
-                                  TrainConfig(**base, weight_avg_decay=0.98))
-        assert not np.array_equal(m_plain.get_flat(), m_avg.get_flat())
-        assert evaluate(m_avg, data.X_test, data.y_test)["clean_acc"] > 0.9
 
     def test_rejects_adversarial_config(self):
         data = small_data()
