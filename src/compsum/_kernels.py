@@ -12,11 +12,11 @@ rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
 tau)``, whose value, score gradient and Hessian exist once each, row-wise,
 on the log-sum-exp and the fixed-order row sums of ``losses``; the
 conditional risk ``risk.cond_risk`` is a one-row call of the value.
-Every box problem runs on the lockstep ``newton_box_min``: the box
-oracle's problems with all their starts as rows
-(``risk.minimize_weighted_cond_risk_batch``), the joint minimum over a
-linear family's shared weights (``risk``) and the lemma infimum over the
-closed supremum form (``bounds``). The sequential reference
+Every box problem runs from the starts of ``box_starts`` on the lockstep
+``newton_box_min``, which picks each problem's best start: the box
+oracle's problems (``risk.minimize_weighted_cond_risk_batch``), the joint
+minimum over a linear family's shared weights (``risk``) and the lemma
+infimum over the closed supremum form (``bounds``). The sequential reference
 ``pgd_box_weighted_min`` runs one start after another on one-row arrays
 and takes the same steps bit for bit; no package code calls it, the tests
 compare against it and the benchmark's tracer wraps it.
@@ -218,25 +218,41 @@ def pgd_box_weighted_min(c, tau, lam, starts, max_iter, gtol):
     return best_f, best_x, all_conv
 
 
+def box_starts(fixed, seeds, draws, lo, hi):
+    """Problem ``b``'s starts: its fixed ones ``fixed[b]`` (f, d), then the
+    draws of ``draws`` ``uniform(lo, hi, d)`` calls on
+    ``np.random.default_rng(seeds[b])``, bit for bit; (B, f + draws, d)."""
+    B, f, d = fixed.shape
+    starts = np.concatenate([fixed, np.empty((B, draws, d))], axis=1)
+    for b, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=starts[b, f:])
+    # uniform's own arithmetic: low + (high - low) * U
+    starts[:, f:] *= hi - lo
+    starts[:, f:] += lo
+    return starts
+
+
 def newton_box_min(obj, starts, lam, max_iter, gtol):
-    """Minimize each row of ``obj`` over ``[-lam, lam]`` from the matching
-    row of ``starts`` (clipped into the box), all rows in lockstep.
-
-    A row stops when its unit-step projected-gradient norm is at most
-    ``gtol``, when its Newton arc finds no decrease (numerically
-    stationary), or when its value has not moved over a 64-iteration window
-    (the gradient test can stay above tolerance at float resolution on very
-    flat objectives); only a row still running at ``max_iter`` has not
-    converged. Rows leave the arrays as they stop. Returns per row (values,
-    points, converged).
+    """Minimize each row ``b`` of ``obj`` over ``[-lam, lam]`` from its
+    starts ``starts[b]`` (k, d), clipped into the box, each start one row
+    of one lockstep run. A start stops when its unit-step projected-gradient
+    norm is at most ``gtol``, when its Newton arc finds no decrease
+    (numerically stationary), or when its value has not moved over a
+    64-iteration window (the gradient test can stay above tolerance at float
+    resolution on very flat objectives); only a start still running at
+    ``max_iter`` has not converged. Starts leave the arrays as they stop.
+    Returns per problem the first least value in start order (a NaN never
+    wins; with none below inf, inf at a NaN point), its point, and whether
+    every start converged.
     """
-    R = starts.shape[0]
-    f_out = np.empty(R)
-    x_out = np.empty(starts.shape)
-    conv_out = np.zeros(R, dtype=bool)
+    B, k, d = starts.shape
+    obj = obj.rows(np.repeat(np.arange(B), k))
+    f_out = np.empty((B, k))
+    x_out = np.empty((B, k, d))
+    conv_out = np.zeros((B, k), dtype=bool)
 
-    rows = np.arange(R)
-    x = np.clip(starts, -lam, lam)
+    rows = np.arange(B * k)
+    x = np.clip(starts.reshape(-1, d), -lam, lam)
     fx = obj.value(x)
     f_checkpoint = fx.copy()
     it = 0
@@ -262,13 +278,16 @@ def newton_box_min(obj, starts, lam, max_iter, gtol):
 
         if stop.any():
             done = rows[stop]
-            f_out[done] = fx[stop]
-            x_out[done] = x[stop]
-            conv_out[done] = True
+            f_out.flat[done] = fx[stop]
+            x_out.reshape(-1, d)[done] = x[stop]
+            conv_out.flat[done] = True
             keep = ~stop
             rows, x, obj = rows[keep], x[keep], obj.rows(keep)
             fx, f_checkpoint = fx[keep], f_checkpoint[keep]
-    f_out[rows] = fx
-    x_out[rows] = x
-    return f_out, x_out, conv_out
-
+    f_out.flat[rows] = fx
+    x_out.reshape(-1, d)[rows] = x
+    best_f, best_x = np.full(B, np.inf), np.full((B, d), np.nan)
+    for si in range(k):
+        lower = f_out[:, si] < best_f
+        best_f[lower], best_x[lower] = f_out[lower, si], x_out[lower, si]
+    return best_f, best_x, conv_out.all(axis=1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _checks as check
 from . import losses, risk
-from ._kernels import newton_box_min
+from ._kernels import box_starts, newton_box_min
 from .losses import predict
 from .risk import (
     FiniteDistribution,
@@ -519,14 +519,13 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     box oracle's iteration cap and tolerance. Instances with the same label
     count run in lockstep, each start one row; every row keeps its own
     stopping rule, so an instance's result does not depend on the rest of
-    the batch. The first best start of an instance wins, and ``converged``
-    says whether every start of it converged. The reported ``brute`` value
-    re-evaluates the inner infimum numerically at the minimizers found, one
-    ``lemma_sup_grid_batch`` call per label count. ``closed`` is the
-    two-argument transform at ``alpha = p_top + p_pred``,
-    ``beta = p_top - p_pred``. The two agree for ``tau <= 2``; above that
-    the closed form is only a lower bound of the brute value (which is the
-    direction the consistency bound uses).
+    the batch. ``converged`` says whether every start of it converged. The
+    reported ``brute`` value re-evaluates the inner infimum numerically at
+    the minimizers found, one ``lemma_sup_grid_batch`` call per label
+    count. ``closed`` is the two-argument transform at ``alpha = p_top +
+    p_pred``, ``beta = p_top - p_pred``. The two agree for ``tau <= 2``;
+    above that the closed form is only a lower bound of the brute value
+    (which is the direction the consistency bound uses).
     """
     pred_labels = [None] * len(ps) if pred_labels is None else \
         list(pred_labels)
@@ -555,27 +554,18 @@ def verify_lemma_inf_batch(ps, taus, seeds, pred_labels=None):
     results = [None] * len(ps)
     for n in sorted({p.shape[0] for p in ps}):
         group = [i for i, p in enumerate(ps) if p.shape[0] == n]
-        dim = n - 1
-        starts = []
-        for i in group:
-            rng = np.random.default_rng(seeds[i])
-            starts += [np.zeros(dim), np.full(dim, -1.0)]
-            starts += [rng.uniform(-_INF_SPREAD, 0.0, dim)
-                       for _ in range(_INF_STARTS - 2)]
-        # every start of every instance is one row
+        fixed = np.zeros((len(group), 2, n - 1))
+        fixed[:, 1] = -1.0
         q = _SupRows(*map(np.concatenate, zip(*(
             _sup_rows(ps[i], taus[i], tops[i], preds[i]) for i in group))))
-        q = q.take(np.repeat(np.arange(len(group)), _INF_STARTS))
-        others = np.repeat([[j for j in range(n) if j != preds[i]]
-                            for i in group], _INF_STARTS, axis=0)
-        obj = _LemmaSupRisk(q, others)
+        obj = _LemmaSupRisk(q, np.array([[j for j in range(n) if j != preds[i]]
+                                         for i in group]))
         h = _INF_SPREAD / 2
-        F, U, conv = newton_box_min(obj, np.array(starts) + h, h, 10000,
-                                    risk.ORACLE_GTOL)
-        best = np.arange(len(group)) * _INF_STARTS + F.reshape(
-            len(group), _INF_STARTS).argmin(axis=1)
-        S_best = obj.rows(best)._scores(U[best])
-        conv = conv.reshape(len(group), _INF_STARTS).all(axis=1)
+        _, U, conv = newton_box_min(
+            obj, box_starts(fixed, [seeds[i] for i in group], _INF_STARTS - 2,
+                            -_INF_SPREAD, 0.0) + h,
+            h, 10000, risk.ORACLE_GTOL)
+        S_best = obj._scores(U)
         # honest re-evaluation: the numeric supremum over mu at each
         # minimizer
         brutes = lemma_sup_grid_batch(S_best, *zip(*(

@@ -27,6 +27,7 @@ from . import losses
 # looks it up; no code here calls it
 from ._kernels import (
     WeightedCondRisk,
+    box_starts,
     newton_box_min,
     pgd_box_weighted_min,
     weighted_cond_value,
@@ -340,26 +341,19 @@ def optimal_scores_rows(P, tau, lam=UNBOUNDED_BOX_LAM):
 
 def pgd_starts(C, lam, seeds):
     """The ``ORACLE_STARTS`` deterministic starts of each row of the weights
-    ``C`` (B, n), as one (B * ORACLE_STARTS, n) array, row ``b``'s block
-    first to last: zeros, the corners that favour the largest and the
-    smallest weight (the first of tied ones), and five drawn uniformly from
-    ``[-lam, lam]`` by ``np.random.default_rng(seeds[b])``, bit for bit the
-    draws of five ``uniform(-lam, lam, n)`` calls on that generator.
+    ``C`` (B, n), as one (B, ORACLE_STARTS, n) array: zeros, the corners
+    that favour the largest and the smallest weight (the first of tied
+    ones), and five ``box_starts`` draws from ``[-lam, lam]`` by
+    ``np.random.default_rng(seeds[b])``.
     ``minimize_weighted_cond_risk_batch`` checks the arguments.
     """
     B, n = C.shape
-    starts = np.empty((B, ORACLE_STARTS, n))
-    starts[:, 0] = 0.0
-    starts[:, 1:3] = -lam
+    corners = np.full((B, 3, n), -lam)
+    corners[:, 0] = 0.0
     rows = np.arange(B)
-    starts[rows, 1, C.argmax(axis=1)] = lam
-    starts[rows, 2, C.argmin(axis=1)] = lam
-    for b, seed in enumerate(seeds):
-        np.random.default_rng(seed).random(out=starts[b, 3:])
-    # uniform's own arithmetic: low + (high - low) * U
-    starts[:, 3:] *= 2.0 * lam
-    starts[:, 3:] -= lam
-    return starts.reshape(B * ORACLE_STARTS, n)
+    corners[rows, 1, C.argmax(axis=1)] = lam
+    corners[rows, 2, C.argmin(axis=1)] = lam
+    return box_starts(corners, seeds, ORACLE_STARTS - 3, -lam, lam)
 
 
 def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
@@ -378,12 +372,10 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
 def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
-    Row ``b`` is solved from the ``pgd_starts`` of ``seeds[b]``, every
-    start of every row one row of a single ``newton_box_min`` call; each
-    start takes bit for bit the steps that the sequential reference
-    ``pgd_box_weighted_min`` takes from it. Per row the best start is the
-    first minimum in start order (a NaN value never wins), and the row has
-    converged when every start has. Returns one ``BruteResult`` per row.
+    Row ``b`` is solved from the ``pgd_starts`` of ``seeds[b]`` by one
+    ``newton_box_min`` call; each start takes bit for bit the steps that
+    the sequential reference ``pgd_box_weighted_min`` takes from it.
+    Returns one ``BruteResult`` per row.
     """
     C = check.floats(C, "C")
     tau = check.tau(tau)
@@ -403,21 +395,10 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     check.integer(max_iter, "max_iter", 1)
     if not seeds:
         return []
-    B, n = C.shape
-    f, x, conv = newton_box_min(
-        WeightedCondRisk(np.repeat(C, ORACLE_STARTS, axis=0), tau),
-        pgd_starts(C, lam, seeds), lam, max_iter, ORACLE_GTOL)
-    f = f.reshape(B, ORACLE_STARTS)
-    x = x.reshape(B, ORACLE_STARTS, n)
-    best_f = np.full(B, np.inf)
-    best_x = np.full((B, n), np.nan)
-    for si in range(ORACLE_STARTS):
-        lower = f[:, si] < best_f
-        best_f[lower] = f[lower, si]
-        best_x[lower] = x[lower, si]
-    conv = conv.reshape(B, ORACLE_STARTS).all(axis=1)
-    return [BruteResult(float(v), s, bool(ok))
-            for v, s, ok in zip(best_f, best_x, conv)]
+    f, x, conv = newton_box_min(WeightedCondRisk(C, tau),
+                                pgd_starts(C, lam, seeds), lam, max_iter,
+                                ORACLE_GTOL)
+    return [BruteResult(float(v), s, bool(ok)) for v, s, ok in zip(f, x, conv)]
 
 
 def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
@@ -503,17 +484,6 @@ class _LinearRisk:
         return self
 
 
-def _linear_joint_minimum(dist, spec, tau, seed):
-    """Minimize the expected risk over shared (W, b) in the weight box from
-    six starts (zero and five uniform); returns (value, all converged)."""
-    size, bound = spec.n * (spec.feature_dim + 1), spec.weight_bound
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([np.zeros(size), rng.uniform(-bound, bound, (5, size))])
-    vals, _, conv = newton_box_min(_LinearRisk(dist, tau), starts, bound,
-                                   10000, ORACLE_GTOL)
-    return float(vals.min()), bool(conv.all())
-
-
 def minimizability_gap(dist, spec, tau, *, seed=0):
     """Best-in-class expected risk minus the expected pointwise infimum.
 
@@ -543,9 +513,14 @@ def minimizability_gap(dist, spec, tau, *, seed=0):
     lams = _linear_point_boxes(dist, spec)
     fits = [minimize_weighted_cond_risk(cond, tau, lam, seed=seed + 31 * k)
             for k, (cond, lam) in enumerate(zip(dist.conds, lams))]
-    joint, converged = _linear_joint_minimum(dist, spec, tau, seed)
-    gap = joint - sum(w * res.value
-                      for w, res in zip(dist.weights.tolist(), fits))
+    # shared (W, b) in the weight box, from zero and five uniform starts
+    size, bound = spec.n * (spec.feature_dim + 1), spec.weight_bound
+    (joint,), _, (converged,) = newton_box_min(
+        _LinearRisk(dist, tau), box_starts(np.zeros((1, 1, size)), [seed], 5,
+                                           -bound, bound),
+        bound, 10000, ORACLE_GTOL)
+    gap = float(joint) - sum(w * res.value for w, res in
+                             zip(dist.weights.tolist(), fits))
     if not (converged and all(res.converged for res in fits)) or gap < -1e-9:
         warnings.warn(f"minimizability gap {gap:.3e}: a minimum did not "
                       f"converge or the joint one lies below the pointwise "

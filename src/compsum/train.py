@@ -145,13 +145,23 @@ class _NesterovSGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = np.zeros_like(model.flat)
+        # the step's velocity and parameters, kept apart until it is taken
+        self._velocity = np.empty_like(model.flat)
+        self._params = np.empty_like(model.flat)
 
     def step(self, grads, lr):
-        mu, p, v = self.momentum, self.model.flat, self.velocity
+        """Take the step unless it would leave a non-finite parameter;
+        returns whether it was taken."""
+        mu, p, new = self.momentum, self.model.flat, self._params
         g = grads + self.weight_decay * p
-        v *= mu
+        v = np.multiply(self.velocity, mu, out=self._velocity)
         v += g
-        p -= lr * (g + mu * v) if mu else lr * g
+        np.subtract(p, lr * (g + mu * v) if mu else lr * g, out=new)
+        taken = np.isfinite(new).all()
+        if taken:
+            p[...] = new
+            self.velocity, self._velocity = v, self.velocity
+        return taken
 
 
 def _standard_batch_grads(model, X, Y, tau):
@@ -224,20 +234,17 @@ def _train_loop(data, model, cfg, batch_step, select_metric):
         losses_epoch = []
         for start in range(0, Xtr.shape[0], cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            # divergence is detected via the finiteness check below, so the
-            # float overflow on the way there is expected, not a defect
+            # divergence: a non-finite loss, or a step that would leave a
+            # non-finite parameter (as any non-finite gradient does), which
+            # the optimizer refuses; the model keeps the state after the
+            # last finite step, and the float overflow on the way is
+            # expected
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = batch_step(model, Xtr[sel], ytr[sel], rng)
-            if not (math.isfinite(loss) and np.isfinite(grads).all()):
-                # divergence: abort before the step, so the model keeps the
-                # state after the last finite one
-                diverged = True
+                diverged = not (math.isfinite(loss) and opt.step(grads, lr))
+            if diverged:
                 break
-            opt.step(grads, lr)
             losses_epoch.append(loss)
-        # a step can overflow the parameters from finite gradients; the next
-        # batch's loss shows it, but the epoch's last step has no next batch
-        diverged = diverged or not np.isfinite(model.flat).all()
         if diverged:
             history.append({"epoch": epoch, "lr": lr,
                             "train_loss": math.inf, "clean_acc": math.nan,

@@ -1,7 +1,8 @@
 """The config contract of ``compsum train``: every key takes each of a
 fixed set of bad numbers, and the run refuses the file under the key,
 writing nothing, or trains and writes a finite checkpoint, or, for a valid
-value whose run overflows, reports the divergence. A key that no command
+value whose run overflows, reports the divergence and writes a finite
+checkpoint that ``compsum evaluate`` reads. A key that no command
 reads under the file's data kind, model kind or training mode is refused by
 name."""
 
@@ -87,8 +88,17 @@ def test_each_bad_number_is_refused_by_key_or_trains(tmp_path, capsys, key):
             ok = code == 0 and len(ckpts) == 1 and \
                 _finite_checkpoint(ckpts[0])
         elif value in DIVERGES.get(key, ()):
+            # a diverged run's checkpoint holds its last finite parameters;
+            # the data keys overflow the features themselves, which
+            # evaluate refuses as `X must be finite`
             ok = code == 1 and err.endswith(
-                "train: tau=1 diverged at epoch 0\n") and len(ckpts) == 1
+                "train: tau=1 diverged at epoch 0\n") and len(ckpts) == 1 \
+                and _finite_checkpoint(ckpts[0]) and (
+                    key.startswith("data.") or main([
+                        "evaluate", "--config",
+                        str(tmp_path / str(i) / "c.cfg"),
+                        "--checkpoint", str(ckpts[0])]) == 0)
+            capsys.readouterr()
         else:
             ok = _refused(key, code, err, outputs)
         if not ok:

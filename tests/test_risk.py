@@ -227,7 +227,7 @@ class TestBatchOracle:
     def test_batch_of_one_equals_the_reference(self):
         c = np.array([0.2, 0.5, 0.3])
         (got,) = minimize_weighted_cond_risk_batch([c], 1.3, 5.0, [4])
-        starts = risk.pgd_starts(c[None], 5.0, [4])
+        (starts,) = risk.pgd_starts(c[None], 5.0, [4])
         value, scores, conv = _kernels.pgd_box_weighted_min(
             c, 1.3, 5.0, starts, 10000, risk.ORACLE_GTOL)
         assert got.value == value
@@ -281,9 +281,9 @@ def test_batch_starts_equal_the_per_problem_reference(n, lam):
     C[3] *= -1.0
     seeds = [0, 1, 7, 2**40 + 3, 12345, n]
     starts = risk.pgd_starts(C, lam, seeds)
-    want = np.concatenate([reference_starts(c, lam, np.random.default_rng(s))
-                           for c, s in zip(C, seeds)])
-    assert starts.shape == (6 * risk.ORACLE_STARTS, n)
+    want = np.stack([reference_starts(c, lam, np.random.default_rng(s))
+                     for c, s in zip(C, seeds)])
+    assert starts.shape == (6, risk.ORACLE_STARTS, n)
     assert np.array_equal(starts, want)
     assert np.array_equal(np.signbit(starts), np.signbit(want))
 
@@ -347,12 +347,48 @@ ORACLE_INSTANCES = ([(20240811, k - 1, k) for k in range(1, 21)]
 def test_oracle_equals_the_sequential_reference(gen_seed, index, seed):
     p, tau = criterion2_draw(gen_seed, index)
     res = cond_risk_star_brute(p, tau, score_box(len(p), 30.0), seed=seed)
-    starts = risk.pgd_starts(p[None], 30.0, [seed])
+    (starts,) = risk.pgd_starts(p[None], 30.0, [seed])
     value, scores, conv = _kernels.pgd_box_weighted_min(
         p, tau, 30.0, starts, 10000, risk.ORACLE_GTOL)
     assert res.value == value
     assert np.array_equal(res.scores, scores)
     assert res.converged == conv
+
+
+class _StepObjective:
+    """Every row is ``f(x) = NaN`` for ``x < 0``, ``floor(x)`` on
+    ``[0, 4)`` (gradient 0) and ``x`` from 4 on (gradient 1)."""
+
+    def value(self, X):
+        x = X[:, 0]
+        with np.errstate(invalid="ignore"):
+            return np.where(x < 0.0, np.nan, np.where(x >= 4.0, x,
+                                                       np.floor(x)))
+
+    def value_grad(self, X):
+        return self.value(X), (X >= 4.0) * 1.0
+
+    def hessian(self, X):
+        return np.ones((X.shape[0], 1, 1))
+
+    def rows(self, keep):
+        return self
+
+
+def test_engine_picks_the_first_least_start_and_needs_every_start():
+    starts = np.array([
+        [-0.5, 2.2, 1.3, 1.7],  # NaN first, then 2 and a tie at 1
+        [2.2, 1.3, 1.7, -0.5],  # the tie first, NaN last
+        [0.5, 0.9, 4.5, 2.0],  # 4.5 steps to 3.5 and is cut by the cap
+    ])[:, :, None]
+    f, x, conv = _kernels.newton_box_min(_StepObjective(), starts, 10.0, 1,
+                                         1e-10)
+    assert f.tolist() == [1.0, 1.0, 0.0]
+    assert x.tolist() == [[1.3], [1.3], [0.5]]
+    assert conv.tolist() == [True, True, False]
+    # without the cap every start converges
+    assert _kernels.newton_box_min(_StepObjective(), starts, 10.0, 10000,
+                                   1e-10)[2].tolist() == [True, True, True]
 
 
 def test_one_problem_is_one_lockstep_call(monkeypatch):
@@ -363,7 +399,7 @@ def test_one_problem_is_one_lockstep_call(monkeypatch):
     engine = _kernels.newton_box_min
 
     def counted(obj, starts, lam, max_iter, gtol):
-        rows.append(starts.shape[0])
+        rows.append(starts.shape)
         return engine(obj, starts, lam, max_iter, gtol)
 
     monkeypatch.setattr(risk, "pgd_box_weighted_min", sequential)
@@ -371,7 +407,7 @@ def test_one_problem_is_one_lockstep_call(monkeypatch):
     res = minimize_weighted_cond_risk(np.array([0.45, 0.3, 0.15, 0.1]), 1.6,
                                       30.0, seed=2)
     assert res.converged
-    assert rows == [risk.ORACLE_STARTS] == [8]
+    assert rows == [(1, risk.ORACLE_STARTS, 4)] == [(1, 8, 4)]
 
 
 def test_one_problem_kernel_call_pattern(monkeypatch):
@@ -399,7 +435,7 @@ def test_one_problem_kernel_call_pattern(monkeypatch):
     monkeypatch.setattr(_kernels, "weighted_cond_value", counted_value)
     monkeypatch.setattr(_kernels, "weighted_cond_value_grad", counted_grad)
     c = np.array([0.45, 0.3, 0.15, 0.1])
-    starts = risk.pgd_starts(c[None], 30.0, [2])
+    (starts,) = risk.pgd_starts(c[None], 30.0, [2])
     _, _, conv = risk.pgd_box_weighted_min(c, 1.6, 30.0, starts, 10000,
                                            1e-10)
     assert conv
