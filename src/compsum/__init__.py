@@ -43,9 +43,7 @@ from .risk import (
     finite_distribution,
     gap_upper_bound_deterministic,
     linear_family,
-    load_distribution,
     minimizability_gap,
-    save_distribution,
     score_box,
 )
 from .train import (
@@ -85,7 +83,6 @@ __all__ = [
     "cond_risk", "cond_risk_star_closed", "cond_risk_star_brute",
     "calibration_gap", "minimizability_gap",
     "gap_upper_bound_deterministic",
-    "save_distribution", "load_distribution",
     "BoundReport", "verify_h_consistency_bound",
     "verify_h_consistency_bound_batch",
     "build_tightness_instance", "tightness_sides",

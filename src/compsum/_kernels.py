@@ -12,11 +12,12 @@ rows. The box oracle's, ``WeightedCondRisk``, is ``sum_y c[y] * loss(s, y,
 tau)``, whose value, score gradient and Hessian exist once each, row-wise,
 on the log-sum-exp and the fixed-order row sums of ``losses``; the
 conditional risk ``risk.cond_risk`` is a one-row call of the value.
-Every box problem runs from the starts of ``box_starts`` on the lockstep
-``newton_box_min``, which picks each problem's best start: the box
-oracle's problems (``risk.minimize_weighted_cond_risk_batch``), the joint
-minimum over a linear family's shared weights (``risk``) and the lemma
-infimum over the closed supremum form (``bounds``). The sequential reference
+Every box problem runs on the lockstep ``newton_box_min``, which picks
+each problem's best start: the box oracle's problems
+(``risk.minimize_weighted_cond_risk_batch``; one start where the problem
+is convex, ``box_starts`` otherwise), the joint minimum over a linear
+family's shared weights (``risk``) and the lemma infimum over the closed
+supremum form (``bounds``), both from ``box_starts``. The sequential reference
 ``pgd_box_weighted_min`` runs one start after another on one-row arrays
 and takes the same steps bit for bit; no package code calls it, the tests
 compare against it and the benchmark's tracer wraps it.

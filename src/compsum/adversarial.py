@@ -91,7 +91,11 @@ class AdvParams:
     def step_size(self, ball):
         if self.pgd_step_size is not None:
             return self.pgd_step_size
-        return 2.5 * ball.gamma / self.pgd_steps
+        step = 2.5 * ball.gamma
+        # divide first only where the product overflows, so every other
+        # radius keeps the bits of 2.5 * gamma / pgd_steps
+        return step / self.pgd_steps if step < math.inf else \
+            2.5 * (ball.gamma / self.pgd_steps)
 
 
 def rho_margin(u, rho):
@@ -190,7 +194,9 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None,
     needs a start off it. Further restarts start uniformly inside the
     (projected) ball, drawn for the whole batch. The best value seen at any
     iterate is retained per row, so enlarging the budget never lowers the
-    estimate. Returns (best values, best points).
+    estimate. Returns (best values, best points); a step or a best point
+    that overflows is refused under ``gamma``, since a NaN iterate would
+    otherwise drop out of the best values unseen.
 
     A row leaves the attack early by two rules, so a full budget is at
     most ``restarts * (pgd_steps + 1) - 1`` passes beyond the clean one,
@@ -223,6 +229,9 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None,
     if ball.gamma == 0.0:
         return best_v, best_X
     step = adv.step_size(ball)
+    if not step < math.inf:
+        raise ValueError(f"gamma: the attack step at gamma {ball.gamma:g} "
+                         f"overflows")
     tail = X.shape[0] % _BLAS_BLOCK
 
     def attack_pass(rows, Xp):
@@ -279,6 +288,9 @@ def pgd_maximize(model, objective, X, clean, ball, adv, rng=None,
             back, ds = attack_pass(rows, Xp)
             if stop is not None:
                 live &= best_v[rows] <= stop
+    if not np.isfinite(best_X).all():
+        raise ValueError(f"gamma: the attack's points at gamma "
+                         f"{ball.gamma:g} overflow")
     return best_v, best_X
 
 

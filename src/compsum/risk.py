@@ -2,9 +2,10 @@
 
 The closed-form best-in-class conditional risk assumes a symmetric and
 complete hypothesis set; the brute-force oracle minimizes over an explicit
-score box by multi-start safeguarded projected Newton descent (one Armijo
-search along the projected Newton arc per iteration) and is the
-independent cross-check for every closed form in this module.
+score box by safeguarded projected Newton descent (one Armijo search along
+the projected Newton arc per iteration), from one start where the problem
+is convex and from several otherwise, and is the independent cross-check
+for every closed form in this module.
 Expectations run over a ``FiniteDistribution``, three arrays (weights,
 conditionals, features) checked once when built.
 
@@ -38,8 +39,8 @@ from .losses import TAU_BRANCH_TOL
 # brute-force oracle.
 UNBOUNDED_BOX_LAM = 30.0
 
-# Starts per brute-force oracle problem, and the unit-step projected-gradient
-# norm at which a start has converged.
+# Starts per brute-force oracle problem that is not convex, and the
+# unit-step projected-gradient norm at which a start has converged.
 ORACLE_STARTS = 8
 ORACLE_GTOL = 1e-10
 
@@ -92,56 +93,6 @@ class FiniteDistribution:
 
 # the name that callers, the README tour and the benchmark build with
 finite_distribution = FiniteDistribution
-
-
-def save_distribution(dist, path):
-    """Write the tabular form: header ``weight,p1,...,pn``, followed by
-    ``x1,...,xd`` when the distribution has features, one row per atom."""
-    table = np.column_stack([dist.weights, dist.conds]
-                            + ([] if dist.xs is None else [dist.xs]))
-    with open(path, "w") as fh:
-        fh.write(",".join(_distribution_columns(
-            dist.n, table.shape[1] - 1 - dist.n)) + "\n")
-        for row in table.tolist():
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _distribution_columns(n, d):
-    return (["weight"] + [f"p{i + 1}" for i in range(n)]
-            + [f"x{j + 1}" for j in range(d)])
-
-
-def load_distribution(path):
-    """Read the tabular form that ``save_distribution`` writes; a file
-    without ``x`` columns loads with ``xs`` None."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        n = sum(c.startswith("p") for c in cols)
-        d = len(cols) - 1 - n
-        if n < 2 or cols != _distribution_columns(n, d):
-            raise ValueError(f"bad distribution header: {header!r}; expected "
-                             f"weight,p1,...,pn with n >= 2, then "
-                             f"x1,...,xd if any")
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(cols):
-                raise ValueError(f"line {line_no}: expected {len(cols)} fields")
-            row = []
-            for col, (name, v) in enumerate(zip(cols, fields), start=1):
-                try:
-                    row.append(float(v))
-                except ValueError:
-                    raise ValueError(f"line {line_no}, column {col} ({name}): "
-                                     f"{v!r} is not a number") from None
-            rows.append(row)
-    table = np.array(rows).reshape(-1, len(cols))
-    return finite_distribution(table[:, 0], table[:, 1:n + 1],
-                               table[:, n + 1:] if d else None)
 
 
 @dataclass(frozen=True)
@@ -344,8 +295,8 @@ def pgd_starts(C, lam, seeds):
     ``C`` (B, n), as one (B, ORACLE_STARTS, n) array: zeros, the corners
     that favour the largest and the smallest weight (the first of tied
     ones), and five ``box_starts`` draws from ``[-lam, lam]`` by
-    ``np.random.default_rng(seeds[b])``.
-    ``minimize_weighted_cond_risk_batch`` checks the arguments.
+    ``np.random.default_rng(seeds[b])``. ``oracle_starts`` gives them to
+    the rows whose problem is not convex.
     """
     B, n = C.shape
     corners = np.full((B, 3, n), -lam)
@@ -356,13 +307,35 @@ def pgd_starts(C, lam, seeds):
     return box_starts(corners, seeds, ORACLE_STARTS - 3, -lam, lam)
 
 
+def oracle_starts(C, tau, lam, seeds):
+    """The box oracle's starts for the rows of the weights ``C`` (B, n), as
+    ``(rows, starts)`` pairs, one per start rule that some row takes, with
+    ``starts`` (len(rows), k, n).
+
+    For ``tau <= 1`` a row of nonnegative weights is a convex problem (the
+    loss is convex and nondecreasing in the convex ``lse(s) - s_y``), with
+    one start: ``lam`` at each positive weight, ``-lam`` at each zero one.
+    A common shift leaves the risk unchanged and a falling zero-weight
+    score never raises it, so some minimizer holds those scores there; the
+    risk is nearly flat along those moves, and a start off them (0, say)
+    can stop on the gradient test short of the minimum. Every other row
+    has the ``pgd_starts`` of its seed. The batch checks the arguments.
+    """
+    convex = (C >= 0.0).all(axis=1) & (tau <= 1.0)
+    one, many = np.flatnonzero(convex), np.flatnonzero(~convex)
+    groups = [(one, np.where(C[one] > 0.0, lam, -lam)[:, None]),
+              (many, pgd_starts(C[many], lam, [seeds[b] for b in many]))]
+    return [(rows, starts) for rows, starts in groups if rows.size]
+
+
 def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
     """Minimize ``sum_y c[y] * loss(s, y, tau)`` over the box ``[-lam, lam]^n``.
 
     ``c`` may carry negative entries (used with negated coefficients to
     compute suprema). Deterministic given ``seed``. A batch of one: the
-    ``pgd_starts`` of ``seed`` run as the rows of one lockstep projected
-    Newton call, and the first best start wins.
+    ``oracle_starts`` of the problem, one start where it is convex and the
+    ``pgd_starts`` of ``seed`` otherwise, run as the rows of one lockstep
+    projected Newton call, and the first best start wins.
     """
     return minimize_weighted_cond_risk_batch(
         np.asarray(c, dtype=np.float64)[None], tau, lam,
@@ -372,10 +345,14 @@ def minimize_weighted_cond_risk(c, tau, lam, *, seed=0, max_iter=10000):
 def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     """``minimize_weighted_cond_risk`` for each row of ``C`` on one box.
 
-    Row ``b`` is solved from the ``pgd_starts`` of ``seeds[b]`` by one
-    ``newton_box_min`` call; each start takes bit for bit the steps that
-    the sequential reference ``pgd_box_weighted_min`` takes from it.
-    Returns one ``BruteResult`` per row.
+    The rows of each start rule of ``oracle_starts`` (the convex rows from
+    one start, the others from the ``pgd_starts`` of ``seeds[b]``) are
+    solved by one ``newton_box_min`` call, at most two calls per batch;
+    each start takes bit for bit the steps that the sequential reference
+    ``pgd_box_weighted_min`` takes from it, so a row's result does not
+    depend on the rest of the batch. Returns one ``BruteResult`` per row,
+    in row order; ``converged`` is False when any of the row's starts was
+    still running at ``max_iter``.
     """
     C = check.floats(C, "C")
     tau = check.tau(tau)
@@ -393,20 +370,21 @@ def minimize_weighted_cond_risk_batch(C, tau, lam, seeds, *, max_iter=10000):
     for seed in seeds:
         check.integer(seed, "seeds", 0)
     check.integer(max_iter, "max_iter", 1)
-    if not seeds:
-        return []
-    f, x, conv = newton_box_min(WeightedCondRisk(C, tau),
-                                pgd_starts(C, lam, seeds), lam, max_iter,
-                                ORACLE_GTOL)
+    f, x = np.empty(len(C)), np.empty(C.shape)
+    conv = np.empty(len(C), dtype=bool)
+    for rows, starts in oracle_starts(C, tau, lam, seeds):
+        f[rows], x[rows], conv[rows] = newton_box_min(
+            WeightedCondRisk(C[rows], tau), starts, lam, max_iter, ORACLE_GTOL)
     return [BruteResult(float(v), s, bool(ok)) for v, s, ok in zip(f, x, conv)]
 
 
 def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     """Independent oracle: minimize the conditional risk over a score box.
 
-    Multi-start safeguarded projected Newton descent (an Armijo search on
-    the projected Newton arc), the ``ORACLE_STARTS`` starts of ``seed`` in
-    lockstep through ``minimize_weighted_cond_risk``; ``converged`` is
+    Safeguarded projected Newton descent (an Armijo search on the projected
+    Newton arc) through ``minimize_weighted_cond_risk``: one start for
+    ``tau <= 1``, where the problem is convex, and otherwise the
+    ``ORACLE_STARTS`` starts of ``seed`` in lockstep; ``converged`` is
     False when any start was still running at ``max_iter`` (a warning, not
     an error).
     """

@@ -37,12 +37,19 @@ class SyntheticDataset:
     spec: dict = field(default_factory=dict)
 
 
+def _check_finite(name, value, *draws):
+    """Refuse under ``name`` a scale ``value`` whose ``draws`` overflow."""
+    if not all(np.isfinite(A).all() for A in draws):
+        raise ValueError(f"{name}: {value:g} makes the data non-finite")
+
+
 def gaussian_mixture_dataset(n_classes=10, dim=20, n_train=5000, n_test=1000,
                              center_scale=2.0, noise=2.0, seed=0):
     """Gaussian mixture with one spherical cluster per class.
 
     ``center_scale`` controls class separation, ``noise`` the within-class
-    spread; together they set the Bayes accuracy of the benchmark.
+    spread; together they set the Bayes accuracy of the benchmark. A scale
+    whose draws overflow is refused, ``center_scale`` before ``noise``.
     """
     check.sizes(2, n_classes=n_classes)
     check.sizes(dim=dim, n_train=n_train, n_test=n_test)
@@ -51,6 +58,7 @@ def gaussian_mixture_dataset(n_classes=10, dim=20, n_train=5000, n_test=1000,
     check.integer(seed, "seed")
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=center_scale, size=(n_classes, dim))
+    _check_finite("center_scale", center_scale, centers)
     priors = np.full(n_classes, 1.0 / n_classes)
 
     def draw(count):
@@ -60,6 +68,7 @@ def gaussian_mixture_dataset(n_classes=10, dim=20, n_train=5000, n_test=1000,
 
     X_train, y_train = draw(n_train)
     X_test, y_test = draw(n_test)
+    _check_finite("noise", noise, X_train, X_test)
     spec = {"kind": "gaussian_mixture", "n_classes": n_classes, "dim": dim,
             "center_scale": center_scale, "noise": noise, "seed": seed}
     return SyntheticDataset(X_train, y_train, X_test, y_test, n_classes, spec)
@@ -76,7 +85,7 @@ def margin_task_dataset(n_train=400, n_test=800, dim=20, center=0.8,
     first axis is robust at that radius; a model whose score slopes leak
     into the noise dimensions (which a small clean-trained sample
     encourages) hands the max-norm attack a budget of ``gamma`` in every
-    leaked dimension.
+    leaked dimension. A ``sigma`` whose features overflow is refused.
     """
     check.sizes(dim=dim, n_train=n_train, n_test=n_test)
     check.real(center, "center")
@@ -92,6 +101,7 @@ def margin_task_dataset(n_train=400, n_test=800, dim=20, center=0.8,
 
     X_train, y_train = draw(n_train)
     X_test, y_test = draw(n_test)
+    _check_finite("sigma", sigma, X_train, X_test)
     spec = {"kind": "margin_task", "n_classes": 2, "dim": dim,
             "center": center, "sigma": sigma, "seed": seed,
             "designed_gamma": center - 1.25 * sigma}

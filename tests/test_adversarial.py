@@ -125,6 +125,20 @@ class TestParams:
         assert a.step_size(PerturbationBall(math.inf, 0.4)) == pytest.approx(
             0.1)
 
+    @pytest.mark.parametrize("gamma, steps", [
+        (0.4, 10), (0.3, 2), (1e-300, 7), (7e307, 3)])
+    def test_default_step_size_keeps_its_bits_below_the_overflow(self, gamma,
+                                                                 steps):
+        ball = PerturbationBall(math.inf, gamma)
+        assert AdvParams(n=2, pgd_steps=steps).step_size(ball) == \
+            2.5 * gamma / steps
+
+    def test_default_step_size_divides_first_where_the_product_overflows(
+            self):
+        ball = PerturbationBall(math.inf, 1e308)
+        assert AdvParams(n=2, pgd_steps=2).step_size(ball) == 1.25e308
+        assert AdvParams(n=2, pgd_steps=1).step_size(ball) == math.inf
+
 
 def _ramp_case(tau):
     def case(rng, S, Y):
@@ -577,6 +591,36 @@ class TestInPlaceSteps:
                                ball, adv)
         assert len(calls) == 3
         assert np.array_equal(best, Xp)
+
+    def test_overflowing_step_is_refused_under_gamma(self):
+        # 2.5 * (1e308 / 1) is inf: the step would make NaN iterates, which
+        # never beat a best value and so would drop out unseen
+        model, X, _ = self._problem(math.inf)
+        Y = np.arange(X.shape[0]) % 3
+        with pytest.raises(ValueError, match="^gamma: the attack step"):
+            pgd_maximize(model, _margin_objective(Y), X,
+                         model.forward_vjp(X), PerturbationBall(math.inf,
+                                                                1e308),
+                         AdvParams(n=3, pgd_steps=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_best_point_is_refused_under_gamma(self):
+        # a point at 1e308 steps to inf, and the objective takes it as best
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(9, 5))
+        X[:, 0] = 1e308
+        calls = []
+
+        def rising(scores, rows):
+            calls.append(None)
+            return np.full(scores.shape[0], float(len(calls))), \
+                np.ones((scores.shape[0], 3))
+
+        model = init_linear(5, 3, seed=1)
+        with pytest.raises(ValueError, match="^gamma: the attack's points"):
+            pgd_maximize(model, rising, X, model.forward_vjp(X),
+                         PerturbationBall(math.inf, 1e308),
+                         AdvParams(n=3, pgd_steps=3))
 
     @pytest.mark.parametrize("p_norm", [1.0, 2.0, math.inf])
     def test_attack_leaves_inputs_and_clean_pass_unchanged(self, p_norm):

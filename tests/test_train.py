@@ -85,6 +85,21 @@ class TestSizeChecks:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             make(**kwargs)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("make, kwargs, field", [
+        (gaussian_mixture_dataset, dict(center_scale=1e308), "center_scale"),
+        (gaussian_mixture_dataset, dict(noise=1e308), "noise"),
+        (gaussian_mixture_dataset, dict(center_scale=1e308, noise=1e308),
+         "center_scale"),
+        (margin_task_dataset, dict(sigma=1e308), "sigma"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_datasets_refuse_a_scale_that_overflows_the_data(self, make,
+                                                            kwargs, field):
+        with pytest.raises(ValueError,
+                           match=f"^{field}: 1e\\+308 makes the data "
+                                 f"non-finite"):
+            make(n_train=50, n_test=10, seed=0, **kwargs)
+
     @pytest.mark.filterwarnings("error")
     def test_split_leaving_no_training_point_rejected(self):
         # the holdout keeps at least one point whenever holdout_frac > 0,
