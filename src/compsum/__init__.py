@@ -4,11 +4,8 @@ variants, and the numerical verification harness built on them."""
 from .adversarial import (
     AdvParams,
     PerturbationBall,
-    adv_comp_rho_loss,
-    adv_zero_one,
     check_local_rho_consistency,
     rho_margin,
-    smooth_adv_comp_loss,
     verify_adv_bound,
     verify_adv_bound_batch,
 )
@@ -36,7 +33,6 @@ from .losses import (
 from .risk import (
     FiniteDistribution,
     HypothesisSpec,
-    calibration_gap,
     cond_risk,
     cond_risk_star_brute,
     cond_risk_star_closed,
@@ -81,7 +77,7 @@ __all__ = [
     "FiniteDistribution", "HypothesisSpec",
     "finite_distribution", "score_box", "linear_family",
     "cond_risk", "cond_risk_star_closed", "cond_risk_star_brute",
-    "calibration_gap", "minimizability_gap",
+    "minimizability_gap",
     "gap_upper_bound_deterministic",
     "BoundReport", "verify_h_consistency_bound",
     "verify_h_consistency_bound_batch",
@@ -89,7 +85,6 @@ __all__ = [
     "hbar_mu_scores", "lemma_sup_closed", "lemma_sup_grid",
     "verify_lemma_inf", "verify_lemma_inf_batch", "learning_bound",
     "PerturbationBall", "AdvParams", "rho_margin",
-    "adv_comp_rho_loss", "smooth_adv_comp_loss", "adv_zero_one",
     "check_local_rho_consistency", "verify_adv_bound",
     "verify_adv_bound_batch",
     "TrainConfig", "gaussian_mixture_dataset", "margin_task_dataset",

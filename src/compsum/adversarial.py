@@ -379,38 +379,14 @@ def _margin_objective(Y):
     return objective
 
 
-def _one_example(model, x, y):
-    """One example as a one-row batch ``(X, Y)``: ``x`` a finite scalar or
-    vector of length ``model.dim`` at which the model's score differences
-    are finite, ``y`` a label of the model."""
-    x = check.reals(x, "x")
-    if x.ndim > 1 or x.size != model.dim:
-        raise ValueError(f"x must be a scalar or a vector of length "
-                         f"{model.dim}, got shape {x.shape}")
-    X = x.reshape(1, model.dim)
-    with np.errstate(over="ignore"):
-        spread = np.ptp(model.forward(X))
-    if not np.isfinite(spread):
-        raise ValueError("x: the model's score differences at x overflow")
-    return X, np.array([check.label(y, model.n_labels, "y")])
-
-
 def adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball, rng=None):
-    """PGD estimate of the worst ramp-margin comp-sum loss over the ball."""
+    """PGD estimate of the worst ramp-margin comp-sum loss of each row over
+    the ball: a lower bound in ``[0, phi_tau(n - 1)]``, exact at
+    ``gamma = 0``."""
     objective = _ramp_objective(check.labels(Y, model.n_labels, len(X)),
                                 check.tau(tau), adv.rho)
     return pgd_maximize(model, objective, X, model.forward_vjp(X), ball, adv,
                         rng)[0]
-
-
-def adv_comp_rho_loss(model, x, y, tau, adv, ball):
-    """Worst ramp-margin comp-sum loss of one example (PGD lower bound).
-
-    Value lies in ``[0, phi_tau(n - 1)]``; at ``gamma = 0`` it is exactly
-    the pointwise ramp-margin loss.
-    """
-    X, Y = _one_example(model, x, y)
-    return float(adv_comp_rho_loss_batch(model, X, Y, tau, adv, ball)[0])
 
 
 def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None,
@@ -458,17 +434,6 @@ def smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball, rng=None,
             + back_adv.params(scale * ds_dev))
 
 
-def smooth_adv_comp_loss(model, x, y, tau, adv, ball):
-    """Smooth adversarial comp-sum loss of one example.
-
-    At ``gamma = 0`` the deviation term vanishes and the value is exactly
-    the clean loss at the scaled scores. Dominates the ramp-margin
-    adversarial loss whenever both inner suprema are exact.
-    """
-    X, Y = _one_example(model, x, y)
-    return float(smooth_adv_comp_loss_batch(model, X, Y, tau, adv, ball)[0])
-
-
 def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
     """Worst-case zero-one losses (PGD lower bound, attacking the margin
     from the clean pass ``clean = model.forward_vjp(X)``): 1 where any
@@ -486,13 +451,6 @@ def adv_zero_one_batch(model, X, Y, clean, ball, attack, rng=None):
     wrong_clean = predict_batch(clean[0]) != Y
     wrong_adv = predict_batch(model.forward(Xbest)) != Y
     return (wrong_clean | wrong_adv).astype(np.int64)
-
-
-def adv_zero_one(model, x, y, ball, attack):
-    """Worst-case zero-one loss of one example; exact at ``gamma = 0``."""
-    X, Y = _one_example(model, x, y)
-    return int(adv_zero_one_batch(model, X, Y, model.forward_vjp(X), ball,
-                                  attack)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,30 +590,18 @@ def smooth_adv_exact_rows(W, B, X, Y, tau, rho, nu, gamma):
             + nu * deviation_sup_exact_rows(W, Y, gamma))
 
 
-def clean_rho_loss(model, x, y, tau, rho):
-    """Pointwise ramp-margin comp-sum loss (no perturbation)."""
-    X, Y = _one_example(model, x, y)
-    objective = _ramp_objective(Y, check.tau(tau), rho)
-    return float(objective(model.forward(X))[0][0])
-
-
 def _cstar_adv_rho_rows(P, tau):
-    """``cstar_adv_rho_closed`` of each row of ``P`` (R, n), conditionals
-    checked and clipped at 0, at its tau (R,)."""
+    """Best-in-class conditional sup-ramp risk of a symmetric locally
+    margin-consistent set for each row of ``P`` (R, n), conditionals
+    checked and clipped at 0, at its tau (R,): the ascending-sorted
+    probabilities dotted with the transform of the count of strictly
+    higher labels."""
     n = P.shape[1]
     coeffs = _phi_rows(np.arange(n - 1, -1, -1, dtype=np.float64),
                        tau[:, None])
     Q = np.sort(P, axis=1)
     # each row's dot as ``q @ coeffs`` takes it: one BLAS dot per row
     return (Q[:, None, :] @ coeffs[:, :, None])[:, 0, 0]
-
-
-def cstar_adv_rho_closed(p, tau):
-    """Best-in-class conditional sup-ramp risk for a symmetric locally
-    margin-consistent set: ascending-sorted probabilities dotted with the
-    transform of the count of strictly-higher labels."""
-    return float(_cstar_adv_rho_rows(check.cond_dist(p)[None],
-                                     np.array([check.tau(tau)]))[0])
 
 
 def _best_threshold_adv01(dist, gamma):

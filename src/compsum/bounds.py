@@ -189,11 +189,21 @@ def tightness_sides(inst):
 # ---------------------------------------------------------------------------
 
 def hbar_mu_range(scores, y_max, pred=None):
-    """Open interval of ``mu`` keeping both transformed scores representable."""
+    """Open interval of ``mu`` keeping both transformed scores representable:
+    ``(-exp(h[y_max]), exp(h[pred]))``, refused under ``scores`` when either
+    bound is 0 or overflows."""
     s = check.scores(scores)
     y_max = check.label(y_max, s.shape[0], "y_max")
     pred = predict(s) if pred is None else check.label(pred, len(s), "pred")
-    return -math.exp(s[y_max]), math.exp(s[pred])
+    try:
+        lo, hi = -math.exp(s[y_max]), math.exp(s[pred])
+        if lo < 0.0 < hi:
+            return lo, hi
+    except OverflowError:
+        pass
+    raise ValueError(f"scores: the exp of the y_max score {s[y_max]:g} and "
+                     f"of the pred score {s[pred]:g} must be positive and "
+                     f"finite")
 
 
 def hbar_mu_scores(scores, mu, y_max, pred=None):
@@ -211,12 +221,12 @@ def hbar_mu_scores(scores, mu, y_max, pred=None):
     pred = predict(s) if pred is None else check.label(pred, len(s), "pred")
     if pred == y_max:
         return s.copy()
-    lo, hi = -math.exp(s[y_max]), math.exp(s[pred])
+    lo, hi = hbar_mu_range(s, y_max, pred)
     if not lo < mu < hi:
         raise ValueError(f"mu={mu} outside the representable interval ({lo}, {hi})")
     out = s.copy()
-    out[pred] = math.log(math.exp(s[y_max]) + mu)
-    out[y_max] = math.log(math.exp(s[pred]) - mu)
+    out[pred] = math.log(mu - lo)
+    out[y_max] = math.log(hi - mu)
     return out
 
 

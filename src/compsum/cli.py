@@ -176,10 +176,12 @@ def cmd_evaluate(args):
     return 0
 
 
-def _add_common(p, out_default=None):
+def _add_common(p, out_default=None, seed_help=None):
+    """``--out``, and ``--seed`` when ``seed_help`` says what it sets."""
     p.add_argument("--out", default=out_default, help="output CSV path")
-    p.add_argument("--seed", type=_int_at_least(0, "nonnegative"),
-                   default=None, help="override the config seed")
+    if seed_help:
+        p.add_argument("--seed", type=_int_at_least(0, "nonnegative"),
+                       default=None, help=seed_help)
 
 
 def _int_at_least(floor, what):
@@ -216,7 +218,7 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     p.add_argument("--count", type=_int_at_least(1, "positive"), default=None,
                    help="instance count override")
-    _add_common(p)
+    _add_common(p, seed_help="the suite seed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gaps", help="emit the deterministic-case gap-bound "
@@ -232,7 +234,8 @@ def build_parser():
     p = sub.add_parser("train", help="train per the config file",
                        epilog=key_help)
     p.add_argument("--config", required=True)
-    _add_common(p, out_default="metrics.csv")
+    _add_common(p, out_default="metrics.csv",
+                seed_help="override the config seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint",
@@ -241,7 +244,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--robust", action="store_true",
                    help="also attack with the config's ball")
-    _add_common(p)
+    _add_common(p, seed_help="override the config seed")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

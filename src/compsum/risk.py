@@ -1,4 +1,4 @@
-"""Conditional risks, best-in-class risks, calibration and minimizability gaps.
+"""Conditional risks, best-in-class risks and minimizability gaps.
 
 The closed-form best-in-class conditional risk assumes a symmetric and
 complete hypothesis set; the brute-force oracle minimizes over an explicit
@@ -166,8 +166,7 @@ class BruteResult:
 def cond_risk(scores, p, tau):
     """Conditional risk ``sum_y p_y * loss(scores, y, tau)``: a one-row call
     of ``weighted_cond_value``, the objective that the box oracle
-    minimizes, so ``calibration_gap`` subtracts the oracle's minimum from
-    the same function."""
+    minimizes."""
     s = check.scores(scores)
     p = check.cond_dist(p, s.shape[0])
     return float(weighted_cond_value(s[None], p[None], check.tau(tau))[0])
@@ -259,22 +258,16 @@ def cond_risk_star_closed_rows(P, tau):
     return out
 
 
-def optimal_scores(p, tau, lam=UNBOUNDED_BOX_LAM):
-    """Score vector attaining the complete-set conditional risk minimum.
+def optimal_scores_rows(P, tau, lam=UNBOUNDED_BOX_LAM):
+    """Score vector attaining the complete-set conditional risk minimum of
+    each row of ``P`` (R, n) at its own ``tau`` (R,); the rows are
+    conditionals that ``check.cond_dist`` has passed and clipped at 0, and
+    the taus are checked.
 
     Proportional in exp-space to ``p ** (1 / (2 - tau))``; labels with zero
     probability sit at ``-lam``. For ``tau >= 2`` the minimizer is the
     degenerate limit: top label at ``+lam``, everything else at ``-lam``.
-    A one-row call of ``optimal_scores_rows``.
     """
-    return optimal_scores_rows(check.cond_dist(p)[None],
-                               np.array([check.tau(tau)]), lam)[0]
-
-
-def optimal_scores_rows(P, tau, lam=UNBOUNDED_BOX_LAM):
-    """``optimal_scores`` of each row of ``P`` (R, n) at its own ``tau``
-    (R,); the rows are conditionals that ``check.cond_dist`` has passed and
-    clipped at 0, and the taus are checked."""
     S = np.empty(P.shape)
     vertex = tau >= 2.0 - TAU_BRANCH_TOL
     if vertex.any():
@@ -394,19 +387,6 @@ def cond_risk_star_brute(p, tau, spec, *, seed=0, max_iter=10000):
     check.label_count(spec.n, p.shape[0], "spec")
     return minimize_weighted_cond_risk(p, tau, spec.box_lam(), seed=seed,
                                        max_iter=max_iter)
-
-
-def cond_risk_star(p, tau, spec, **kw):
-    """Closed form when the spec is complete, brute force otherwise."""
-    check.label_count(spec.n, check.cond_dist(p).shape[0], "spec")
-    if spec.kind == "score_box" and spec.is_complete:
-        return cond_risk_star_closed(p, tau)
-    return cond_risk_star_brute(p, tau, spec, **kw).value
-
-
-def calibration_gap(scores, p, tau, spec, **kw):
-    """Conditional risk of the scores minus the best-in-class value."""
-    return cond_risk(scores, p, tau) - cond_risk_star(p, tau, spec, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,21 @@ import pytest
 from compsum.adversarial import (
     AdvParams,
     PerturbationBall,
+    _cstar_adv_rho_rows,
     _l1_project_rows,
     _margin_objective,
     _ramp_objective,
     _steepest_ascent,
-    adv_comp_rho_loss,
     adv_comp_rho_loss_batch,
-    adv_zero_one,
     adv_zero_one_batch,
     adv_zero_one_exact_rows,
     check_local_rho_consistency,
-    clean_rho_loss,
-    cstar_adv_rho_closed,
     deviation_objective,
     deviation_sup_exact_rows,
     pgd_maximize,
     project_to_ball,
     rho_margin,
     rho_margin_subgrad,
-    smooth_adv_comp_loss,
     smooth_adv_comp_loss_batch,
     smooth_adv_exact_rows,
     sup_ramp_exact_rows,
@@ -54,6 +50,20 @@ def exact_rho_loss(model, x, y, tau, rho, gamma):
     """Exact worst ramp-margin comp-sum loss of one example."""
     return phi_tau(sup_ramp_exact_rows(*one_row(model, x, y), rho, gamma)[0],
                    tau)
+
+
+def one_example(x, y):
+    """One example of a 1-D model as the batch losses' one-row arrays."""
+    return np.array([[float(x)]]), np.array([y])
+
+
+def clean_rho_loss(model, x, y, tau, rho):
+    """Pointwise ramp-margin comp-sum loss of one example: the transform of
+    the ramps at its label's score margins, its own margin left out."""
+    s = model.forward(np.array([[float(x)]]))[0]
+    ramps = rho_margin(s[y] - s, rho)
+    ramps[y] = 0.0
+    return phi_tau(ramps.sum(), tau)
 
 
 class TestRampLoss:
@@ -252,19 +262,24 @@ class TestDegenerateBall:
         self.adv = AdvParams(n=2, rho=1.0, pgd_steps=5, restarts=2, seed=0)
 
     def test_rho_loss_is_pointwise(self):
-        v = adv_comp_rho_loss(self.model, [0.3], 0, 1.0, self.adv, self.ball)
-        assert v == pytest.approx(clean_rho_loss(self.model, [0.3], 0, 1.0, 1.0))
+        v = adv_comp_rho_loss_batch(self.model, *one_example(0.3, 0), 1.0,
+                                    self.adv, self.ball)[0]
+        assert v == pytest.approx(clean_rho_loss(self.model, 0.3, 0, 1.0, 1.0))
 
     def test_smooth_loss_is_scaled_clean(self):
         x = np.array([[0.3]])
-        v = smooth_adv_comp_loss(self.model, [0.3], 0, 1.0, self.adv, self.ball)
+        v = smooth_adv_comp_loss_batch(self.model, *one_example(0.3, 0), 1.0,
+                                       self.adv, self.ball)[0]
         scores = self.model.forward(x) / self.adv.rho
         assert v == pytest.approx(
             float(comp_sum_loss_batch(scores, np.array([0]), 1.0)[0]))
 
     def test_zero_one_equals_clean(self):
-        assert adv_zero_one(self.model, [0.3], 0, self.ball, self.adv) == 0
-        assert adv_zero_one(self.model, [-0.3], 0, self.ball, self.adv) == 1
+        for x, wrong in ((0.3, 0), (-0.3, 1)):
+            X, Y = one_example(x, 0)
+            assert adv_zero_one_batch(self.model, X, Y,
+                                      self.model.forward_vjp(X), self.ball,
+                                      self.adv)[0] == wrong
 
 
 class TestAgainstExactOracles:
@@ -279,7 +294,8 @@ class TestAgainstExactOracles:
             x = float(rng.normal())
             y = int(rng.integers(0, 2))
             exact = exact_rho_loss(m, x, y, 1.0, 1.0, 0.25)
-            pgd = adv_comp_rho_loss(m, [x], y, 1.0, adv, ball)
+            pgd = adv_comp_rho_loss_batch(m, *one_example(x, y), 1.0, adv,
+                                          ball)[0]
             assert pgd <= exact + 1e-10
             meets += pgd == pytest.approx(exact, abs=1e-7)
         assert meets >= 55  # two-label ramps are monotone: PGD finds the end
@@ -293,7 +309,9 @@ class TestAgainstExactOracles:
                         *rng.normal(scale=0.5, size=2))
             x = float(rng.normal())
             y = int(rng.integers(0, 2))
-            assert adv_zero_one(m, [x], y, ball, adv) == \
+            X, Y = one_example(x, y)
+            assert adv_zero_one_batch(m, X, Y, m.forward_vjp(X), ball,
+                                      adv)[0] == \
                 adv_zero_one_exact_rows(*one_row(m, x, y), 0.3)[0]
 
     def test_certified_margin_gives_zero_loss(self):
@@ -303,8 +321,9 @@ class TestAgainstExactOracles:
         # at x = 1: margin = 4; worst-case drop = gamma * |w0 - w1| = 0.4
         assert exact_rho_loss(m, 1.0, 0, 1.0, rho, gamma) == 0.0
         adv = AdvParams(n=2, rho=rho, pgd_steps=20, restarts=2, seed=0)
-        assert adv_comp_rho_loss(m, [1.0], 0, 1.0, adv,
-                                 PerturbationBall(math.inf, gamma)) == 0.0
+        assert adv_comp_rho_loss_batch(m, *one_example(1.0, 0), 1.0, adv,
+                                       PerturbationBall(math.inf, gamma))[0] \
+            == 0.0
 
     def test_deviation_closed_form(self):
         rng = np.random.default_rng(3)
@@ -335,7 +354,8 @@ class TestAgainstExactOracles:
             tau = float(rng.uniform(0.0, 3.0))
             exact = smooth_adv_exact_rows(*one_row(model, x, y), tau,
                                           adv.rho, adv.nu, 0.3)[0]
-            assert smooth_adv_comp_loss(model, x, y, tau, adv, ball) == \
+            assert smooth_adv_comp_loss_batch(
+                model, *one_example(x, y), tau, adv, ball)[0] == \
                 pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("p_norm, q", [
@@ -376,12 +396,12 @@ class TestAgainstExactOracles:
 
 
 ONE_EXAMPLE_LOSSES = {
-    "adv_comp_rho_loss": lambda m, x, y, adv, ball: adv_comp_rho_loss(
-        m, x, y, 1.0, adv, ball),
-    "smooth_adv_comp_loss": lambda m, x, y, adv, ball: smooth_adv_comp_loss(
-        m, x, y, 1.0, adv, ball),
-    "adv_zero_one": lambda m, x, y, adv, ball: adv_zero_one(m, x, y, ball,
-                                                            adv),
+    "adv_comp_rho_loss": lambda m, X, Y, adv, ball: adv_comp_rho_loss_batch(
+        m, X, Y, 1.0, adv, ball),
+    "smooth_adv_comp_loss": lambda m, X, Y, adv, ball:
+        smooth_adv_comp_loss_batch(m, X, Y, 1.0, adv, ball),
+    "adv_zero_one": lambda m, X, Y, adv, ball: adv_zero_one_batch(
+        m, X, Y, m.forward_vjp(X), ball, adv),
 }
 
 
@@ -391,23 +411,14 @@ class TestOneExample:
     ball = PerturbationBall(math.inf, 0.1)
     adv = AdvParams(n=2, seed=0)
 
-    def test_scalar_feature_is_a_one_feature_vector(self, loss):
-        model = linear2(1.0, -1.0, 0.2, 0.0)
-        assert loss(model, 0.5, 1, self.adv, self.ball) == \
-            loss(model, [0.5], 1, self.adv, self.ball)
-
-    @pytest.mark.parametrize("dim, x", [
-        (1, [0.5, 0.5]), (1, [[0.5]]), (1, []), (3, 0.5), (3, [0.5, 0.5]),
-    ])
-    def test_feature_of_another_length_names_x(self, loss, dim, x):
-        model = init_linear(dim, 2, seed=0)
-        with pytest.raises(ValueError, match="^x must be"):
-            loss(model, x, 0, self.adv, self.ball)
-
-    @pytest.mark.parametrize("y", [2, 0.5])
-    def test_bad_label_is_refused(self, loss, y):
-        with pytest.raises(ValueError, match="label"):
-            loss(linear2(1.0, -1.0), [0.5], y, self.adv, self.ball)
+    @pytest.mark.parametrize("y, message", [
+        (2, r"lie in \[0, 2\)"), (0.5, "be a 1-D integer array"),
+    ], ids=["2", "0.5"])
+    def test_bad_label_is_refused(self, loss, y, message):
+        # a fractional label makes the one-row labels a float array
+        with pytest.raises(ValueError, match=f"^Y: labels must {message}"):
+            loss(linear2(1.0, -1.0), *one_example(0.5, y), self.adv,
+                 self.ball)
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -433,12 +444,13 @@ class TestMonotonicityAndChain:
         for _ in range(20):
             m = linear2(*rng.normal(scale=1.0, size=2),
                         *rng.normal(scale=0.5, size=2))
-            x = [float(rng.normal())]
+            x = float(rng.normal())
             prev = -1.0
             for steps in (1, 3, 10, 30):
                 adv = AdvParams(n=2, rho=1.0, pgd_steps=steps,
                                 pgd_step_size=0.05, restarts=1, seed=0)
-                v = adv_comp_rho_loss(m, x, 0, 1.0, adv, ball)
+                v = adv_comp_rho_loss_batch(m, *one_example(x, 0), 1.0, adv,
+                                            ball)[0]
                 assert v >= prev - 1e-12
                 prev = v
 
@@ -468,7 +480,8 @@ class TestMonotonicityAndChain:
             n = int(rng.choice([2, 4]))
             m = LinearModel(rng.normal(size=(n, 1)), rng.normal(size=n))
             adv = AdvParams(n=n, rho=0.7, pgd_steps=10, seed=0)
-            v = adv_comp_rho_loss(m, [0.0], 0, 1.2, adv, ball)
+            v = adv_comp_rho_loss_batch(m, *one_example(0.0, 0), 1.2, adv,
+                                        ball)[0]
             assert 0.0 <= v <= phi_tau(float(n - 1), 1.2) + 1e-12
 
 
@@ -825,5 +838,6 @@ class TestAdvBound:
         assert phi_tau(1.0, 1.0) == math.log(2.0)
 
     def test_cstar_closed_form_two_labels(self):
-        assert cstar_adv_rho_closed([0.7, 0.3], 1.0) == pytest.approx(
+        assert _cstar_adv_rho_rows(np.array([[0.7, 0.3]]),
+                                   np.array([1.0]))[0] == pytest.approx(
             0.3 * math.log(2))

@@ -119,6 +119,17 @@ class TestTausOption:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transform-table", "gaps"])
+def test_tables_take_no_seed(tmp_path, capsys, command):
+    # both draw nothing; --seed used to be accepted and ignored
+    out = tmp_path / "t.csv"
+    assert main([command, "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_tightness_suite_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -11,7 +11,6 @@ import pytest
 
 from compsum import _checks, _kernels, bounds, losses, risk
 from compsum.risk import (
-    calibration_gap,
     cond_risk,
     cond_risk_star_brute,
     cond_risk_star_closed,
@@ -21,7 +20,6 @@ from compsum.risk import (
     minimizability_gap,
     minimize_weighted_cond_risk,
     minimize_weighted_cond_risk_batch,
-    optimal_scores,
     score_box,
 )
 
@@ -300,6 +298,12 @@ def test_batch_starts_equal_the_per_problem_reference(n, lam):
     assert starts.shape == (6, risk.ORACLE_STARTS, n)
     assert np.array_equal(starts, want)
     assert np.array_equal(np.signbit(starts), np.signbit(want))
+
+
+def optimal_scores(p, tau, lam=risk.UNBOUNDED_BOX_LAM):
+    """The closed-form minimizer of one conditional, as a one-row call."""
+    return risk.optimal_scores_rows(np.array([p], dtype=np.float64),
+                                    np.array([tau], dtype=np.float64), lam)[0]
 
 
 def stationarity_residual(p, tau):
@@ -676,8 +680,8 @@ class TestOptimalScores:
             p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
             tau = float(rng.uniform(0.0, 1.9))
             s = optimal_scores(p, tau)
-            assert calibration_gap(s, p, tau, score_box(n)) == pytest.approx(
-                0.0, abs=1e-9)
+            assert cond_risk(s, p, tau) - cond_risk_star_closed(p, tau) == \
+                pytest.approx(0.0, abs=1e-9)
 
     def test_gap_nonnegative_everywhere(self):
         rng = np.random.default_rng(6)
@@ -685,13 +689,14 @@ class TestOptimalScores:
             n = int(rng.choice([2, 3]))
             p = rng.dirichlet(np.ones(n))
             s = rng.normal(scale=2.0, size=n)
-            assert calibration_gap(s, p, 1.0, score_box(n)) >= -1e-9
+            assert cond_risk(s, p, 1.0) - cond_risk_star_closed(p, 1.0) >= \
+                -1e-9
 
     def test_onehot_matching_argmax_with_margin(self):
         p = np.array([0.0, 1.0])
         s = np.array([-10.0, 10.0])
-        assert calibration_gap(s, p, 1.0, score_box(2)) == pytest.approx(
-            0.0, abs=1e-8)
+        assert cond_risk(s, p, 1.0) - cond_risk_star_closed(p, 1.0) == \
+            pytest.approx(0.0, abs=1e-8)
 
 
 class TestMinimizabilityGap:
@@ -920,9 +925,6 @@ TWO_LABELS = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
 @pytest.mark.parametrize("call, name", [
     (lambda: cond_risk_star_brute([0.5, 0.5], 1.0, score_box(3, 2.0)),
      "spec"),
-    (lambda: risk.cond_risk_star([0.5, 0.5], 1.0, score_box(3)), "spec"),
-    (lambda: calibration_gap([0.0, 0.0], [0.5, 0.5], 1.0, score_box(3, 2.0)),
-     "spec"),
     (lambda: minimizability_gap(TWO_LABELS, score_box(3, 2.0), 1.0), "spec"),
     (lambda: minimizability_gap(TWO_LABELS, linear_family(3, 1, 1.0), 1.0),
      "spec"),
@@ -942,7 +944,7 @@ TWO_LABELS = finite_distribution([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
     (lambda: score_box(3, True), "lam"),
     (lambda: score_box(3, math.nan), "lam"),
     (lambda: bounds.hbar_mu_scores([1.0, 0.0], math.nan, 0), "mu"),
-], ids=["brute", "star", "calibration_gap", "gap_score_box", "gap_linear",
+], ids=["brute", "gap_score_box", "gap_linear",
         "bound_spec", "bound_nan", "bound_inf", "learning_bound",
         "linear_nan_bound", "linear_bool_bound", "linear_str_bound",
         "box_bool_lam", "box_nan_lam", "hbar_nan_mu"])
